@@ -24,6 +24,7 @@ import sys
 
 from . import euler as _euler
 from . import variants as _variants
+from .grading import join_signed
 from .hscalar import XI, monomials_in_grading
 from .parsing import ParseError, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
@@ -63,12 +64,7 @@ def format_vector(vector) -> str:
         if " + " in text or " - " in text:
             text = f"({text})"
         chunks.append(f"{text}*P{i}")
-    if not chunks:
-        return "0"
-    out = chunks[0]
-    for chunk in chunks[1:]:
-        out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-    return out
+    return join_signed(chunks)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -297,6 +293,15 @@ def cmd_chart(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, low in (
+        ("--count", args.count, 0),
+        ("--pmax", args.pmax, 1),
+        ("--qmax", args.qmax, 1),
+        ("--dmax", args.dmax, 0),
+    ):
+        if value < low:
+            print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     summary = run_verify(args.seed, args.count, args.pmax, args.qmax, args.dmax)
     result = {
         "seed": summary.seed,

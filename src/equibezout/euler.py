@@ -142,6 +142,8 @@ def context_check(F: BundleSum) -> list[str]:
     r = ranks(F)
     p, q = F.sp.p, F.sp.q
     out = []
+    if p < 1 or q < 1:
+        out.append(f"p = {p}, q = {q} must satisfy p, q >= 1")
     if not r.n_total < p + q:
         out.append(f"n = {r.n_total} must be < p + q = {p + q}")
     if not r.n_total - q <= r.n_fix0 <= r.n_total:
@@ -164,31 +166,25 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
     if sp.p < 1 or sp.q < 1:
         raise ValueError(f"line-bundle Euler classes need p, q >= 1, got {sp}")
 
-    def scalars(x: HElement):
-        # transport Burnside constants into the active coefficient ring
-        if ring is HElement:
-            return x
-        return ring.from_burnside(x)
-
     def mono(s, t, a, b):
         return raw_monomial(sp, s, t, a, b, ring)
 
     d, rem = divmod(L.d, 2)
-    g = scalars(hscalar.g())
-    eik2 = scalars(hscalar.einvkappa(2))
+    g = ring.from_burnside(hscalar.g())
+    eik2 = ring.from_burnside(hscalar.einvkappa(2))
     if not L.twisted and rem:  # O(2d+1)
         return mono(0, 0, 1, 0) + (
             mono(0, 0, 1, 0).scale(g) + mono(0, 1, 1, 1).scale(eik2)
         ).scale(d)
     if not L.twisted:  # O(2d)
-        tl = scalars(hscalar.tauinv(1))
+        tl = ring.from_burnside(hscalar.tauinv(1))
         return (mono(1, 0, 1, 0).scale(tl) + mono(0, 0, 1, 1).scale(eik2)).scale(d)
     if rem:  # xO(2d+1)
         return mono(0, 0, 0, 1) + (
             mono(0, 0, 0, 1).scale(g) + mono(1, 0, 1, 1).scale(eik2)
         ).scale(d)
     # xO(2d)
-    e2 = scalars(hscalar.e(2))
+    e2 = ring.from_burnside(hscalar.e(2))
     return ModuleElement.unit(sp, ring).scale(e2) + mono(1, 0, 1, 0).scale(g).scale(d)
 
 
@@ -344,14 +340,17 @@ def bezout_report(F: BundleSum, partition=None) -> EulerReport:
     prod = euler_product(F)
     closed = euler_closed(F)
     vector = coeff_vector(prod, grading.m)
+    in_t = in_tildeT(prod)
+    recovered_degrees = recover_degrees(prod)
+    recovered_ranks = recover_ranks(grading)
 
     checks = {
         "product_equals_closed": prod == closed,
         "grading": prod.grading is None or prod.grading == grading,
         "support_at_most_three": len(prod.terms) <= 3,
-        "coefficients_in_T": in_tildeT(prod),
-        "degrees_recovered": recover_degrees(prod) == dd,
-        "ranks_recovered": recover_ranks(grading) == r,
+        "coefficients_in_T": in_t,
+        "degrees_recovered": recovered_degrees == dd,
+        "ranks_recovered": recovered_ranks == r,
     }
     if partition is None and F.n >= 2:
         partition = (F.lines[:1], F.lines[1:])
@@ -362,7 +361,7 @@ def bezout_report(F: BundleSum, partition=None) -> EulerReport:
             mod_mul(euler_product(F1), euler_product(F2)) == prod
         )
 
-    report = EulerReport(
+    return EulerReport(
         F=F,
         ranks=r,
         degrees=dd,
@@ -370,9 +369,8 @@ def bezout_report(F: BundleSum, partition=None) -> EulerReport:
         product_class=prod,
         closed_class=closed,
         coefficients=vector,
-        in_tilde_t=in_tildeT(prod),
-        recovered_degrees=recover_degrees(prod),
-        recovered_ranks=recover_ranks(grading),
+        in_tilde_t=in_t,
+        recovered_degrees=recovered_degrees,
+        recovered_ranks=recovered_ranks,
         checks=checks,
     )
-    return report

@@ -127,6 +127,17 @@ def recover_ranks(x: PiBDegree) -> RankTriple:
     return RankTriple(half_a + half_b, half_a, half_a - x.m)
 
 
+def join_signed(chunks: list[str]) -> str:
+    """Join signed terms as ``a + b - c``: the first chunk keeps its sign,
+    a later chunk written ``-x`` becomes `` - x``; "0" when empty."""
+    if not chunks:
+        return "0"
+    out = [chunks[0]]
+    for chunk in chunks[1:]:
+        out.append(f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}")
+    return "".join(out)
+
+
 def format_degree(m: int, a: int, b: int) -> str:
     """Render ``m*W1 + a + b*s``, omitting zero terms ("0" if all vanish)."""
     parts = []
@@ -136,9 +147,5 @@ def format_degree(m: int, a: int, b: int) -> str:
         parts.append(str(a))
     if b:
         parts.append(f"{b}*s")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+    return join_signed(parts)
+

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grading import ROC2Degree
+from .grading import ROC2Degree, join_signed
 
 ONE = "one"
 G = "g"
@@ -156,8 +156,11 @@ def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
 class HElement:
     """A homogeneous element of the point ring in normal form.
 
-    Supports +, -, * (with other elements and with ints).  The grading is
-    read off the support; the zero element is grading-agnostic.
+    Supports +, -, * (with elements of the same class and with ints).  The
+    grading is read off the support; the zero element is grading-agnostic.
+    Arithmetic builds its results with ``type(self)``, so a subclass that
+    only changes the normal form in ``__init__`` is a quotient ring with the
+    same monomials and product table (see ``variants.ZHElement``).
 
     >>> g = HElement.monomial(MONO_G)
     >>> print(g * g)
@@ -197,6 +200,11 @@ class HElement:
     def from_int(cls, c: int) -> "HElement":
         return cls({MONO_ONE: c})
 
+    @classmethod
+    def from_burnside(cls, x: "HElement") -> "HElement":
+        """Carry a Burnside scalar into this ring's normal form."""
+        return cls(dict(x.terms))
+
     @property
     def grading(self) -> ROC2Degree | None:
         """Common grading of the support; None for the zero element."""
@@ -209,9 +217,9 @@ class HElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = HElement.from_int(other)
-        if not isinstance(other, HElement):
-            return NotImplemented
+            other = self.from_int(other)
+        elif type(other) is not type(self):
+            return NotImplemented  # scalars of different rings never mix
         return self.terms == other.terms
 
     def __hash__(self):
@@ -219,20 +227,20 @@ class HElement:
 
     def __add__(self, other) -> "HElement":
         if isinstance(other, int):
-            other = HElement.from_int(other)
+            other = self.from_int(other)
+        elif type(other) is not type(self):
+            return NotImplemented
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
             merged[mono] = merged.get(mono, 0) + coeff
-        return HElement(merged)
+        return type(self)(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HElement":
-        return HElement({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "HElement":
-        if isinstance(other, int):
-            other = HElement.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "HElement":
@@ -240,15 +248,15 @@ class HElement:
 
     def __mul__(self, other) -> "HElement":
         if isinstance(other, int):
-            return HElement({m: other * c for m, c in self.terms.items()})
-        if not isinstance(other, HElement):
+            return type(self)({m: other * c for m, c in self.terms.items()})
+        if type(other) is not type(self):
             return NotImplemented
         out: dict[HMonomial, int] = {}
         for mx, cx in self.terms.items():
             for my, cy in other.terms.items():
                 for mono, c in _mono_mul(mx, my):
                     out[mono] = out.get(mono, 0) + cx * cy * c
-        return HElement(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
@@ -259,7 +267,7 @@ class HElement:
             if coeff % 2:
                 raise ArithmeticError(f"{self} is not divisible by 2")
             halved[mono] = coeff // 2
-        return HElement(halved)
+        return type(self)(halved)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -288,9 +296,7 @@ class HElement:
 
 def format_scalar(x) -> str:
     """Canonical text form of a scalar: signed sum of coeff*monomial."""
-    if not x.terms:
-        return "0"
-    bits = []
+    chunks = []
     for mono in sorted(x.terms, key=lambda m: (_KINDS.index(m.kind), m.m, m.n)):
         coeff = x.terms[mono]
         body = str(mono)
@@ -300,12 +306,8 @@ def format_scalar(x) -> str:
             chunk = body
         else:
             chunk = f"{abs(coeff)}*{body}"
-        bits.append(("-" if coeff < 0 else "+", chunk))
-    sign, first = bits[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, chunk in bits[1:]:
-        out += f" {sign} {chunk}"
-    return out
+        chunks.append(("-" if coeff < 0 else "") + chunk)
+    return join_signed(chunks)
 
 
 def one() -> HElement:

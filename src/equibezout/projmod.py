@@ -19,16 +19,17 @@ Products are computed by a terminating rewrite system: multiplication by
 one generator at a time, normalizing after each step.  The rewrite rules
 are exactly the relations above plus their consequences for divided
 classes; they are exercised against the operator identities in the test
-suite.  The engine is generic over the coefficient ring (the Burnside
-theory by default; the constant-Z theory reuses it with the unit 1-kappa
-collapsed to 1).
+suite.  The engine is generic over the coefficient ring through the
+``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
+the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
+normal form (kappa = 0, so the unit 1-kappa collapses to 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grading import PiBDegree, deg_add
+from .grading import PiBDegree, deg_add, join_signed
 from .hscalar import HElement, h_fixed, h_rho, in_T
 
 ALPHA = "alpha"  # z1^t * cw^a            t >= 1, a <= p-1
@@ -253,8 +254,6 @@ class ModuleElement:
         return sorted(self.terms.items(), key=lambda mc: (mc[0].index, mc[0].a))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         chunks = []
         for mono, coeff in self.sorted_terms():
             ctext = str(coeff)
@@ -269,10 +268,7 @@ class ModuleElement:
                 chunks.append(f"({ctext})*{mtext}")
             else:
                 chunks.append(f"{ctext}*{mtext}")
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+        return join_signed(chunks)
 
     __repr__ = __str__
 
@@ -515,8 +511,6 @@ class NoneqPoly:
         return bool(self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         bits = []
         for k, v in self.coeffs:
             body = "1" if k == 0 else ("c" if k == 1 else f"c^{k}")
@@ -528,7 +522,7 @@ class NoneqPoly:
                 bits.append(f"-{body}")
             else:
                 bits.append(f"{v}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return join_signed(bits)
 
 
 # fixed-point images of the monomial families: exponent of c over each of

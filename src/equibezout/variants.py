@@ -4,7 +4,10 @@ The Burnside theory maps onto two coarser theories, both respecting Euler
 classes:
 
 * constant-Z coefficients, obtained by killing kappa (so g = 2, the
-  e^-m*kappa classes vanish, and e becomes 2-torsion);
+  e^-m*kappa classes vanish, and e becomes 2-torsion).  Only the normal
+  form changes, so its scalar ``ZHElement`` is ``HElement`` with a
+  different ``__init__``: same monomials, same product table, same module
+  engine;
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single
   polynomial generator c with c^p * (c + e^2)^q = 0, and the fixed-point
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import euler as _euler
+from .grading import join_signed
 from .hscalar import (
     E,
     EIK,
@@ -33,8 +37,6 @@ from .hscalar import (
     ONE,
     TAUINV,
     XI,
-    _mono_mul,
-    format_scalar,
 )
 from .projmod import (
     _FIXED_SHAPE,
@@ -45,15 +47,16 @@ from .projmod import (
 )
 
 
-class ZHElement:
-    """A scalar of the constant-Z point ring, in normal form.
+class ZHElement(HElement):
+    """A constant-Z point-ring scalar: ``HElement`` with another normal form.
 
-    Same monomial alphabet as the Burnside ring minus g and e^-m*kappa;
-    the coefficients of e^m and e^m*xi^n live in Z/2.  Normalization maps
-    g to 2 and drops e^-m*kappa, which is exactly the kappa = 0 quotient.
+    Killing kappa maps g to 2 and drops e^-m*kappa; after the fold the
+    coefficients of e^m and e^m*xi^n live in Z/2.  Arithmetic, the module
+    hooks and ``divide_by_two`` are inherited: u = g - 1 folds to 1, and an
+    e coefficient is always odd, so halving it raises.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[HMonomial, int]):
         folded: dict[HMonomial, int] = {}
@@ -62,108 +65,17 @@ class ZHElement:
                 continue
             if mono.kind == G:
                 mono, coeff = MONO_ONE, 2 * coeff
+            elif mono.kind == E:
+                coeff %= 2  # no other kind folds onto e^m
             folded[mono] = folded.get(mono, 0) + coeff
-        clean: dict[HMonomial, int] = {}
-        grading = None
-        for mono, coeff in folded.items():
-            if mono.kind in (E, EXI):
-                coeff %= 2
-            if not coeff:
-                continue
-            if grading is None:
-                grading = mono.grading
-            elif mono.grading != grading:
-                raise ValueError(f"mixed gradings: {mono.grading} vs {grading}")
-            clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def from_burnside(cls, x: HElement) -> "ZHElement":
-        return cls(dict(x.terms))
-
-    @classmethod
-    def from_int(cls, c: int) -> "ZHElement":
-        return cls({MONO_ONE: c})
-
-    @property
-    def grading(self):
-        for mono in self.terms:
-            return mono.grading
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ZHElement.from_int(other)
-        if not isinstance(other, ZHElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "ZHElement":
-        if isinstance(other, int):
-            other = ZHElement.from_int(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return ZHElement(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZHElement":
-        return ZHElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ZHElement":
-        if isinstance(other, int):
-            other = ZHElement.from_int(other)
-        return self + (-other)
+        super().__init__(folded)
 
     def __mul__(self, other) -> "ZHElement":
-        if isinstance(other, int):
-            return ZHElement({m: other * c for m, c in self.terms.items()})
-        if not isinstance(other, ZHElement):
-            return NotImplemented
-        out: dict[HMonomial, int] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                for mono, c in _mono_mul(mx, my):
-                    out[mono] = out.get(mono, 0) + cx * cy * c
-        return ZHElement(out)
+        # own binding: bench/tracer.py counts constant-Z products through
+        # vars(ZHElement)["__mul__"]
+        return super().__mul__(other)
 
     __rmul__ = __mul__
-
-    def divide_by_two(self) -> "ZHElement":
-        halved = {}
-        for mono, coeff in self.terms.items():
-            if mono.kind in (E, EXI) or coeff % 2:
-                raise ArithmeticError(f"{self} is not divisible by 2")
-            halved[mono] = coeff // 2
-        return ZHElement(halved)
-
-    def __str__(self) -> str:
-        return format_scalar(self)
-
-    __repr__ = __str__
-
-    @classmethod
-    def ring_one(cls) -> "ZHElement":
-        return cls.from_int(1)
-
-    @classmethod
-    def ring_u(cls) -> "ZHElement":
-        return cls.from_int(1)  # the unit 1 - kappa collapses to 1
-
-    @classmethod
-    def ring_e2(cls) -> "ZHElement":
-        return cls({HMonomial(E, 2): 1})
-
-    @classmethod
-    def ring_xi(cls, n: int) -> "ZHElement":
-        return cls({HMonomial(XI, n=n): 1})
 
 
 def to_constZ(x: HElement) -> ZHElement:
@@ -299,9 +211,7 @@ class BorelScalar:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
+        chunks = []
         for (m, n) in sorted(self.terms):
             coeff = self.terms[(m, n)]
             factors = []
@@ -320,12 +230,8 @@ class BorelScalar:
                 chunk = body
             else:
                 chunk = f"{abs(coeff)}*{body}"
-            bits.append(("-" if coeff < 0 else "+", chunk))
-        sign, first = bits[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, chunk in bits[1:]:
-            out += f" {sign} {chunk}"
-        return out
+            chunks.append(("-" if coeff < 0 else "") + chunk)
+        return join_signed(chunks)
 
     __repr__ = __str__
 
@@ -393,8 +299,6 @@ class BorelElement:
         return BorelElement(self.sp, out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         chunks = []
         for k in sorted(self.coeffs):
             scal = self.coeffs[k]
@@ -408,7 +312,7 @@ class BorelElement:
                 chunks.append(f"({text})*{body}")
             else:
                 chunks.append(f"{text}*{body}")
-        return " + ".join(chunks)
+        return join_signed(chunks)
 
     __repr__ = __str__
 

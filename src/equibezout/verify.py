@@ -63,8 +63,6 @@ def random_bundle_sum(rng: random.Random, pmax=6, qmax=6, dmax=5) -> _euler.Bund
     while True:
         p = rng.randint(1, pmax)
         q = rng.randint(1, qmax)
-        if p + q < 2:
-            continue
         n = rng.randint(1, p + q - 1)
         lines = [
             _euler.LineBundle(rng.random() < 0.5, rng.randint(-dmax, dmax))

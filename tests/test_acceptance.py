@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -29,7 +28,6 @@ from equibezout.projmod import (
     ModuleElement,
     NoneqPoly,
     ProjSpace,
-    apply_gen,
     basis,
     mod_rho,
 )
@@ -97,49 +95,9 @@ def test_criterion_3_differential_suite():
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
-def test_criterion_4_operator_identities():
+def test_criterion_4_operator_identities(operator_identities):
     with criterion(4, "operator identities on all basis elements, p,q <= 5, |m| <= 8"):
-        u = HElement.ring_u()
-        for p in range(0, 6):
-            for q in range(0, 6):
-                if p + q == 0:
-                    continue
-                sp = ProjSpace(p, q)
-                for m in range(-8, 9):
-                    for P in basis(sp, m):
-                        x = ModuleElement(sp, {P: hs.one()})
-                        assert apply_gen("z0", apply_gen("z1", x)) == x.scale(hs.xi(1))
-                        lhs = apply_gen("z1", apply_gen("cxw", x))
-                        rhs = apply_gen("z0", apply_gen("cw", x)).scale(u) + x.scale(
-                            hs.e(2)
-                        )
-                        assert lhs == rhs
-                        z = x
-                        for _ in range(p):
-                            z = apply_gen("cw", z)
-                        for _ in range(q):
-                            z = apply_gen("cxw", z)
-                        assert not z
-                        for g1, g2 in itertools.combinations(
-                            ("z0", "z1", "cw", "cxw"), 2
-                        ):
-                            assert apply_gen(g1, apply_gen(g2, x)) == apply_gen(
-                                g2, apply_gen(g1, x)
-                            )
-                        if P.s < 0:
-                            z = x
-                            for _ in range(-P.s):
-                                z = apply_gen("z0", z)
-                            assert z == ModuleElement(
-                                sp, {BasisMonomial(sp, 0, 0, P.a, P.b): hs.one()}
-                            )
-                        if P.t < 0:
-                            z = x
-                            for _ in range(-P.t):
-                                z = apply_gen("z1", z)
-                            assert z == ModuleElement(
-                                sp, {BasisMonomial(sp, 0, 0, P.a, P.b): hs.one()}
-                            )
+        operator_identities(HElement, 5, 8)
 
 
 DIAGRAMS_45 = {

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from equibezout.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, chart_cell, main
 
 JSON_KEYS = {
@@ -186,3 +188,23 @@ def test_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["degrees"] == [16, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["euler", "3", "0", "O(1)"], EXIT_CHECK, "p, q >= 1"),
+        (["compare", "3", "0", "O(1)", "O(3)"], EXIT_CHECK, "p, q >= 1"),
+        (["verify", "--pmax", "0"], EXIT_USAGE, "--pmax must be >= 1"),
+        (["verify", "--qmax", "0"], EXIT_USAGE, "--qmax must be >= 1"),
+        (["verify", "--dmax", "-1"], EXIT_USAGE, "--dmax must be >= 0"),
+        (["verify", "--count", "-5"], EXIT_USAGE, "--count must be >= 0"),
+    ],
+)
+def test_degenerate_inputs_exit_cleanly(argv, code, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "equibezout.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stdout + proc.stderr

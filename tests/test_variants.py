@@ -1,5 +1,6 @@
 """Constant-Z and Borel theories: maps, closed forms, information loss."""
 
+import operator
 import random
 
 import pytest
@@ -54,6 +55,23 @@ def test_z_ring_is_2_torsion_on_e():
     e = ZHElement({hs.HMonomial(hs.E, 1): 1})
     assert e + e == ZHElement.from_int(0)
     assert e * e == ZHElement({hs.HMonomial(hs.E, 2): 1})
+
+
+def test_burnside_and_constZ_scalars_never_mix():
+    h, z = hs.e(2), ZHElement.ring_e2()
+    assert h != z and z != h
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(h, z)
+        with pytest.raises(TypeError):
+            op(z, h)
+    # integers act on both rings, and results keep the constant-Z class
+    two = to_constZ(hs.g())
+    for result in (two + 1, 1 - two, 3 * z, -z, z * z, z - z):
+        assert type(result) is ZHElement
+    assert (two * 3).divide_by_two() == 3
+    with pytest.raises(ArithmeticError):
+        z.divide_by_two()  # an e coefficient is always odd
 
 
 def test_z_map_examples():
