@@ -94,8 +94,8 @@ def _envelope(command: str, inputs: dict, **extra) -> dict:
 def cmd_basis(args) -> int:
     try:
         sp = ProjSpace(args.p, args.q)
-    except ValueError:
-        print("error: p+q must be positive", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     monos = basis(sp, args.m)
     rows = []
@@ -385,10 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_brange(argv: list[str]) -> list[str]:
+    """``--brange LO..HI`` -> ``--brange=LO..HI``: argparse reads a separate
+    negative range such as ``-3..3`` as an option, not as the value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--brange" and _RANGE_RE.match(arg):
+            out[-1] = f"--brange={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_brange(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

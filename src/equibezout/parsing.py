@@ -45,6 +45,20 @@ def _tokenize(text: str) -> list[str]:
 GEN_NAMES = ("z0", "z1", "cw", "cxw")
 
 
+def _power(base, k: int, one):
+    """``base^k`` for k >= 0 by repeated squaring.  ``base * base`` is formed
+    whenever k >= 2, so a base that cannot be squared (a divided module
+    element) raises exactly when k copies of it could not be multiplied."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 class _Term:
     """Multiplicative accumulator: coeff * scalar * e^j * kappa^c * gens."""
 
@@ -71,10 +85,13 @@ class _Term:
 
     def pow(self, k: int) -> "_Term":
         if k >= 0:
-            out = _Term()
-            for _ in range(k):
-                out = out.mul(self)
-            return out
+            return _Term(
+                self.coeff**k,
+                _power(self.scal, k, hscalar.one()),
+                self.e_exp * k,
+                self.kappa * k,
+                {name: exp * k for name, exp in self.gens.items()} if k else None,
+            )
         # negative powers: only pure e or pure generator terms
         if self.coeff == 1 and self.scal == 1 and self.kappa == 0:
             if not self.gens and self.e_exp:
@@ -263,14 +280,8 @@ class _ExprParser:
             raise ParseError("negative exponent on a compound expression")
         value = _materialize(a, self.sp)
         if isinstance(value, HElement):
-            out = HElement.from_int(1)
-            for _ in range(k):
-                out = out * value
-            return out
-        out = ModuleElement.unit(value.sp)
-        for _ in range(k):
-            out = mod_mul(out, value)
-        return out
+            return _power(value, k, HElement.from_int(1))
+        return _power(value, k, ModuleElement.unit(value.sp))
 
     def _add(self, a, b, negate: bool):
         av = _materialize(a, self.sp)

@@ -22,7 +22,10 @@ classes; they are exercised against the operator identities in the test
 suite.  The engine is generic over the coefficient ring through the
 ``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
 the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
-normal form (kappa = 0, so the unit 1-kappa collapses to 1).
+normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Engine results
+are homogeneous by construction, so the engine builds them with the private
+``ModuleElement._trusted``, which skips the per-term grading check that the
+public constructor makes.
 """
 
 from __future__ import annotations
@@ -195,6 +198,16 @@ class ModuleElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, sp: ProjSpace, terms: dict, ring) -> "ModuleElement":
+        """Wrap ``terms`` without the grading check; zero coefficients are
+        dropped.  Only for results that are homogeneous by construction."""
+        self = object.__new__(cls)
+        self.sp = sp
+        self.ring = ring
+        self.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return self
+
+    @classmethod
     def zero(cls, sp: ProjSpace, ring=HElement) -> "ModuleElement":
         return cls(sp, {}, ring)
 
@@ -219,20 +232,25 @@ class ModuleElement:
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         if self.sp != other.sp:
             raise ValueError("elements over different spaces")
+        # both operands are homogeneous, so one grading each decides the sum
+        if self.terms and other.terms and other.grading != self.grading:
+            raise ValueError(f"mixed gradings: {other.grading} vs {self.grading}")
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, coeff * 0) + coeff
-        return ModuleElement(self.sp, merged, self.ring)
+            _emit(merged, mono, coeff)
+        return ModuleElement._trusted(self.sp, merged, self.ring)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.sp, {m: -c for m, c in self.terms.items()}, self.ring)
+        return ModuleElement._trusted(
+            self.sp, {m: -c for m, c in self.terms.items()}, self.ring
+        )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
         """Multiply every coefficient by the scalar (or integer) ``c``."""
-        return ModuleElement(
+        return ModuleElement._trusted(
             self.sp, {m: coeff * c for m, coeff in self.terms.items()}, self.ring
         )
 
@@ -246,7 +264,7 @@ class ModuleElement:
     __rmul__ = __mul__
 
     def divide_by_two(self) -> "ModuleElement":
-        return ModuleElement(
+        return ModuleElement._trusted(
             self.sp, {m: c.divide_by_two() for m, c in self.terms.items()}, self.ring
         )
 
@@ -361,7 +379,8 @@ def _normalize(sp: ProjSpace, ring, coeff, s, t, a, b, out: dict) -> None:
 
 
 def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
-    out[mono] = out.get(mono, coeff * 0) + coeff
+    prev = out.get(mono)
+    out[mono] = coeff if prev is None else prev + coeff
 
 
 def gen_mul(gen: str, x: BasisMonomial, ring=HElement) -> ModuleElement:
@@ -384,14 +403,25 @@ def gen_mul(gen: str, x: BasisMonomial, ring=HElement) -> ModuleElement:
         raise ValueError(f"unknown generator {gen!r}")
     out: dict = {}
     _normalize(x.sp, ring, ring.ring_one(), s, t, a, b, out)
-    return ModuleElement(x.sp, out, ring)
+    return ModuleElement._trusted(x.sp, out, ring)
+
+
+def _walk(terms: dict, steps, ring) -> dict:
+    """Apply ``count`` times each generator of ``steps`` to ``terms``; every
+    step folds the ``gen_mul`` images of all terms into one new dict."""
+    for gen, count in steps:
+        for _ in range(count):
+            out: dict = {}
+            for mono, coeff in terms.items():
+                if coeff:
+                    for image, c in gen_mul(gen, mono, ring).terms.items():
+                        _emit(out, image, c * coeff)
+            terms = out
+    return terms
 
 
 def apply_gen(gen: str, x: ModuleElement) -> ModuleElement:
-    total = ModuleElement.zero(x.sp, x.ring)
-    for mono, coeff in x.terms.items():
-        total = total + gen_mul(gen, mono, x.ring).scale(coeff)
-    return total
+    return ModuleElement._trusted(x.sp, _walk(x.terms, ((gen, 1),), x.ring), x.ring)
 
 
 def is_divided(x: BasisMonomial) -> bool:
@@ -409,27 +439,26 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     if s < 0 and t < 0:
         raise ValueError("z0 and z1 exponents cannot both be negative")
     p, q = sp.p, sp.q
-    if s < 0:
+    if _family(p, q, s, t, a, b) is not None:
+        start, steps = BasisMonomial(sp, s, t, a, b), []  # its own normal form
+    elif s < 0:
         if a < p:
             raise ValueError(f"z0^{s} requires a cw^{p} factor over {sp}")
         if q == 0:
             return ModuleElement.zero(sp, ring)  # cw^p = 0 when q = 0
-        elem = ModuleElement(sp, {BasisMonomial(sp, s, 0, p, 0): ring.ring_one()}, ring)
+        start = BasisMonomial(sp, s, 0, p, 0)
         steps = [("cw", a - p), ("cxw", b), ("z1", t)]
     elif t < 0:
         if b < q:
             raise ValueError(f"z1^{t} requires a cxw^{q} factor over {sp}")
         if p == 0:
             return ModuleElement.zero(sp, ring)  # cxw^q = 0 when p = 0
-        elem = ModuleElement(sp, {BasisMonomial(sp, 0, t, 0, q): ring.ring_one()}, ring)
+        start = BasisMonomial(sp, 0, t, 0, q)
         steps = [("cw", a), ("cxw", b - q), ("z0", s)]
     else:
-        elem = ModuleElement.unit(sp, ring)
+        start = BasisMonomial(sp, 0, 0, 0, 0)
         steps = [("z0", s), ("z1", t), ("cw", a), ("cxw", b)]
-    for gen, count in steps:
-        for _ in range(count):
-            elem = apply_gen(gen, elem)
-    return elem
+    return ModuleElement._trusted(sp, _walk({start: ring.ring_one()}, steps, ring), ring)
 
 
 def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
@@ -446,14 +475,12 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
                 "both factors contain divided monomials; no generator factorization"
             )
         x, y = y, x
-    total = ModuleElement.zero(x.sp, x.ring)
+    out: dict = {}
     for mono, coeff in y.terms.items():
-        part = x.scale(coeff)
-        for gen, count in (("z0", mono.s), ("z1", mono.t), ("cw", mono.a), ("cxw", mono.b)):
-            for _ in range(count):
-                part = apply_gen(gen, part)
-        total = total + part
-    return total
+        steps = (("z0", mono.s), ("z1", mono.t), ("cw", mono.a), ("cxw", mono.b))
+        for image, c in _walk(x.terms, steps, x.ring).items():
+            _emit(out, image, c * coeff)
+    return ModuleElement._trusted(x.sp, out, x.ring)
 
 
 def coeff_vector(x: ModuleElement, m: int | None = None) -> list:

@@ -98,7 +98,15 @@ def test_basis_listing(capsys):
 def test_basis_rejects_empty_space(capsys):
     code, _, err = run(capsys, "basis", "0", "0", "0")
     assert code == EXIT_USAGE
-    assert "p+q must be positive" in err
+    assert err == "error: invalid projective space X(0,0)\n"
+
+
+def test_basis_reports_negative_rank(capsys):
+    # p + q = 2 here, so the old "p+q must be positive" text was wrong
+    code, out, err = run(capsys, "basis", "-1", "3", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: invalid projective space X(-1,3)\n"
 
 
 def test_basis_json(capsys):
@@ -140,6 +148,14 @@ def test_chart_single_column(capsys):
     assert rows[-1] == "k"
     assert all(rows[b] == "*" for b in range(2, 9))
     assert all(rows[b] == "*" for b in range(-8, -1))
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_chart_brange_as_separate_argument(capsys, extra):
+    joined = run(capsys, "chart", "0..2", "--brange=-3..3", *extra)
+    assert joined[0] == EXIT_OK
+    assert run(capsys, "chart", "0..2", "--brange", "-3..3", *extra) == joined
+    assert run(capsys, "chart", "0..2", *extra, "--brange", "-3..3") == joined
 
 
 def test_chart_empty_range(capsys):

@@ -16,7 +16,13 @@ from equibezout.parsing import (
     parse_module_element,
     parse_scalar,
 )
-from equibezout.projmod import BasisMonomial, ModuleElement, ProjSpace, basis
+from equibezout.projmod import (
+    BasisMonomial,
+    ModuleElement,
+    ProjSpace,
+    UnsupportedProductError,
+    basis,
+)
 
 
 CANONICAL_SCALARS = (
@@ -137,6 +143,29 @@ def test_module_round_trip_basis_monomials():
             for P in basis(sp, m):
                 x = ModuleElement(sp, {P: hs.one()})
                 assert parse_module_element(str(P), sp) == x
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_powers_equal_repeated_products(k):
+    sp = ProjSpace(5, 5)
+    for base in ("(e^2 + g*z0*cw)", "(-2*e*kappa*z1*cw)"):
+        product = "*".join([base] * k) or "1"
+        assert parse_module_element(f"{base}^{k}", sp) == parse_module_element(product, sp)
+    for base in ("(1 + g)", "xi", "(3*g*e^2*kappa)"):
+        product = "*".join([base] * k) or "1"
+        assert parse_scalar(f"{base}^{k}") == parse_scalar(product)
+
+
+def test_power_of_divided_compound_raises_like_product():
+    sp = ProjSpace(2, 4)
+    base = "(z0^-1*cw^2*cxw + 3*z0^-1*cw^2*cxw)"
+    assert parse_module_element(f"{base}^0", sp) == ModuleElement.unit(sp)
+    assert parse_module_element(f"{base}^1", sp) == parse_module_element(base, sp)
+    with pytest.raises(UnsupportedProductError):
+        parse_module_element(f"{base}*{base}", sp)
+    for k in range(2, 6):
+        with pytest.raises(UnsupportedProductError):
+            parse_module_element(f"{base}^{k}", sp)
 
 
 def test_scalar_round_trip_random():

@@ -205,6 +205,96 @@ def test_raw_monomial_overflow_paths():
         raw_monomial(sp, -1, -1, 2, 4)
 
 
+def _reference_walk(sp, ring):
+    """raw_monomial as the walk one apply_gen at a time that it replaced:
+    from the unit through z0^s, z1^t, cw^a, cxw^b, or from the base
+    z0^s*cw^p (z1^t*cxw^q) of a divided tower through cw, cxw, z1 (cw,
+    cxw, z0).  Each walk extends the memoised walk one step shorter."""
+    p, q = sp.p, sp.q
+    memo = {}
+
+    def walk(s, t, a, b):
+        key = (s, t, a, b)
+        if key in memo:
+            return memo[key]
+        if s < 0:
+            later = [("z1", t, (s, t - 1, a, b)), ("cxw", b, (s, t, a, b - 1)),
+                     ("cw", a - p, (s, t, a - 1, b))]
+            base = BasisMonomial(sp, s, 0, p, 0) if q else None
+        elif t < 0:
+            later = [("z0", s, (s - 1, t, a, b)), ("cxw", b - q, (s, t, a, b - 1)),
+                     ("cw", a, (s, t, a - 1, b))]
+            base = BasisMonomial(sp, 0, t, 0, q) if p else None
+        else:
+            later = [("cxw", b, (s, t, a, b - 1)), ("cw", a, (s, t, a - 1, b)),
+                     ("z1", t, (s, t - 1, a, b)), ("z0", s, (s - 1, t, a, b))]
+            base = BasisMonomial(sp, 0, 0, 0, 0)
+        for gen, count, shorter in later:
+            if count > 0:
+                x = apply_gen(gen, walk(*shorter))
+                break
+        else:
+            x = ModuleElement.zero(sp, ring) if base is None else ModuleElement(
+                sp, {base: ring.ring_one()}, ring
+            )
+        memo[key] = x
+        return x
+
+    return walk
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_raw_monomial_matches_generator_walk(ring):
+    checked = 0
+    for sp in all_spaces(4):
+        walk = _reference_walk(sp, ring)
+        for s in range(-3, 4):
+            for t in range(-3, 4):
+                for a in range(sp.p + 3):
+                    for b in range(sp.q + 3):
+                        try:
+                            got = raw_monomial(sp, s, t, a, b, ring)
+                        except ValueError:
+                            continue
+                        assert got == walk(s, t, a, b)
+                        # the unchecked engine result passes the public check
+                        assert ModuleElement(sp, dict(got.terms), ring) == got
+                        checked += 1
+    assert checked > 10000
+
+
+def test_add_and_constructor_reject_mixed_gradings():
+    sp = ProjSpace(2, 2)
+    x = elem(sp, BasisMonomial(sp, 0, 0, 1, 0))
+    y = elem(sp, BasisMonomial(sp, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="mixed gradings"):
+        x + y
+    with pytest.raises(ValueError, match="mixed gradings"):
+        x - y.scale(hs.e(2))
+    with pytest.raises(ValueError, match="mixed gradings"):
+        ModuleElement(sp, {**x.terms, **y.terms})
+    with pytest.raises(ValueError, match="mixed gradings"):
+        ModuleElement(sp, {BasisMonomial(sp, 0, 0, 1, 0): hs.one(),
+                           BasisMonomial(sp, 1, 0, 1, 0): hs.e(2)})
+    zero = ModuleElement.zero(sp)
+    assert x + zero == x and zero + y == y
+
+
+def test_cancellation_leaves_no_terms():
+    sp = ProjSpace(2, 2)
+    x = raw_monomial(sp, 0, 1, 0, 1)  # z1*cxw = u*z0*cw + e^2
+    assert len(x.terms) == 2
+    # a product whose two nonzero parts cancel term by term
+    first = elem(sp, BasisMonomial(sp, 3, 0, 0, 0), hs.e(2))
+    second = elem(sp, BasisMonomial(sp, 2, 0, 0, 1), hs.xi(1))
+    y = elem(sp, BasisMonomial(sp, 0, 0, 1, 2))
+    assert mod_mul(first, y) and mod_mul(second, y)
+    for zero in (x - x, x.scale(0), -x + x, mod_mul(first + second, y)):
+        assert not zero
+        assert zero.terms == {}
+        assert zero == ModuleElement.zero(sp)
+
+
 def test_coeff_vector_example():
     sp = ProjSpace(5, 5)
     x = ModuleElement.unit(sp).scale(hs.e(8)) + elem(
