@@ -387,11 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_brange(argv: list[str]) -> list[str]:
     """``--brange LO..HI`` -> ``--brange=LO..HI``: argparse reads a separate
-    negative range such as ``-3..3`` as an option, not as the value."""
+    negative range such as ``-3..3`` as an option, not as the value.  Any
+    abbreviation of ``--brange`` down to ``--b`` is joined the same way, as
+    argparse accepts it; nothing after a bare ``--`` is touched."""
     out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--brange" and _RANGE_RE.match(arg):
-            out[-1] = f"--brange={arg}"
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and "--brange".startswith(prev) and _RANGE_RE.match(arg):
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
     return out

@@ -14,13 +14,14 @@ Every canonical printed form round-trips through these parsers.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from . import hscalar
 from .euler import LineBundle
 from .grading import PiBDegree
 from .hscalar import HElement
-from .projmod import ModuleElement, ProjSpace, mod_mul, raw_monomial
+from .projmod import ModuleElement, ProjSpace, is_divided, mod_mul, raw_monomial
 
 
 class ParseError(ValueError):
@@ -45,18 +46,33 @@ def _tokenize(text: str) -> list[str]:
 GEN_NAMES = ("z0", "z1", "cw", "cxw")
 
 
-def _power(base, k: int, one):
-    """``base^k`` for k >= 0 by repeated squaring.  ``base * base`` is formed
-    whenever k >= 2, so a base that cannot be squared (a divided module
-    element) raises exactly when k copies of it could not be multiplied."""
+def _power(base, k: int, one, mul=operator.mul, divided=lambda value: False):
+    """``base^k`` for k >= 0 by repeated squaring.
+
+    Every product formed has ``base`` itself or a square of it as its right
+    factor, and such a factor is used only while it is not ``divided``; so
+    the result is defined exactly when the linear loop ``one * base * ... *
+    base`` is (a module product needs one factor free of divided monomials).
+    A divided base raises at its first square, as ``base * base`` does; once
+    a square comes out divided, the rest of the exponent is multiplied in one
+    copy of the last undivided square at a time."""
     out = one
     while k:
         if k & 1:
-            out = out * base
+            out = mul(out, base)
         k >>= 1
         if k:
-            base = base * base
+            square = mul(base, base)
+            if divided(square):
+                for _ in range(2 * k):
+                    out = mul(out, base)
+                return out
+            base = square
     return out
+
+
+def _has_divided(value: ModuleElement) -> bool:
+    return any(is_divided(m) for m in value.terms)
 
 
 class _Term:
@@ -281,7 +297,7 @@ class _ExprParser:
         value = _materialize(a, self.sp)
         if isinstance(value, HElement):
             return _power(value, k, HElement.from_int(1))
-        return _power(value, k, ModuleElement.unit(value.sp))
+        return _power(value, k, ModuleElement.unit(value.sp), mod_mul, _has_divided)
 
     def _add(self, a, b, negate: bool):
         av = _materialize(a, self.sp)

@@ -156,6 +156,8 @@ def test_chart_brange_as_separate_argument(capsys, extra):
     assert joined[0] == EXIT_OK
     assert run(capsys, "chart", "0..2", "--brange", "-3..3", *extra) == joined
     assert run(capsys, "chart", "0..2", *extra, "--brange", "-3..3") == joined
+    assert run(capsys, "chart", "0..2", "--bra", "-3..3", *extra) == joined
+    assert run(capsys, "chart", "0..2", "--b", "-3..3", *extra) == joined
 
 
 def test_chart_empty_range(capsys):

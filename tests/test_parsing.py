@@ -151,6 +151,11 @@ def test_powers_equal_repeated_products(k):
     for base in ("(e^2 + g*z0*cw)", "(-2*e*kappa*z1*cw)"):
         product = "*".join([base] * k) or "1"
         assert parse_module_element(f"{base}^{k}", sp) == parse_module_element(product, sp)
+    # squares of these undivided bases are divided, so their higher powers
+    # need an undivided factor in every product
+    for base, space in (("(z0*cxw + z0*cxw)", ProjSpace(1, 2)), ("(z1*cw^3 + g*z1*cw^3)", sp)):
+        product = "*".join([base] * k) or "1"
+        assert parse_module_element(f"{base}^{k}", space) == parse_module_element(product, space)
     for base in ("(1 + g)", "xi", "(3*g*e^2*kappa)"):
         product = "*".join([base] * k) or "1"
         assert parse_scalar(f"{base}^{k}") == parse_scalar(product)
