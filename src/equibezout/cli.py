@@ -146,48 +146,30 @@ def cmd_euler(args) -> int:
         _emit(payload, args.json, ["context violation:"] + [f"  {v}" for v in violations])
         return EXIT_CHECK
 
-    r = _euler.ranks(F)
-    dd = _euler.degrees(F)
+    suffix = ""
     if args.coeffs == "burnside":
         report = _euler.bezout_report(F)
-        vector = [
-            {"i": i, "scalar": format_t_scalar(c)} for i, c in report.coefficients
-        ]
-        checks = dict(report.checks)
-        lines = [
-            f"F = {F} over {F.sp}",
-            f"e(F) = {format_vector(report.coefficients)}",
-            f"     = {report.product_class}",
-            f"ranks: ({r.n_total}, {r.n_fix0}, {r.n_fix1})   "
-            f"degrees: ({dd.delta}, {dd.delta0}, {dd.delta1})   "
-            f"grading: {report.grading}",
-        ]
-        grading_text = str(report.grading)
+        checks, vec = report.checks, report.coefficients
+        class_lines = [f"e(F) = {format_vector(vec)}", f"     = {report.product_class}"]
+        suffix = f"   grading: {report.grading}"
     else:
-        grading = _euler.euler_grading(r.n_total, r.n_fix0, r.n_fix1)
+        report = _euler.EulerReport(F)
+        checks = report.reported(_variants.CHECKS, args.coeffs)
+        closed = _variants.closed_class(report, args.coeffs)
         if args.coeffs == "zconst":
-            closed = _variants.z_euler_closed(F)
-            mapped = _variants.z_map(_euler.euler_product(F))
-            vec = coeff_vector(closed, grading.m)
-            vector = [{"i": i, "scalar": format_t_scalar(c)} for i, c in vec]
-            class_lines = [
-                f"e_Z(F) = {format_vector(vec)}",
-                f"       = {closed}",
-            ]
+            vec = coeff_vector(closed, report.grading.m)
+            class_lines = [f"e_Z(F) = {format_vector(vec)}", f"       = {closed}"]
         else:
-            closed = _variants.borel_euler_closed(F)
-            mapped = _variants.borel_map(_euler.euler_product(F), r.n_fix1)
-            vector = [
-                {"i": k, "scalar": str(v)} for k, v in sorted(closed.coeffs.items())
-            ]
+            vec = sorted(closed.coeffs.items())
             class_lines = [f"e_BH(F) = {closed}"]
-        checks = {"closed_equals_mapped_product": closed == mapped}
-        grading_text = str(grading)
-        lines = [f"F = {F} over {F.sp}"] + class_lines + [
-            f"ranks: ({r.n_total}, {r.n_fix0}, {r.n_fix1})   "
-            f"degrees: ({dd.delta}, {dd.delta0}, {dd.delta1})"
-        ]
-
+    text = str if args.coeffs == "borel" else format_t_scalar
+    vector = [{"i": i, "scalar": text(c)} for i, c in vec]
+    r, dd = report.ranks, report.degrees
+    lines = [f"F = {F} over {F.sp}", *class_lines]
+    lines.append(
+        f"ranks: ({r.n_total}, {r.n_fix0}, {r.n_fix1})   "
+        f"degrees: ({dd.delta}, {dd.delta0}, {dd.delta1}){suffix}"
+    )
     ok = all(checks.values())
     lines.append("checks: " + "; ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))
     payload = _envelope(
@@ -195,7 +177,7 @@ def cmd_euler(args) -> int:
         inputs,
         ranks=[r.n_total, r.n_fix0, r.n_fix1],
         degrees=[dd.delta, dd.delta0, dd.delta1],
-        grading=grading_text,
+        grading=str(report.grading),
         coefficients=vector,
         checks=checks,
         theory=args.coeffs,
@@ -374,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("EQUIBEZOUT_SEED", "1")),
+        default=os.environ.get("EQUIBEZOUT_SEED", "1"),
     )
     p_verify.add_argument("--count", type=int, default=1000)
     p_verify.add_argument("--pmax", type=int, default=6)

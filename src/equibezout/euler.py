@@ -14,19 +14,23 @@ The Euler class of a sum is computed two independent ways:
 * ``euler_closed`` evaluates the closed three-term formula, whose basis
   carriers and coefficients depend only on the ranks and degrees.
 
-``bezout_report`` runs both and cross-checks everything that is supposed
-to hold: the two classes agree, at most three basis elements appear, all
-coefficients lie in T, and the grading and degrees can be read back off
-the class.
+Each statement of the Bezout theorems is one named ``Check`` in a single
+table, whose Burnside rows (``BURNSIDE_CHECKS``) live here and which
+``variants.CHECKS`` completes.  A check is a predicate over an
+``EulerReport``, which computes each class it is asked for once.
+``bezout_report`` evaluates the Burnside checks ``euler`` prints; ``verify``
+evaluates every row on the same report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import hscalar
-from .grading import PiBDegree, RankTriple, euler_grading, recover_ranks
-from .hscalar import HElement, e_power_kappa, tau_iota
+from .grading import RankTriple, euler_grading, recover_ranks
+from .hscalar import HElement, e_power_kappa, in_Ie, tau_iota
 from .projmod import (
     ModuleElement,
     ProjSpace,
@@ -304,73 +308,135 @@ def recover_degrees(x: ModuleElement) -> DegreeTriple:
     return DegreeTriple(single(rho), single(fix0), single(fix1))
 
 
-@dataclass
-class EulerReport:
-    """Everything the Bezout theorems promise about one bundle sum."""
+@dataclass(frozen=True)
+class Check:
+    """A named statement of the Bezout theorems: ``holds(report)`` is a bool,
+    or None where it does not apply.  ``euler --coeffs <theory>`` prints the
+    ``reported`` rows of its theory by ``name``; ``verify`` uses ``key``."""
 
-    F: BundleSum
-    ranks: RankTriple
-    degrees: DegreeTriple
-    grading: PiBDegree
-    product_class: ModuleElement
-    closed_class: ModuleElement
-    coefficients: list
-    in_tilde_t: bool
-    recovered_degrees: DegreeTriple
-    recovered_ranks: RankTriple
-    checks: dict[str, bool] = field(default_factory=dict)
+    theory: str
+    name: str
+    reported: bool
+    holds: Callable[[EulerReport], bool | None]
+
+    @property
+    def key(self) -> str:
+        return self.name if self.theory == "burnside" else f"{self.theory}_{self.name}"
+
+
+class EulerReport:
+    """A bundle sum and the classes its checks compare.  Each class is
+    computed on first use and kept, so all checks share one product and one
+    split; ``checks`` is what ``bezout_report`` found."""
+
+    def __init__(self, F: BundleSum):
+        self.F, self.ranks, self.degrees = F, ranks(F), degrees(F)
+        r = self.ranks
+        self.grading = euler_grading(r.n_total, r.n_fix0, r.n_fix1)
+        self.checks: dict[str, bool] = {}
+        self._kept: dict = {}
 
     @property
     def ok(self) -> bool:
         return all(self.checks.values())
 
+    @cached_property
+    def product_class(self) -> ModuleElement:
+        return euler_product(self.F)
 
-def bezout_report(F: BundleSum, partition=None) -> EulerReport:
-    """Compute both Euler-class paths and run the cross-checks.
+    @cached_property
+    def coefficients(self) -> list:
+        return coeff_vector(self.product_class, self.grading.m)
 
-    ``partition`` may give two bundle lists splitting F to spot-check
-    multiplicativity; by default the first summand is split off.
-    """
+    @cached_property
+    def split(self) -> tuple[BundleSum, BundleSum] | None:
+        """F with its first summand split off (a line bundle is never
+        divided, so the factors multiply); None for a single summand."""
+        if self.F.n < 2:
+            return None
+        sp, lines = self.F.sp, self.F.lines
+        return BundleSum.make(sp, lines[:1]), BundleSum.make(sp, lines[1:])
+
+    def kept(self, compute):
+        """``compute(self)``, evaluated once per report and function object."""
+        if compute not in self._kept:
+            self._kept[compute] = compute(self)
+        return self._kept[compute]
+
+    def evaluate(self, checks) -> dict[Check, bool]:
+        """Results of the ``checks`` that apply to F, each evaluated once."""
+        results = {check: self.kept(check.holds) for check in checks}
+        return {check: ok for check, ok in results.items() if ok is not None}
+
+    def reported(self, checks, theory: str) -> dict[str, bool]:
+        """What ``euler --coeffs theory`` prints, by check name."""
+        chosen = [c for c in checks if c.theory == theory and c.reported]
+        return {check.name: ok for check, ok in self.evaluate(chosen).items()}
+
+
+def _split_degrees(r: EulerReport) -> tuple[int, int, int]:
+    """The degree triple multiplied out over the split, zero-clamped."""
+    (a, a0, a1), (b, b0, b1) = (degrees(part).as_tuple() for part in r.split)
+    return (a * b, 0 if r.ranks.n_fix0 >= r.F.sp.p else a0 * b0,
+            0 if r.ranks.n_fix1 >= r.F.sp.q else a1 * b1)
+
+
+def _parity(case: str, law) -> tuple:
+    """The row checking ``law`` of the degrees when F's types put it in ``case``."""
+    def holds(r):
+        t = {classify_line(L) for L in r.F.lines}
+        found = "typeII" if TYPE_II in t else "typeIV" if TYPE_IV in t else "odd"
+        return law(*r.degrees.as_tuple()) if found == case else None
+    return f"parity_{case}", False, holds
+
+
+def _congruent_mod_Je(r: EulerReport) -> bool:
+    """e(F) is 0 mod I_e, or e^(2(n-n0-n1))*cw^n0*cxw^n1 when a fixed degree
+    is odd."""
+    x, n0, n1 = r.product_class, r.ranks.n_fix0, r.ranks.n_fix1
+    if r.degrees.delta0 % 2 or r.degrees.delta1 % 2:
+        exponent = 2 * (r.ranks.n_total - n0 - n1)
+        scalar = hscalar.e(exponent) if exponent else HElement.from_int(1)
+        x = x - raw_monomial(r.F.sp, 0, 0, n0, n1).scale(scalar)
+    return all(in_Ie(c) for c in x.terms.values())
+
+
+# The Burnside rows of the one check table as (name, reported, predicate),
+# reported ones in the order ``euler`` prints them; ``variants.CHECKS``
+# appends the coarser theories.  ``r.split and ...`` is None (the check does
+# not apply) for a single summand.
+BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
+    ("product_equals_closed", True, lambda r: r.product_class == euler_closed(r.F)),
+    ("grading", True, lambda r: r.product_class.grading in (None, r.grading)),
+    ("support_at_most_three", True, lambda r: len(r.product_class.terms) <= 3),
+    ("support_locations", False, lambda r: all(
+        m.index == r.ranks.n_total or m.pos[0] == r.ranks.n_fix0
+        for m in r.product_class.terms)),
+    ("coefficients_in_T", True, lambda r: in_tildeT(r.product_class)),
+    ("coefficient_vector_length", False,
+     lambda r: len(r.coefficients) == r.F.sp.p + r.F.sp.q),
+    ("degrees_recovered", True,
+     lambda r: recover_degrees(r.product_class) == r.degrees),
+    ("ranks_recovered", True, lambda r: recover_ranks(r.grading) == r.ranks),
+    ("multiplicative", True,
+     lambda r: r.split and mod_mul(*map(euler_product, r.split)) == r.product_class),
+    *((f"multiplicative_{d}", False, lambda r, i=i: r.split
+       and r.degrees.as_tuple()[i] == r.kept(_split_degrees)[i])
+      for i, d in enumerate(("delta", "delta0", "delta1"))),
+    _parity("typeII", lambda d, d0, d1: d % 2 == d0 % 2 == d1 % 2 == 0),
+    _parity("typeIV", lambda d, d0, d1: d % 2 == 0 and d0 % 2 == d1 % 2 == 1),
+    _parity("odd", lambda d, d0, d1: d % 2 == 1 and (d0 == 0 or d0 % 2 == 1)
+            and (d1 == 0 or d1 % 2 == 1)),
+    ("congruence_mod_Je", False, _congruent_mod_Je),
+))
+
+
+def bezout_report(F: BundleSum) -> EulerReport:
+    """Compute both Euler-class paths and evaluate the Burnside checks that
+    ``euler`` reports; raises ValueError outside the Bezout context."""
     violations = context_check(F)
     if violations:
         raise ValueError("; ".join(violations))
-    r = ranks(F)
-    dd = degrees(F)
-    grading = euler_grading(r.n_total, r.n_fix0, r.n_fix1)
-    prod = euler_product(F)
-    closed = euler_closed(F)
-    vector = coeff_vector(prod, grading.m)
-    in_t = in_tildeT(prod)
-    recovered_degrees = recover_degrees(prod)
-    recovered_ranks = recover_ranks(grading)
-
-    checks = {
-        "product_equals_closed": prod == closed,
-        "grading": prod.grading is None or prod.grading == grading,
-        "support_at_most_three": len(prod.terms) <= 3,
-        "coefficients_in_T": in_t,
-        "degrees_recovered": recovered_degrees == dd,
-        "ranks_recovered": recovered_ranks == r,
-    }
-    if partition is None and F.n >= 2:
-        partition = (F.lines[:1], F.lines[1:])
-    if partition is not None:
-        F1 = BundleSum.make(F.sp, partition[0])
-        F2 = BundleSum.make(F.sp, partition[1])
-        checks["multiplicative"] = (
-            mod_mul(euler_product(F1), euler_product(F2)) == prod
-        )
-
-    return EulerReport(
-        F=F,
-        ranks=r,
-        degrees=dd,
-        grading=grading,
-        product_class=prod,
-        closed_class=closed,
-        coefficients=vector,
-        in_tilde_t=in_t,
-        recovered_degrees=recovered_degrees,
-        recovered_ranks=recovered_ranks,
-        checks=checks,
-    )
+    report = EulerReport(F)
+    report.checks = report.reported(BURNSIDE_CHECKS, "burnside")
+    return report

@@ -420,15 +420,50 @@ def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
         violations = _euler.context_check(F)
         if violations:
             raise ValueError(f"{F}: " + "; ".join(violations))
-    ea = _euler.euler_product(FA)
-    eb = _euler.euler_product(FB)
-    n1a = _euler.ranks(FA).n_fix1
-    n1b = _euler.ranks(FB).n_fix1
+    a, b = _euler.EulerReport(FA), _euler.EulerReport(FB)
     return CompareReport(
         sp=FA.sp,
-        degrees_a=_euler.degrees(FA),
-        degrees_b=_euler.degrees(FB),
-        burnside_equal=ea == eb,
-        zconst_equal=z_map(ea) == z_map(eb),
-        borel_equal=borel_map(ea, n1a) == borel_map(eb, n1b),
+        degrees_a=a.degrees,
+        degrees_b=b.degrees,
+        burnside_equal=a.product_class == b.product_class,
+        zconst_equal=_z_mapped(a) == _z_mapped(b),
+        borel_equal=_borel_mapped(a) == _borel_mapped(b),
     )
+
+
+# The classes each coarser theory compares, (closed form, mapped product),
+# as functions of a report, which computes each once (``EulerReport.kept``).
+_CLASSES = {
+    "zconst": (lambda r: z_euler_closed(r.F), lambda r: z_map(r.product_class)),
+    "borel": (
+        lambda r: borel_euler_closed(r.F),
+        lambda r: borel_map(r.product_class, r.ranks.n_fix1),
+    ),
+}
+_z_mapped, _borel_mapped = _CLASSES["zconst"][1], _CLASSES["borel"][1]
+
+
+def closed_class(report: _euler.EulerReport, theory: str):
+    """The closed-form Euler class of the report's bundle sum in ``theory``."""
+    return report.kept(_CLASSES[theory][0])
+
+
+def _z_fixed_parity(r: _euler.EulerReport) -> bool:
+    """The constant-Z fixed points remember only the fixed degrees mod 2."""
+    (n0, n1), dd = (r.ranks.n_fix0, r.ranks.n_fix1), r.degrees
+    fix0, fix1 = z_fixed(r.kept(_z_mapped))
+    exp0 = {n0: 1} if dd.delta0 % 2 and n0 < r.F.sp.p else {}
+    exp1 = {n1: 1} if dd.delta1 % 2 and n1 < r.F.sp.q else {}
+    return fix0.as_dict() == exp0 and fix1.as_dict() == exp1
+
+
+# The one table of named checks: the Burnside rows, then the coarser theories.
+CHECKS = _euler.BURNSIDE_CHECKS + tuple(
+    _euler.Check(theory, "closed_equals_mapped_product", True,
+                 lambda r, c=closed, m=mapped: r.kept(c) == r.kept(m))
+    for theory, (closed, mapped) in _CLASSES.items()
+) + (
+    _euler.Check("zconst", "product", False,
+                 lambda r: r.kept(_z_mapped) == _euler.euler_product(r.F, ZHElement)),
+    _euler.Check("zconst", "fixed_parity", False, _z_fixed_parity),
+)

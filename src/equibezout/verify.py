@@ -1,7 +1,8 @@
 """Seeded differential test suite over random context-valid bundle sums.
 
-For each instance the two Euler-class computation paths are compared and
-every recovery statement of the Bezout theorems is checked, in all three
+For each instance every row of the one check table (``variants.CHECKS``)
+is evaluated on one ``EulerReport``: the two Euler-class paths agree and
+every recovery statement of the Bezout theorems holds, in all three
 coefficient theories.  Failures are shrunk greedily (drop summands, then
 shrink degrees toward zero, then shrink p and q) to a minimal
 counterexample.  All randomness comes from one integer seed, so runs are
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 from . import euler as _euler
 from . import variants as _variants
-from .grading import euler_grading, recover_ranks
-from .hscalar import HElement, e as h_e, in_Ie
-from .projmod import ProjSpace, coeff_vector, in_tildeT, mod_mul, raw_monomial
-from .variants import ZHElement
+# mod_mul is not called here; bench/test_bench.py checks that the tracer
+# rebinds every module's copy of it, this one included
+from .projmod import ProjSpace, mod_mul  # noqa: F401
 
 
 @dataclass
@@ -74,94 +74,10 @@ def random_bundle_sum(rng: random.Random, pmax=6, qmax=6, dmax=5) -> _euler.Bund
 
 
 def check_instance(F: _euler.BundleSum) -> list[str]:
-    """Names of the checks this instance fails (empty when all pass)."""
-    failed = []
-
-    def check(name: str, condition: bool) -> None:
-        if not condition:
-            failed.append(name)
-
-    r = _euler.ranks(F)
-    dd = _euler.degrees(F)
-    n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
-    grading = euler_grading(n, n0, n1)
-    prod = _euler.euler_product(F)
-    closed = _euler.euler_closed(F)
-
-    check("product_equals_closed", prod == closed)
-    check("support_at_most_three", len(prod.terms) <= 3)
-    check("coefficients_in_T", in_tildeT(prod))
-    check(
-        "support_locations",
-        all(m.index == n or m.pos[0] == n0 for m in prod.terms),
-    )
-    check("grading", prod.grading is None or prod.grading == grading)
-    check("degrees_recovered", _euler.recover_degrees(prod) == dd)
-    check("ranks_recovered", recover_ranks(grading) == r)
-    check("coefficient_vector_length", len(coeff_vector(prod, grading.m)) == F.sp.p + F.sp.q)
-
-    # multiplicativity against a deterministic split, with the zero clamp;
-    # splitting off a single line bundle keeps one factor divided-free
-    if F.n >= 2:
-        F1 = _euler.BundleSum.make(F.sp, F.lines[:1])
-        F2 = _euler.BundleSum.make(F.sp, F.lines[1:])
-        d1, d2 = _euler.degrees(F1), _euler.degrees(F2)
-        check(
-            "multiplicative_class",
-            mod_mul(_euler.euler_product(F1), _euler.euler_product(F2)) == prod,
-        )
-        check("multiplicative_delta", dd.delta == d1.delta * d2.delta)
-        expect0 = 0 if n0 >= F.sp.p else d1.delta0 * d2.delta0
-        expect1 = 0 if n1 >= F.sp.q else d1.delta1 * d2.delta1
-        check("multiplicative_delta0", dd.delta0 == expect0)
-        check("multiplicative_delta1", dd.delta1 == expect1)
-
-    # parity laws by type counts
-    counts = {t: 0 for t in ("I", "II", "III", "IV")}
-    for L in F.lines:
-        counts[_euler.classify_line(L)] += 1
-    if counts["II"] > 0:
-        check("parity_typeII", dd.delta % 2 == 0 and dd.delta0 % 2 == 0 and dd.delta1 % 2 == 0)
-    elif counts["IV"] > 0:
-        check(
-            "parity_typeIV",
-            dd.delta % 2 == 0 and dd.delta0 % 2 == 1 and dd.delta1 % 2 == 1,
-        )
-    else:
-        check(
-            "parity_odd",
-            dd.delta % 2 == 1
-            and (dd.delta0 == 0 or dd.delta0 % 2 == 1)
-            and (dd.delta1 == 0 or dd.delta1 % 2 == 1),
-        )
-
-    # congruence modulo the ideal generated by I_e
-    if dd.delta0 % 2 == 0 and dd.delta1 % 2 == 0:
-        diff = prod
-    else:
-        exponent = 2 * (n - n0 - n1)
-        scalar = h_e(exponent) if exponent else HElement.from_int(1)
-        diff = prod - raw_monomial(F.sp, 0, 0, n0, n1).scale(scalar)
-    check("congruence_mod_Je", all(in_Ie(c) for c in diff.terms.values()))
-
-    # constant-Z functoriality and the mod-2 fixed-point rule
-    z_prod = _variants.z_map(prod)
-    check("zconst_closed", z_prod == _variants.z_euler_closed(F))
-    check("zconst_product", z_prod == _euler.euler_product(F, ZHElement))
-    fix0, fix1 = _variants.z_fixed(z_prod)
-    exp0 = {n0: 1} if dd.delta0 % 2 and n0 < F.sp.p else {}
-    exp1 = {n1: 1} if dd.delta1 % 2 and n1 < F.sp.q else {}
-    check(
-        "zconst_fixed_parity",
-        fix0.as_dict() == exp0 and fix1.as_dict() == exp1,
-    )
-
-    # Borel functoriality
-    check(
-        "borel_closed",
-        _variants.borel_map(prod, n1) == _variants.borel_euler_closed(F),
-    )
-    return failed
+    """Keys of the checks this instance fails (empty when all pass): every
+    row of ``variants.CHECKS``, on the report ``bezout_report`` computed."""
+    results = _euler.bezout_report(F).evaluate(_variants.CHECKS)
+    return [check.key for check, ok in results.items() if not ok]
 
 
 def _shrink_candidates(F: _euler.BundleSum):

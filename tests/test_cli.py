@@ -1,12 +1,15 @@
 """CLI contract: exit codes, JSON schema, human output."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from equibezout import euler, variants
 from equibezout.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, chart_cell, main
+from equibezout.verify import run_verify
 
 JSON_KEYS = {
     "command",
@@ -217,12 +220,47 @@ def test_entry_point_subprocess():
         (["verify", "--qmax", "0"], EXIT_USAGE, "--qmax must be >= 1"),
         (["verify", "--dmax", "-1"], EXIT_USAGE, "--dmax must be >= 0"),
         (["verify", "--count", "-5"], EXIT_USAGE, "--count must be >= 0"),
+        # a bad seed variable is read only by verify, and only without --seed
+        (["EQUIBEZOUT_SEED=abc", "verify"], EXIT_USAGE, "invalid int value: 'abc'"),
+        (["EQUIBEZOUT_SEED=", "verify"], EXIT_USAGE, "invalid int value: ''"),
+        (["EQUIBEZOUT_SEED=abc", "basis", "1", "1", "0"], EXIT_OK, "P1 = z0*cw"),
     ],
 )
 def test_degenerate_inputs_exit_cleanly(argv, code, message):
+    # leading NAME=value words set environment variables, as in a shell
+    n = next(i for i, arg in enumerate(argv) if "=" not in arg)
+    env = dict(os.environ, **dict(arg.split("=", 1) for arg in argv[:n]))
     proc = subprocess.run(
-        [sys.executable, "-m", "equibezout.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "equibezout.cli", *argv[n:]],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert message in proc.stdout + proc.stderr
+    if code == EXIT_USAGE:
+        assert proc.stderr.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "module, engine, theory, name, key",
+    [
+        (euler, "euler_closed", "burnside", "product_equals_closed",
+         "product_equals_closed"),
+        (variants, "z_euler_closed", "zconst", "closed_equals_mapped_product",
+         "zconst_closed_equals_mapped_product"),
+        (variants, "borel_euler_closed", "borel", "closed_equals_mapped_product",
+         "borel_closed_equals_mapped_product"),
+    ],
+    ids=["burnside", "zconst", "borel"],
+)
+def test_euler_and_verify_name_a_fault_alike(
+    capsys, monkeypatch, module, engine, theory, name, key
+):
+    original = getattr(module, engine)
+    monkeypatch.setattr(module, engine, lambda F: original(F) + original(F))
+    code, out, _ = run(capsys, "euler", "2", "2", "O(3)+xO(1)", "--coeffs", theory)
+    assert code == EXIT_CHECK
+    assert f"{name}=FAIL" in out
+    summary = run_verify(seed=5, count=50)
+    assert key in summary.failure.failed
+    assert key in summary.shrunk.failed

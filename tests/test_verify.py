@@ -3,6 +3,7 @@
 import random
 
 import equibezout.euler as euler_mod
+import equibezout.variants as variants_mod
 from equibezout.euler import BundleSum, context_check
 from equibezout.parsing import parse_bundles
 from equibezout.verify import (
@@ -84,3 +85,44 @@ def test_check_instance_clean_on_known_good():
         euler_mod.ProjSpace(5, 5), [euler_mod.xO(2)] * 4
     )
     assert check_instance(good) == []
+
+
+def test_check_table_has_unique_keys_and_the_cli_order():
+    keys = [check.key for check in variants_mod.CHECKS]
+    assert len(keys) == len(set(keys))
+    reported = {
+        theory: [c.name for c in variants_mod.CHECKS if c.theory == theory and c.reported]
+        for theory in ("burnside", "zconst", "borel")
+    }
+    assert reported == {
+        "burnside": [
+            "product_equals_closed", "grading", "support_at_most_three",
+            "coefficients_in_T", "degrees_recovered", "ranks_recovered",
+            "multiplicative",
+        ],
+        "zconst": ["closed_equals_mapped_product"],
+        "borel": ["closed_equals_mapped_product"],
+    }
+
+
+def test_check_instance_computes_each_class_once(monkeypatch):
+    calls = []
+    for module, name in [
+        (euler_mod, "euler_product"), (euler_mod, "euler_closed"),
+        (variants_mod, "z_map"), (variants_mod, "z_euler_closed"),
+        (variants_mod, "borel_map"), (variants_mod, "borel_euler_closed"),
+    ]:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    F = BundleSum.make(
+        euler_mod.ProjSpace(4, 4), [euler_mod.O(3), euler_mod.xO(2), euler_mod.O(1)]
+    )
+    assert check_instance(F) == []
+    # one product of F in each ring and one per factor of the split
+    assert sorted(calls) == sorted(
+        ["euler_product"] * 4 + ["euler_closed", "z_map", "z_euler_closed",
+                                 "borel_map", "borel_euler_closed"]
+    )
