@@ -312,8 +312,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary.ok else EXIT_CHECK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line on stderr, without the usage
+    block; ``add_subparsers`` builds the subcommand parsers with this class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equibezout",
         description="Equivariant cohomology of projective spaces and Bezout checks",
     )

@@ -19,9 +19,10 @@ and tau(1) = g.
 
 An :class:`HElement` is a graded-homogeneous integer combination of these
 monomials in normal form (no zero coefficients, e^m*xi^n coefficients
-reduced mod 2).  Multiplication is driven by a complete monomial product
-table; the entries not printed in the source of record are forced by the
-Frobenius relation tau(x)*y = tau(x*rho(y)) and by kappa^2 = 2*kappa.
+reduced mod 2), on the ring core :class:`Scalar` that the constant-Z and
+Borel scalars share.  Multiplication is driven by a complete monomial
+product table; the entries not printed in the source of record are forced
+by the Frobenius relation tau(x)*y = tau(x*rho(y)) and kappa^2 = 2*kappa.
 """
 
 from __future__ import annotations
@@ -153,14 +154,113 @@ def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
     return [(HMonomial(TAUINV, n=x.n + y.n), 2)]
 
 
-class HElement:
+class Scalar:
+    """Integer combinations of monomials in a normal form: the shared core.
+
+    Supports ==, hash, +, -, * (with elements of the same class and with
+    ints), exact halving and the signed ``coeff*monomial`` text.  Arithmetic
+    builds its results with ``type(self)``, whose ``__init__`` puts a dict
+    of terms into normal form; a subclass supplies that and four hooks: the
+    unit monomial ``_UNIT``, the monomial product ``_mono_mul`` (a list of
+    (monomial, coefficient) pairs), and ``_mono_text`` / ``_mono_key`` for
+    printing.  Scalars of different classes never mix.
+    """
+
+    __slots__ = ("terms",)
+
+    _mono_key = None  # print the monomials in their natural order
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @classmethod
+    def from_int(cls, c: int):
+        return cls({cls._UNIT: c})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.from_int(other)
+        elif type(other) is not type(self):
+            return NotImplemented  # scalars of different rings never mix
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.from_int(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        merged = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            merged[mono] = merged.get(mono, 0) + coeff
+        return type(self)(merged)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({m: other * c for m, c in self.terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        mono_mul = self._mono_mul
+        out: dict = {}
+        for mx, cx in self.terms.items():
+            for my, cy in other.terms.items():
+                for mono, c in mono_mul(mx, my):
+                    out[mono] = out.get(mono, 0) + cx * cy * c
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def divide_by_two(self):
+        """Exact division by 2; raises ArithmeticError when not divisible."""
+        halved = {}
+        for mono, coeff in self.terms.items():
+            if coeff % 2:
+                raise ArithmeticError(f"{self} is not divisible by 2")
+            halved[mono] = coeff // 2
+        return type(self)(halved)
+
+    def __str__(self) -> str:
+        """Canonical text form: signed sum of coeff*monomial."""
+        chunks = []
+        for mono in sorted(self.terms, key=self._mono_key):
+            coeff = self.terms[mono]
+            body = self._mono_text(mono)
+            if body == "1":
+                chunk = str(abs(coeff))
+            elif abs(coeff) == 1:
+                chunk = body
+            else:
+                chunk = f"{abs(coeff)}*{body}"
+            chunks.append(("-" if coeff < 0 else "") + chunk)
+        return join_signed(chunks)
+
+    __repr__ = __str__
+
+
+class HElement(Scalar):
     """A homogeneous element of the point ring in normal form.
 
-    Supports +, -, * (with elements of the same class and with ints).  The
-    grading is read off the support; the zero element is grading-agnostic.
-    Arithmetic builds its results with ``type(self)``, so a subclass that
-    only changes the normal form in ``__init__`` is a quotient ring with the
-    same monomials and product table (see ``variants.ZHElement``).
+    The grading is read off the support; the zero element is
+    grading-agnostic.  A subclass that only changes the normal form in
+    ``__init__`` is a quotient ring with the same monomials and product
+    table (see ``variants.ZHElement``).
 
     >>> g = HElement.monomial(MONO_G)
     >>> print(g * g)
@@ -169,7 +269,12 @@ class HElement:
     0
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _UNIT = MONO_ONE
+    _mono_mul = staticmethod(_mono_mul)
+    _mono_text = staticmethod(HMonomial.__str__)
+    _mono_key = staticmethod(lambda mono: (_KINDS.index(mono.kind), mono.m, mono.n))
 
     def __init__(self, terms: dict[HMonomial, int]):
         clean: dict[HMonomial, int] = {}
@@ -188,17 +293,13 @@ class HElement:
             clean[mono] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> "HElement":
-        return cls({})
+    # own binding: bench/tracer.py times point-ring products through
+    # vars(HElement)["__mul__"]
+    __mul__ = __rmul__ = Scalar.__mul__
 
     @classmethod
     def monomial(cls, mono: HMonomial, coeff: int = 1) -> "HElement":
         return cls({mono: coeff})
-
-    @classmethod
-    def from_int(cls, c: int) -> "HElement":
-        return cls({MONO_ONE: c})
 
     @classmethod
     def from_burnside(cls, x: "HElement") -> "HElement":
@@ -211,68 +312,6 @@ class HElement:
         for mono in self.terms:
             return mono.grading
         return None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not type(self):
-            return NotImplemented  # scalars of different rings never mix
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "HElement":
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not type(self):
-            return NotImplemented
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return type(self)(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HElement":
-        return type(self)({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "HElement":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "HElement":
-        return (-self) + other
-
-    def __mul__(self, other) -> "HElement":
-        if isinstance(other, int):
-            return type(self)({m: other * c for m, c in self.terms.items()})
-        if type(other) is not type(self):
-            return NotImplemented
-        out: dict[HMonomial, int] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                for mono, c in _mono_mul(mx, my):
-                    out[mono] = out.get(mono, 0) + cx * cy * c
-        return type(self)(out)
-
-    __rmul__ = __mul__
-
-    def divide_by_two(self) -> "HElement":
-        """Exact division by 2; raises ArithmeticError when not divisible."""
-        halved = {}
-        for mono, coeff in self.terms.items():
-            if coeff % 2:
-                raise ArithmeticError(f"{self} is not divisible by 2")
-            halved[mono] = coeff // 2
-        return type(self)(halved)
-
-    def __str__(self) -> str:
-        return format_scalar(self)
-
-    __repr__ = __str__
 
     # hooks used by the generic module rewrite engine
 
@@ -292,22 +331,6 @@ class HElement:
     @classmethod
     def ring_xi(cls, n: int) -> "HElement":
         return cls.monomial(HMonomial(XI, n=n))
-
-
-def format_scalar(x) -> str:
-    """Canonical text form of a scalar: signed sum of coeff*monomial."""
-    chunks = []
-    for mono in sorted(x.terms, key=lambda m: (_KINDS.index(m.kind), m.m, m.n)):
-        coeff = x.terms[mono]
-        body = str(mono)
-        if body == "1":
-            chunk = str(abs(coeff))
-        elif abs(coeff) == 1:
-            chunk = body
-        else:
-            chunk = f"{abs(coeff)}*{body}"
-        chunks.append(("-" if coeff < 0 else "") + chunk)
-    return join_signed(chunks)
 
 
 def one() -> HElement:

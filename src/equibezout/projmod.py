@@ -141,24 +141,27 @@ def position(x: BasisMonomial) -> tuple[int, int, int]:
 
 
 def _basis_tuples(p: int, q: int, m: int) -> list[tuple[int, int, int, int]]:
-    if p == 0:
-        return [(-m - j, 0, 0, j) for j in range(q)]
-    if q == 0:
-        return [(0, m - j, j, 0) for j in range(p)]
-    if m >= 0:
-        rest = _basis_tuples(p - 1, q, m - 1)
-        return [(0, m, 0, 0)] + [(s, t, a + 1, b) for s, t, a, b in rest]
-    rest = _basis_tuples(p, q - 1, m + 1)
-    return [(-m, 0, 0, 0)] + [(s, t, a, b + 1) for s, t, a, b in rest]
+    out = []
+    a = b = 0  # generator exponents pushed forward so far
+    while p and q:
+        if m >= 0:
+            out.append((0, m, a, b))
+            p, m, a = p - 1, m - 1, a + 1
+        else:
+            out.append((-m, 0, a, b))
+            q, m, b = q - 1, m + 1, b + 1
+    if p:
+        return out + [(0, m - j, a + j, b) for j in range(p)]
+    return out + [(-m - j, 0, a, b + j) for j in range(q)]
 
 
 def basis(sp: ProjSpace, m: int) -> list[BasisMonomial]:
     """The preferred basis of the degree class ``m``, ordered by index.
 
-    Built by the pushforward recursion: peel off a pure zeta power and
-    push the basis of the next smaller space forward by ``cw`` (m >= 0)
-    or ``cxw`` (m < 0); the base cases are the single-variable spaces
-    where one zeta class is invertible.
+    Built by the pushforward recursion, run as a loop: peel off a pure
+    zeta power and push the basis of the next smaller space forward by
+    ``cw`` (m >= 0) or ``cxw`` (m < 0); the base cases are the
+    single-variable spaces where one zeta class is invertible.
 
     >>> [str(P) for P in basis(ProjSpace(1, 1), 0)]
     ['1', 'z0*cw']

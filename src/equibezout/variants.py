@@ -11,7 +11,12 @@ classes:
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single
   polynomial generator c with c^p * (c + e^2)^q = 0, and the fixed-point
-  information disappears entirely.
+  information disappears entirely.  Its scalar ``BorelScalar`` is another
+  normal form on the shared core ``hscalar.Scalar``, with exponent pairs
+  (m, n) for monomials.
+
+All three scalar rings share one arithmetic and one printer, and refuse
+to mix with each other.
 
 Each theory has its own closed Bezout formula, evaluated here directly
 from the ranks and degrees; the comparison report puts the three theories
@@ -35,14 +40,15 @@ from .hscalar import (
     HMonomial,
     MONO_ONE,
     ONE,
+    Scalar,
     TAUINV,
     XI,
 )
 from .projmod import (
-    _FIXED_SHAPE,
     ModuleElement,
     NoneqPoly,
     ProjSpace,
+    mod_fixed,
     raw_monomial,
 )
 
@@ -111,40 +117,38 @@ def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
     return result
 
 
-_Z_FIXED = {ONE: 1, E: 1, XI: 0, EXI: 0, TAUINV: 0}
-
-
 def z_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
     """Fixed-point values in the constant-Z theory, mod-2 coefficients.
 
     The constant-Z fixed-point map is the mod-2 reduction of the Burnside
-    one, so it only remembers the parities of the fixed degrees.
+    one, so it only remembers the parities of the fixed degrees.  Its
+    coefficients carry no g and no e^-m*kappa, and on the rest the two
+    fixed-point maps agree.
     """
-    p, q = x.sp.p, x.sp.q
-    out0: dict[int, int] = {}
-    out1: dict[int, int] = {}
-    for mono, coeff in x.terms.items():
-        value = sum(c * _Z_FIXED[m.kind] for m, c in coeff.terms.items()) % 2
-        if not value:
-            continue
-        shape0, shape1 = _FIXED_SHAPE[mono.family]
-        if shape0 is not None:
-            out0[mono.a] = (out0.get(mono.a, 0) + value) % 2
-        if shape1 is not None:
-            out1[mono.b] = (out1.get(mono.b, 0) + value) % 2
-    return (
-        NoneqPoly.make(p, out0).reduce_mod(2),
-        NoneqPoly.make(q, out1).reduce_mod(2),
-    )
+    fix0, fix1 = mod_fixed(x)
+    return fix0.reduce_mod(2), fix1.reduce_mod(2)
 
 
-class BorelScalar:
+class BorelScalar(Scalar):
     """An element of Z[e, xi, xi^-1]/(2e): monomials e^m * xi^n, m >= 0.
 
-    Coefficients are integers for m = 0 and live in Z/2 for m >= 1.
+    A normal form on the shared scalar core (``hscalar.Scalar``): the
+    monomial is the exponent pair (m, n), the product adds exponents, and
+    coefficients are integers for m = 0 and live in Z/2 for m >= 1.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _UNIT = (0, 0)
+
+    @staticmethod
+    def _mono_mul(x: tuple[int, int], y: tuple[int, int]):
+        return (((x[0] + y[0], x[1] + y[1]), 1),)
+
+    @staticmethod
+    def _mono_text(mono: tuple[int, int]) -> str:
+        factors = [f if k == 1 else f"{f}^{k}" for f, k in zip(("e", "xi"), mono) if k]
+        return "*".join(factors) or "1"
 
     def __init__(self, terms: dict[tuple[int, int], int]):
         clean = {}
@@ -158,82 +162,8 @@ class BorelScalar:
         self.terms = clean
 
     @classmethod
-    def from_int(cls, c: int) -> "BorelScalar":
-        return cls({(0, 0): c})
-
-    @classmethod
     def monomial(cls, m: int, n: int, coeff: int = 1) -> "BorelScalar":
         return cls({(m, n): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = BorelScalar.from_int(other)
-        if not isinstance(other, BorelScalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "BorelScalar":
-        if isinstance(other, int):
-            other = BorelScalar.from_int(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return BorelScalar(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BorelScalar":
-        return BorelScalar({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "BorelScalar":
-        if isinstance(other, int):
-            other = BorelScalar.from_int(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "BorelScalar":
-        if isinstance(other, int):
-            return BorelScalar({k: other * c for k, c in self.terms.items()})
-        if not isinstance(other, BorelScalar):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                key = (m1 + m2, n1 + n2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BorelScalar(out)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        chunks = []
-        for (m, n) in sorted(self.terms):
-            coeff = self.terms[(m, n)]
-            factors = []
-            if m == 1:
-                factors.append("e")
-            elif m:
-                factors.append(f"e^{m}")
-            if n == 1:
-                factors.append("xi")
-            elif n:
-                factors.append(f"xi^{n}")
-            body = "*".join(factors)
-            if not body:
-                chunk = str(abs(coeff))
-            elif abs(coeff) == 1:
-                chunk = body
-            else:
-                chunk = f"{abs(coeff)}*{body}"
-            chunks.append(("-" if coeff < 0 else "") + chunk)
-        return join_signed(chunks)
-
-    __repr__ = __str__
 
 
 class BorelElement:
@@ -250,17 +180,13 @@ class BorelElement:
         if any(k < 0 for k in work):
             raise ValueError("negative c-exponent")
         N = sp.p + sp.q
-        rel = _relation_tail(sp)  # c^(p+q) = -(lower terms)
         while True:
             top = max((k for k, v in work.items() if k >= N and v), default=None)
             if top is None:
                 break
-            lead = work.pop(top)
-            # rewriting can reintroduce degrees below top but at or above N,
-            # so keep taking the current maximum rather than a fixed sweep
-            for j, scal in rel:
-                key = top - N + sp.p + j
-                work[key] = work.get(key, BorelScalar.from_int(0)) - lead * scal
+            # subtract lead * c^(top-N) * relation, clearing c^top; this can
+            # reintroduce degrees in [N, top), so take the maximum again
+            _accumulate(work, _c_binomial(-work[top], top - N + sp.p, sp.q))
         self.sp = sp
         self.coeffs = {k: v for k, v in work.items() if v}
 
@@ -279,8 +205,7 @@ class BorelElement:
     def __add__(self, other: "BorelElement") -> "BorelElement":
         assert self.sp == other.sp
         merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, BorelScalar.from_int(0)) + v
+        _accumulate(merged, other.coeffs)
         return BorelElement(self.sp, merged)
 
     def __sub__(self, other: "BorelElement") -> "BorelElement":
@@ -293,9 +218,7 @@ class BorelElement:
         assert self.sp == other.sp
         out: dict[int, BorelScalar] = {}
         for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = k1 + k2
-                out[key] = out.get(key, BorelScalar.from_int(0)) + v1 * v2
+            _accumulate(out, {k1 + k2: v1 * v2 for k2, v2 in other.coeffs.items()})
         return BorelElement(self.sp, out)
 
     def __str__(self) -> str:
@@ -317,21 +240,22 @@ class BorelElement:
     __repr__ = __str__
 
 
-def _relation_tail(sp: ProjSpace) -> list[tuple[int, BorelScalar]]:
-    # c^p * (c + e^2)^q is monic of degree p+q; the tail below the top is
-    # sum_j C(q, j) e^(2(q-j)) c^(p+j) for j < q
-    return [
-        (j, BorelScalar.monomial(2 * (sp.q - j), 0, comb(sp.q, j)))
-        for j in range(sp.q)
-    ]
+def _c_binomial(scalar: BorelScalar, a: int, b: int) -> dict[int, BorelScalar]:
+    """scalar * c^a * (c + e^2)^b as a raw coefficient dict."""
+    return {
+        a + j: scalar * BorelScalar.monomial(2 * (b - j), 0, comb(b, j))
+        for j in range(b + 1)
+    }
+
+
+def _accumulate(out: dict[int, BorelScalar], terms: dict[int, BorelScalar]) -> None:
+    for k, v in terms.items():
+        out[k] = out[k] + v if k in out else v
 
 
 def borel_relation(sp: ProjSpace) -> dict[int, BorelScalar]:
     """The defining relation c^p (c+e^2)^q as a raw coefficient dict."""
-    out = {sp.p + sp.q: BorelScalar.from_int(1)}
-    for j, scal in _relation_tail(sp):
-        out[sp.p + j] = scal
-    return out
+    return _c_binomial(BorelScalar.from_int(1), sp.p, sp.q)
 
 
 _BOREL_SCALAR = {
@@ -358,10 +282,7 @@ def borel_map(x: ModuleElement, n1: int) -> BorelElement:
         for hm, c in coeff.terms.items():
             scal = scal + _BOREL_SCALAR[hm.kind](hm.m, hm.n) * c
         scal = scal * BorelScalar.monomial(0, mono.t - mono.b + n1)
-        for j in range(mono.b + 1):
-            key = mono.a + j
-            term = scal * BorelScalar.monomial(2 * (mono.b - j), 0, comb(mono.b, j))
-            out[key] = out.get(key, BorelScalar.from_int(0)) + term
+        _accumulate(out, _c_binomial(scal, mono.a, mono.b))
     return BorelElement(x.sp, out)
 
 
@@ -375,19 +296,12 @@ def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
     n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
     sp = F.sp
 
-    def c_times_binomial(a: int, b: int, prefactor: BorelScalar) -> BorelElement:
-        # prefactor * c^a * (c + e^2)^b
-        out = {}
-        for j in range(b + 1):
-            out[a + j] = prefactor * BorelScalar.monomial(2 * (b - j), 0, comb(b, j))
-        return BorelElement(sp, out)
-
     leading = BorelElement(sp, {n: BorelScalar.from_int(dd.delta)})
     if dd.delta % 2:
-        return c_times_binomial(n0, n - n0, BorelScalar.from_int(dd.delta))
+        return BorelElement(sp, _c_binomial(BorelScalar.from_int(dd.delta), n0, n - n0))
     if dd.delta0 % 2 or dd.delta1 % 2:
-        tail = c_times_binomial(n0, n1, BorelScalar.monomial(2 * (n - n0 - n1), 0))
-        return leading + tail
+        tail = _c_binomial(BorelScalar.monomial(2 * (n - n0 - n1), 0), n0, n1)
+        return leading + BorelElement(sp, tail)
     return leading
 
 

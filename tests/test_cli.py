@@ -224,6 +224,13 @@ def test_entry_point_subprocess():
         (["EQUIBEZOUT_SEED=abc", "verify"], EXIT_USAGE, "invalid int value: 'abc'"),
         (["EQUIBEZOUT_SEED=", "verify"], EXIT_USAGE, "invalid int value: ''"),
         (["EQUIBEZOUT_SEED=abc", "basis", "1", "1", "0"], EXIT_OK, "P1 = z0*cw"),
+        # the basis is built without recursion, so p + q is not bounded by
+        # the interpreter's recursion limit
+        (["basis", "600", "600", "0"], EXIT_OK, "P1199 = z0*cw^600*cxw^599"),
+        (["euler", "600", "600", "O(1)"], EXIT_OK, "product_equals_closed=ok"),
+        # argparse's own usage errors are one line as well
+        (["euler"], EXIT_USAGE, "required: p, q, bundles"),
+        (["basis", "1", "1"], EXIT_USAGE, "required: m"),
     ],
 )
 def test_degenerate_inputs_exit_cleanly(argv, code, message):
@@ -239,6 +246,7 @@ def test_degenerate_inputs_exit_cleanly(argv, code, message):
     assert message in proc.stdout + proc.stderr
     if code == EXIT_USAGE:
         assert proc.stderr.count("error:") == 1
+        assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

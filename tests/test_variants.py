@@ -72,6 +72,17 @@ def test_burnside_and_constZ_scalars_never_mix():
     assert (two * 3).divide_by_two() == 3
     with pytest.raises(ArithmeticError):
         z.divide_by_two()  # an e coefficient is always odd
+    # the Borel scalars share the arithmetic but mix with neither ring
+    b = BorelScalar.monomial(2, 0)
+    for other in (h, z):
+        assert b != other and other != b
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(b, other)
+            with pytest.raises(TypeError):
+                op(other, b)
+    for result in (-b, b + 1, 1 + b, b * 3, 3 * b, b - 1, 1 - b, b * b):
+        assert type(result) is BorelScalar
 
 
 def test_z_map_examples():
