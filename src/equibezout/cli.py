@@ -26,7 +26,7 @@ from . import euler as _euler
 from . import variants as _variants
 from .grading import join_signed
 from .hscalar import XI, monomials_in_grading
-from .parsing import ParseError, parse_bundles
+from .parsing import ParseError, parse_bundle_terms, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
 from .verify import run_verify
 
@@ -120,22 +120,31 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
+class _TooManyBundles(ValueError):
+    """More than p + q bundles: outside the Bezout context, and never built."""
+
+
 def _bundle_sum(p: int, q: int, text: str) -> _euler.BundleSum:
     sp = ProjSpace(p, q)
+    n = sum(count for _, count in parse_bundle_terms(text))
+    if n > p + q:  # a count such as 10^10 would exhaust memory if expanded
+        raise _TooManyBundles(f"n = {n} must be < p + q = {p + q}")
     return _euler.BundleSum.make(sp, parse_bundles(text))
 
 
 def cmd_euler(args) -> int:
     try:
         F = _bundle_sum(args.p, args.q, args.bundles)
+        bundles, violations = str(F), _euler.context_check(F)
+    except _TooManyBundles as exc:
+        bundles, violations = args.bundles, [str(exc)]
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    violations = _euler.context_check(F)
     inputs = {
         "p": args.p,
         "q": args.q,
-        "bundles": str(F),
+        "bundles": bundles,
         "coeffs": args.coeffs,
     }
     if violations:
@@ -190,6 +199,9 @@ def cmd_compare(args) -> int:
     try:
         FA = _bundle_sum(args.p, args.q, args.bundles_a)
         FB = _bundle_sum(args.p, args.q, args.bundles_b)
+    except _TooManyBundles as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,7 @@ from . import hscalar
 from .grading import RankTriple, euler_grading, recover_ranks
 from .hscalar import HElement, e_power_kappa, in_Ie, tau_iota
 from .projmod import (
+    BasisMonomial,
     ModuleElement,
     ProjSpace,
     coeff_vector,
@@ -158,38 +159,54 @@ def context_check(F: BundleSum) -> list[str]:
 
 
 def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
-    """Euler class of a single line bundle, in basis normal form.
+    """Euler class of a single line bundle, written in the basis directly.
 
-    The four closed formulas, one per type (d is the half-degree):
+    With h = d // 2 the half-degree, g = tau(1) and e^-2*kappa the kappa
+    class in degree -2s, the four types have at most two basis terms:
 
-        e(O(2d+1))  = cw + d*(tau(1)*cw + e^-2*kappa*z1*cw*cxw)
-        e(O(2d))    = d*(tau(i^-2)*z0*cw + e^-2*kappa*cw*cxw)
-        e(xO(2d+1)) = cxw + d*(tau(1)*cxw + e^-2*kappa*z0*cw*cxw)
-        e(xO(2d))   = e^2 + d*tau(1)*z0*cw
+        e(O(2h+1))  = (2h+1)*cw - h*e^-2*kappa*z0*cw^2      (p >= 2)
+                    = (1 + h*g)*cw                           (p = 1)
+        e(O(2h))    = h*tau(i^-2)*z0*cw + h*e^-2*kappa*cw*cxw
+                      (no cw*cxw term when p = q = 1, where it is 0)
+        e(xO(2h+1)) = (1 + h*g)*cxw + h*e^-2*kappa*z0*cw*cxw
+                      (no z0*cw*cxw term when q = 1)
+        e(xO(2h))   = e^2 + h*g*z0*cw
+
+    For p >= 2 the O(2h+1) form is the normal form of the defining formula
+    cw + h*(g*cw + e^-2*kappa*z1*cw*cxw), by z1*cxw = (g - 1)*z0*cw + e^2
+    with g*e^-2*kappa = 0 and e^2*e^-2*kappa = kappa = 2 - g.  At p = 1 the
+    carrier z1*cw*cxw is xi*z0^-1*cw*cxw (0 when also q = 1), and at q = 1
+    the carrier z0*cw*cxw of xO(2h+1) is xi*z1^-1*cw*cxw; e^-2*kappa*xi = 0
+    kills both.  The constant-Z classes carry each Burnside coefficient
+    through ``ring.from_burnside``; zero coefficients (h = 0, or
+    e^-m*kappa in constant Z) drop out.
+
+    >>> print(euler_line(O(5), ProjSpace(2, 1)))
+    5*cw - 2*e^-2*kappa*z0*cw^2
     """
-    if sp.p < 1 or sp.q < 1:
+    p, q = sp.p, sp.q
+    if p < 1 or q < 1:
         raise ValueError(f"line-bundle Euler classes need p, q >= 1, got {sp}")
-
-    def mono(s, t, a, b):
-        return raw_monomial(sp, s, t, a, b, ring)
-
-    d, rem = divmod(L.d, 2)
-    g = ring.from_burnside(hscalar.g())
-    eik2 = ring.from_burnside(hscalar.einvkappa(2))
-    if not L.twisted and rem:  # O(2d+1)
-        return mono(0, 0, 1, 0) + (
-            mono(0, 0, 1, 0).scale(g) + mono(0, 1, 1, 1).scale(eik2)
-        ).scale(d)
-    if not L.twisted:  # O(2d)
-        tl = ring.from_burnside(hscalar.tauinv(1))
-        return (mono(1, 0, 1, 0).scale(tl) + mono(0, 0, 1, 1).scale(eik2)).scale(d)
-    if rem:  # xO(2d+1)
-        return mono(0, 0, 0, 1) + (
-            mono(0, 0, 0, 1).scale(g) + mono(1, 0, 1, 1).scale(eik2)
-        ).scale(d)
-    # xO(2d)
-    e2 = ring.from_burnside(hscalar.e(2))
-    return ModuleElement.unit(sp, ring).scale(e2) + mono(1, 0, 1, 0).scale(g).scale(d)
+    h, odd = divmod(L.d, 2)
+    g, eik2 = hscalar.g(), hscalar.einvkappa(2)
+    if not L.twisted and odd:  # O(2h+1)
+        if p == 1:
+            terms = {(0, 0, 1, 0): 1 + h * g}
+        else:
+            terms = {(0, 0, 1, 0): HElement.from_int(2 * h + 1), (1, 0, 2, 0): -h * eik2}
+    elif not L.twisted:  # O(2h)
+        terms = {(1, 0, 1, 0): h * hscalar.tauinv(1)}
+        if (p, q) != (1, 1):
+            terms[0, 0, 1, 1] = h * eik2
+    elif odd:  # xO(2h+1)
+        terms = {(0, 0, 0, 1): 1 + h * g}
+        if q > 1:
+            terms[1, 0, 1, 1] = h * eik2
+    else:  # xO(2h)
+        terms = {(0, 0, 0, 0): hscalar.e(2), (1, 0, 1, 0): h * g}
+    return ModuleElement._trusted(
+        sp, {BasisMonomial(sp, *mono): ring.from_burnside(c) for mono, c in terms.items()},
+        ring)
 
 
 def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:

@@ -36,10 +36,6 @@ class ROC2Degree:
     def __neg__(self) -> "ROC2Degree":
         return ROC2Degree(-self.a, -self.b)
 
-    @property
-    def rank(self) -> int:
-        return self.a + self.b
-
     def __str__(self) -> str:
         return format_degree(0, self.a, self.b)
 

@@ -337,16 +337,17 @@ _BUNDLE_RE = re.compile(
 )
 
 
-def parse_bundles(text: str) -> list[LineBundle]:
+def parse_bundle_terms(text: str) -> list[tuple[LineBundle, int]]:
     """Parse a bundle list: ``term (+ term)*`` with ``term = [count*]atom``
-    and ``atom = O(d) | xO(d)``.
+    and ``atom = O(d) | xO(d)``, into (bundle, count) pairs.  Nothing is
+    repeated, so a huge count costs no memory.
 
-    >>> [str(L) for L in parse_bundles("4*xO(2)")]
-    ['xO(2)', 'xO(2)', 'xO(2)', 'xO(2)']
+    >>> [(str(L), count) for L, count in parse_bundle_terms("4*xO(2) + O(1)")]
+    [('xO(2)', 4), ('O(1)', 1)]
     """
-    lines: list[LineBundle] = []
     if not text.strip():
         raise ParseError("empty bundle list")
+    terms = []
     for chunk in text.split("+"):
         m = _BUNDLE_RE.match(chunk)
         if not m:
@@ -354,10 +355,17 @@ def parse_bundles(text: str) -> list[LineBundle]:
         count = int(m.group(1)) if m.group(1) else 1
         if count < 1:
             raise ParseError(f"bundle count must be positive in {chunk.strip()!r}")
-        twisted = m.group(2) == "xO"
-        d = int(m.group(3))
-        lines.extend([LineBundle(twisted, d)] * count)
-    return lines
+        terms.append((LineBundle(m.group(2) == "xO", int(m.group(3))), count))
+    return terms
+
+
+def parse_bundles(text: str) -> list[LineBundle]:
+    """The bundle list of ``parse_bundle_terms``, each term repeated.
+
+    >>> [str(L) for L in parse_bundles("4*xO(2)")]
+    ['xO(2)', 'xO(2)', 'xO(2)', 'xO(2)']
+    """
+    return [L for L, count in parse_bundle_terms(text) for _ in range(count)]
 
 
 def format_bundles(lines) -> str:

@@ -531,9 +531,6 @@ class NoneqPoly:
             merged[k] = merged.get(k, 0) + v
         return NoneqPoly.make(self.N, merged)
 
-    def scale(self, c: int) -> "NoneqPoly":
-        return NoneqPoly.make(self.N, {k: c * v for k, v in self.coeffs})
-
     def reduce_mod(self, n: int) -> "NoneqPoly":
         return NoneqPoly.make(self.N, {k: v % n for k, v in self.coeffs})
 

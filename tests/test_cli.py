@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -247,6 +248,32 @@ def test_degenerate_inputs_exit_cleanly(argv, code, message):
     if code == EXIT_USAGE:
         assert proc.stderr.count("error:") == 1
         assert len(proc.stderr.splitlines()) == 1
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "3", "3", "10000000000*O(1)"],
+        ["euler", "3", "3", "O(2) + 10000000000*xO(1)", "--json"],
+        ["compare", "3", "3", "O(1)", "10000000000*O(1)"],
+        ["compare", "3", "3", "10000000000*O(1)", "O(1)"],
+    ],
+)
+def test_huge_bundle_count_is_never_expanded(argv):
+    # more than p + q bundles are outside the context; building them would
+    # need about 80 GB, far beyond the 512 MB the child may map
+    proc = subprocess.run(
+        [sys.executable, "-m", "equibezout.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == EXIT_CHECK
+    assert "Traceback" not in proc.stderr
+    message = "n = 10000000001" if "O(2)" in argv[3] else "n = 10000000000"
+    assert f"{message} must be < p + q = 6" in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equibezout import euler, projmod
 from equibezout import hscalar as hs
 from equibezout.euler import (
     BundleSum,
@@ -28,7 +29,9 @@ from equibezout.projmod import (
     mod_fixed,
     mod_mul,
     mod_rho,
+    raw_monomial,
 )
+from equibezout.variants import ZHElement
 
 U = hs.HElement.ring_u()
 
@@ -117,6 +120,64 @@ def test_euler_line_twisted_types():
 def test_euler_line_requires_both_components():
     with pytest.raises(ValueError):
         euler_line(O(1), ProjSpace(3, 0))
+
+
+def engine_line(L, sp, ring):
+    """The single-bundle class from its defining formulas, normalised by the
+    rewrite engine in ``ring`` itself (not mapped from the Burnside class)."""
+    def mono(s, t, a, b):
+        return raw_monomial(sp, s, t, a, b, ring)
+
+    d, rem = divmod(L.d, 2)
+    g = ring.from_burnside(hs.g())
+    eik2 = ring.from_burnside(hs.einvkappa(2))
+    if not L.twisted and rem:  # O(2d+1)
+        return mono(0, 0, 1, 0) + (
+            mono(0, 0, 1, 0).scale(g) + mono(0, 1, 1, 1).scale(eik2)
+        ).scale(d)
+    if not L.twisted:  # O(2d)
+        tl = ring.from_burnside(hs.tauinv(1))
+        return (mono(1, 0, 1, 0).scale(tl) + mono(0, 0, 1, 1).scale(eik2)).scale(d)
+    if rem:  # xO(2d+1)
+        return mono(0, 0, 0, 1) + (
+            mono(0, 0, 0, 1).scale(g) + mono(1, 0, 1, 1).scale(eik2)
+        ).scale(d)
+    e2 = ring.from_burnside(hs.e(2))  # xO(2d)
+    return ModuleElement.unit(sp, ring).scale(e2) + mono(1, 0, 1, 0).scale(g).scale(d)
+
+
+@pytest.mark.parametrize("ring", [hs.HElement, ZHElement], ids=lambda r: r.__name__)
+def test_euler_line_matches_engine(ring):
+    cases = 0
+    for p in range(1, 9):
+        for q in range(1, 9):
+            sp = ProjSpace(p, q)
+            for d in range(-9, 10):
+                for L in (O(d), xO(d)):
+                    got = euler_line(L, sp, ring)
+                    assert got == engine_line(L, sp, ring), (L, sp)
+                    assert got.ring is ring
+                    assert all(type(c) is ring and c for c in got.terms.values())
+                    cases += 1
+    assert cases == 8 * 8 * 19 * 2
+
+
+def test_euler_line_skips_the_rewrite_engine(monkeypatch):
+    cases = [
+        (L, sp, ring)
+        for sp in (ProjSpace(1, 1), ProjSpace(3, 2))
+        for L in (O(5), O(-4), xO(7), xO(2))  # the four types
+        for ring in (hs.HElement, ZHElement)
+    ]
+    expected = [engine_line(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("euler_line reached the rewrite engine")
+
+    monkeypatch.setattr(projmod, "gen_mul", refuse)
+    monkeypatch.setattr(euler, "raw_monomial", refuse)
+    monkeypatch.setattr(ModuleElement, "scale", refuse)
+    assert [euler_line(*case) for case in cases] == expected
 
 
 def test_euler_product_four_fold_twisted_class():
