@@ -21,6 +21,7 @@ from .euler import (
     euler_product,
     ranks,
     recover_degrees,
+    require_context,
     xO,
 )
 from .grading import (

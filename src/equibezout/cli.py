@@ -184,7 +184,7 @@ def cmd_euler(args) -> int:
     payload = _envelope(
         "euler",
         inputs,
-        ranks=[r.n_total, r.n_fix0, r.n_fix1],
+        ranks=list(r),
         degrees=[dd.delta, dd.delta0, dd.delta1],
         grading=str(report.grading),
         coefficients=vector,

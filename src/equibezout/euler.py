@@ -5,14 +5,17 @@ bundle and their twists xO(d) by the sign representation.  Parity and
 twist split them into four types; the type counts give the equivariant
 rank triple (n, n0, n1) and the degree products give the degree triple
 (Delta, Delta0, Delta1), with a fixed degree clamped to 0 once the fixed
-rank reaches the dimension of the corresponding fixed component.
+rank reaches the dimension of the corresponding fixed component.  A
+``BundleSum`` classifies itself once and keeps its types, ranks and degrees.
 
 The Euler class of a sum is computed two independent ways:
 
 * ``euler_product`` multiplies the single-bundle classes through the
   rewrite engine;
 * ``euler_closed`` evaluates the closed three-term formula, whose basis
-  carriers and coefficients depend only on the ranks and degrees.
+  carriers and coefficients depend only on the ranks and degrees.  It and
+  the closed forms of ``variants`` enforce the Bezout context through one
+  gate, ``require_context``, which raises ValueError outside it.
 
 Each statement of the Bezout theorems is one named ``Check`` in a single
 table, whose Burnside rows (``BURNSIDE_CHECKS``) live here and which
@@ -27,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from . import hscalar
 from .grading import RankTriple, euler_grading, recover_ranks
@@ -104,6 +108,21 @@ class BundleSum:
     def n(self) -> int:
         return len(self.lines)
 
+    @cached_property
+    def classified(self) -> tuple[frozenset[str], RankTriple, DegreeTriple]:
+        """(types present, ranks, degrees) from one ``classify_line`` per
+        line, kept: type I/II lines span the fixed part over the first
+        component, II/III over the second, and a fixed degree clamps to 0 at
+        n0 >= p resp. n1 >= q."""
+        types = [classify_line(L) for L in self.lines]
+        fix0 = [L.d for L, t in zip(self.lines, types) if t in (TYPE_I, TYPE_II)]
+        fix1 = [L.d for L, t in zip(self.lines, types) if t in (TYPE_II, TYPE_III)]
+        return (
+            frozenset(types), RankTriple(self.n, len(fix0), len(fix1)),
+            DegreeTriple(prod(L.d for L in self.lines),
+                         prod(fix0) if len(fix0) < self.sp.p else 0,
+                         prod(fix1) if len(fix1) < self.sp.q else 0))
+
     def __str__(self) -> str:
         if not self.lines:
             return "0"
@@ -111,51 +130,36 @@ class BundleSum:
 
 
 def ranks(F: BundleSum) -> RankTriple:
-    """Complex ranks (n, n0, n1): type I/II span the fixed part over the
-    first component, II/III over the second."""
-    counts = {t: 0 for t in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV)}
-    for L in F.lines:
-        counts[classify_line(L)] += 1
-    n = F.n
-    n0 = counts[TYPE_I] + counts[TYPE_II]
-    n1 = counts[TYPE_II] + counts[TYPE_III]
-    return RankTriple(n, n0, n1)
+    """Complex ranks (n, n0, n1)."""
+    return F.classified[1]
 
 
 def degrees(F: BundleSum) -> DegreeTriple:
-    """Degree triple; fixed degrees clamp to 0 at n0 >= p resp. n1 >= q."""
-    r = ranks(F)
-    delta = 1
-    d0 = 1
-    d1 = 1
-    for L in F.lines:
-        delta *= L.d
-        t = classify_line(L)
-        if t in (TYPE_I, TYPE_II):
-            d0 *= L.d
-        if t in (TYPE_II, TYPE_III):
-            d1 *= L.d
-    if r.n_fix0 >= F.sp.p:
-        d0 = 0
-    if r.n_fix1 >= F.sp.q:
-        d1 = 0
-    return DegreeTriple(delta, d0, d1)
+    """Degree triple (Delta, Delta0, Delta1), fixed degrees clamped."""
+    return F.classified[2]
 
 
 def context_check(F: BundleSum) -> list[str]:
     """Violations of the Bezout context inequalities (empty when valid)."""
-    r = ranks(F)
-    p, q = F.sp.p, F.sp.q
+    (n, n0, n1), p, q = ranks(F), F.sp.p, F.sp.q
     out = []
     if p < 1 or q < 1:
         out.append(f"p = {p}, q = {q} must satisfy p, q >= 1")
-    if not r.n_total < p + q:
-        out.append(f"n = {r.n_total} must be < p + q = {p + q}")
-    if not r.n_total - q <= r.n_fix0 <= r.n_total:
-        out.append(f"n0 = {r.n_fix0} must satisfy {r.n_total - q} <= n0 <= {r.n_total}")
-    if not r.n_total - p <= r.n_fix1 <= r.n_total:
-        out.append(f"n1 = {r.n_fix1} must satisfy {r.n_total - p} <= n1 <= {r.n_total}")
+    if not n < p + q:
+        out.append(f"n = {n} must be < p + q = {p + q}")
+    if not n - q <= n0 <= n:
+        out.append(f"n0 = {n0} must satisfy {n - q} <= n0 <= {n}")
+    if not n - p <= n1 <= n:
+        out.append(f"n1 = {n1} must satisfy {n - p} <= n1 <= {n}")
     return out
+
+
+def require_context(F: BundleSum) -> None:
+    """The gate of every closed form: ValueError listing the violations
+    when F is outside the Bezout context."""
+    violations = context_check(F)
+    if violations:
+        raise ValueError("; ".join(violations))
 
 
 def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
@@ -234,8 +238,7 @@ class ClosedCarriers:
 
 def closed_carriers(F: BundleSum) -> ClosedCarriers:
     p, q = F.sp.p, F.sp.q
-    r = ranks(F)
-    n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
+    n, n0, n1 = ranks(F)
     eps = (n + n0 + n1) % 2
 
     if n + n0 - n1 > 2 * p:
@@ -260,9 +263,7 @@ def _closed_terms(F: BundleSum):
     performed after normalization of the carrier and must come out exact
     (or the carrier must vanish).
     """
-    r = ranks(F)
-    n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
-    dd = degrees(F)
+    (n, n0, n1), dd = ranks(F), degrees(F)
     car = closed_carriers(F)
 
     nb0 = min(n0, F.sp.p - 1)
@@ -287,7 +288,8 @@ def _closed_terms(F: BundleSum):
 
 
 def euler_closed(F: BundleSum) -> ModuleElement:
-    """Euler class by the closed three-term formula."""
+    """Euler class by the closed three-term formula (context enforced)."""
+    require_context(F)
     total = ModuleElement.zero(F.sp)
     for numerator, scalar, raw in _closed_terms(F):
         if numerator == 0:
@@ -347,9 +349,9 @@ class EulerReport:
     split; ``checks`` is what ``bezout_report`` found."""
 
     def __init__(self, F: BundleSum):
-        self.F, self.ranks, self.degrees = F, ranks(F), degrees(F)
-        r = self.ranks
-        self.grading = euler_grading(r.n_total, r.n_fix0, r.n_fix1)
+        self.F = F
+        _, self.ranks, self.degrees = F.classified
+        self.grading = euler_grading(*self.ranks)
         self.checks: dict[str, bool] = {}
         self._kept: dict = {}
 
@@ -401,7 +403,7 @@ def _split_degrees(r: EulerReport) -> tuple[int, int, int]:
 def _parity(case: str, law) -> tuple:
     """The row checking ``law`` of the degrees when F's types put it in ``case``."""
     def holds(r):
-        t = {classify_line(L) for L in r.F.lines}
+        t = r.F.classified[0]
         found = "typeII" if TYPE_II in t else "typeIV" if TYPE_IV in t else "odd"
         return law(*r.degrees.as_tuple()) if found == case else None
     return f"parity_{case}", False, holds
@@ -410,9 +412,9 @@ def _parity(case: str, law) -> tuple:
 def _congruent_mod_Je(r: EulerReport) -> bool:
     """e(F) is 0 mod I_e, or e^(2(n-n0-n1))*cw^n0*cxw^n1 when a fixed degree
     is odd."""
-    x, n0, n1 = r.product_class, r.ranks.n_fix0, r.ranks.n_fix1
+    x, (n, n0, n1) = r.product_class, r.ranks
     if r.degrees.delta0 % 2 or r.degrees.delta1 % 2:
-        exponent = 2 * (r.ranks.n_total - n0 - n1)
+        exponent = 2 * (n - n0 - n1)
         scalar = hscalar.e(exponent) if exponent else HElement.from_int(1)
         x = x - raw_monomial(r.F.sp, 0, 0, n0, n1).scale(scalar)
     return all(in_Ie(c) for c in x.terms.values())
@@ -451,9 +453,7 @@ BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
 def bezout_report(F: BundleSum) -> EulerReport:
     """Compute both Euler-class paths and evaluate the Burnside checks that
     ``euler`` reports; raises ValueError outside the Bezout context."""
-    violations = context_check(F)
-    if violations:
-        raise ValueError("; ".join(violations))
+    require_context(F)
     report = EulerReport(F)
     report.checks = report.reported(BURNSIDE_CHECKS, "burnside")
     return report

@@ -75,6 +75,9 @@ class RankTriple:
     n_fix0: int
     n_fix1: int
 
+    def __iter__(self):
+        return iter((self.n_total, self.n_fix0, self.n_fix1))
+
 
 # W0 = 2s - 2 - W1, so it is (-1, -2, 2) in the (m, a, b) encoding.
 W0 = PiBDegree(-1, -2, 2)

@@ -501,7 +501,8 @@ def coeff_vector(x: ModuleElement, m: int | None = None) -> list:
     by_mono = dict(x.terms)
     for mono in basis(x.sp, m):
         vector.append((mono.index, by_mono.pop(mono, zero)))
-    assert not by_mono, f"terms outside the basis of class m={m}: {list(by_mono)}"
+    if by_mono:
+        raise ValueError(f"terms outside the basis of class m={m}: {list(by_mono)}")
     return vector
 
 
@@ -525,7 +526,8 @@ class NoneqPoly:
         return dict(self.coeffs)
 
     def __add__(self, other: "NoneqPoly") -> "NoneqPoly":
-        assert self.N == other.N
+        if self.N != other.N:
+            raise ValueError(f"polynomials mod c^{self.N} and c^{other.N}")
         merged = self.as_dict()
         for k, v in other.coeffs:
             merged[k] = merged.get(k, 0) + v

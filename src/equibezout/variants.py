@@ -97,12 +97,9 @@ def z_map(x: ModuleElement) -> ModuleElement:
 
 
 def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
-    """Closed form of the constant-Z Euler class (three parity cases)."""
-    violations = _euler.context_check(F)
-    if violations:
-        raise ValueError("; ".join(violations))
-    r = _euler.ranks(F)
-    dd = _euler.degrees(F)
+    """Closed constant-Z Euler class, three parity cases (context enforced)."""
+    _euler.require_context(F)
+    _, (n, n0, n1), dd = F.classified
     car = _euler.closed_carriers(F)
     pn = raw_monomial(F.sp, *car.pn, ZHElement)
 
@@ -110,7 +107,6 @@ def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
         return pn.scale(dd.delta)
     result = pn.scale(to_constZ(car.tau_n)).scale(dd.delta // 2)
     if dd.delta0 % 2 or dd.delta1 % 2:
-        n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
         e_pow = ZHElement({HMonomial(E, 2 * (n - n0 - n1)): 1})
         pkm1 = raw_monomial(F.sp, 0, 0, n0, n1, ZHElement)
         result = result + pkm1.scale(e_pow)
@@ -203,7 +199,8 @@ class BorelElement:
         return self.sp == other.sp and self.coeffs == other.coeffs
 
     def __add__(self, other: "BorelElement") -> "BorelElement":
-        assert self.sp == other.sp
+        if self.sp != other.sp:
+            raise ValueError("elements over different spaces")
         merged = dict(self.coeffs)
         _accumulate(merged, other.coeffs)
         return BorelElement(self.sp, merged)
@@ -215,7 +212,8 @@ class BorelElement:
         return BorelElement(self.sp, {k: v * c for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "BorelElement") -> "BorelElement":
-        assert self.sp == other.sp
+        if self.sp != other.sp:
+            raise ValueError("elements over different spaces")
         out: dict[int, BorelScalar] = {}
         for k1, v1 in self.coeffs.items():
             _accumulate(out, {k1 + k2: v1 * v2 for k2, v2 in other.coeffs.items()})
@@ -287,13 +285,9 @@ def borel_map(x: ModuleElement, n1: int) -> BorelElement:
 
 
 def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
-    """Closed form of the Borel Euler class (three parity cases)."""
-    violations = _euler.context_check(F)
-    if violations:
-        raise ValueError("; ".join(violations))
-    r = _euler.ranks(F)
-    dd = _euler.degrees(F)
-    n, n0, n1 = r.n_total, r.n_fix0, r.n_fix1
+    """Closed Borel Euler class, three parity cases (context enforced)."""
+    _euler.require_context(F)
+    _, (n, n0, n1), dd = F.classified
     sp = F.sp
 
     leading = BorelElement(sp, {n: BorelScalar.from_int(dd.delta)})
@@ -331,9 +325,10 @@ def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
     if FA.sp != FB.sp:
         raise ValueError("bundle sums over different spaces")
     for F in (FA, FB):
-        violations = _euler.context_check(F)
-        if violations:
-            raise ValueError(f"{F}: " + "; ".join(violations))
+        try:
+            _euler.require_context(F)
+        except ValueError as exc:
+            raise ValueError(f"{F}: {exc}") from None
     a, b = _euler.EulerReport(FA), _euler.EulerReport(FB)
     return CompareReport(
         sp=FA.sp,
@@ -364,7 +359,7 @@ def closed_class(report: _euler.EulerReport, theory: str):
 
 def _z_fixed_parity(r: _euler.EulerReport) -> bool:
     """The constant-Z fixed points remember only the fixed degrees mod 2."""
-    (n0, n1), dd = (r.ranks.n_fix0, r.ranks.n_fix1), r.degrees
+    (_, n0, n1), dd = r.ranks, r.degrees
     fix0, fix1 = z_fixed(r.kept(_z_mapped))
     exp0 = {n0: 1} if dd.delta0 % 2 and n0 < r.F.sp.p else {}
     exp1 = {n1: 1} if dd.delta1 % 2 and n1 < r.F.sp.q else {}

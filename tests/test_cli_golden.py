@@ -10,11 +10,14 @@ is meant to alter the output regenerates them with
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import equibezout
 from equibezout.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -65,6 +68,28 @@ def test_golden_output(name):
     code, out = run_case(CASES[name])
     assert code == codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# Cases rerun under ``python -O``, which strips every ``assert``: one euler
+# input in all three theories, a context violation, a compare and a verify.
+OPTIMISED = [
+    "euler_three_terms_burnside", "euler_three_terms_zconst", "euler_three_terms_borel",
+    "euler_context_violation", "compare_partial_loss", "verify_small_space_json",
+]
+
+
+@pytest.mark.parametrize("name", OPTIMISED)
+def test_golden_output_without_asserts(name):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    src = str(pathlib.Path(equibezout.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "equibezout.cli", *CASES[name]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == codes[name]
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
 if __name__ == "__main__":

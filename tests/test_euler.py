@@ -31,7 +31,7 @@ from equibezout.projmod import (
     mod_rho,
     raw_monomial,
 )
-from equibezout.variants import ZHElement
+from equibezout.variants import ZHElement, borel_euler_closed, z_euler_closed
 
 U = hs.HElement.ring_u()
 
@@ -291,6 +291,26 @@ def test_bezout_report_passes():
 def test_bezout_report_rejects_bad_context():
     with pytest.raises(ValueError):
         bezout_report(bundle_sum(1, 1, O(1), O(1)))
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        bundle_sum(1, 2, O(1), O(1)),
+        bundle_sum(2, 2, *[O(1)] * 4),
+        bundle_sum(1, 1, xO(1), xO(1)),
+    ],
+    ids=["X(1,2)-n1", "X(2,2)-n", "X(1,1)-twisted"],
+)
+def test_every_closed_form_enforces_the_context(F):
+    # outside the context the closed formulas give wrong classes (e.g.
+    # z1^-1*cxw for xO(1)+xO(1) over X(1,1), whose product is e^2*z1^-1*cxw)
+    violations = context_check(F)
+    assert violations
+    for closed in (euler_closed, z_euler_closed, borel_euler_closed, bezout_report):
+        with pytest.raises(ValueError) as info:
+            closed(F)
+        assert str(info.value) == "; ".join(violations)
 
 
 def test_euler_grading_matches_class():

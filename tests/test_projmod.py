@@ -309,6 +309,16 @@ def test_coeff_vector_example():
     assert all(not c for i, c in coeff_vector(ModuleElement.zero(sp), 0))
 
 
+def test_coeff_vector_rejects_terms_outside_the_class():
+    with pytest.raises(ValueError, match="outside the basis of class m=2"):
+        coeff_vector(ModuleElement.unit(ProjSpace(2, 2)), 2)
+
+
+def test_noneq_polys_of_different_lengths_do_not_add():
+    with pytest.raises(ValueError):
+        NoneqPoly.make(2, {0: 1}) + NoneqPoly.make(5, {3: 1})
+
+
 def test_mod_rho_basis_elements():
     for sp in all_spaces(5):
         for m in range(-4, 5):

@@ -304,3 +304,11 @@ def test_compare_identical_and_distinct():
 def test_compare_rejects_bad_context():
     with pytest.raises(ValueError):
         compare(bundle_sum(1, 1, O(1), O(1)), bundle_sum(1, 1, O(1)))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_borel_elements_over_different_spaces_do_not_mix(op):
+    x = BorelElement(ProjSpace(1, 1), {1: BorelScalar.from_int(1)})
+    y = BorelElement(ProjSpace(3, 3), {4: BorelScalar.from_int(1)})
+    with pytest.raises(ValueError, match="elements over different spaces"):
+        op(x, y)

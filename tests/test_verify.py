@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 import equibezout.euler as euler_mod
 import equibezout.variants as variants_mod
+from equibezout import cli
 from equibezout.euler import BundleSum, context_check
 from equibezout.parsing import parse_bundles
 from equibezout.verify import (
@@ -126,3 +129,31 @@ def test_check_instance_computes_each_class_once(monkeypatch):
         ["euler_product"] * 4 + ["euler_closed", "z_map", "z_euler_closed",
                                  "borel_map", "borel_euler_closed"]
     )
+
+
+_SUM = "O(3)+xO(2)+O(1)"
+
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        # F and the two parts of its split, each classified once: 2 * n
+        (lambda: check_instance(
+            BundleSum.make(euler_mod.ProjSpace(4, 4), parse_bundles(_SUM))), 6),
+        *((lambda theory=theory: cli.main(["euler", "4", "4", _SUM, "--coeffs", theory]), 3)
+          for theory in ("burnside", "zconst", "borel")),
+        (lambda: cli.main(["compare", "4", "4", _SUM, "O(1)+xO(4)+O(3)"]), 6),
+    ],
+    ids=["check_instance", "euler-burnside", "euler-zconst", "euler-borel", "compare"],
+)
+def test_each_bundle_sum_classifies_its_lines_once(monkeypatch, capsys, run, bound):
+    classified = []
+    original = euler_mod.classify_line
+
+    def counted(L):
+        classified.append(L)
+        return original(L)
+
+    monkeypatch.setattr(euler_mod, "classify_line", counted)
+    assert run() in ([], 0)
+    assert 0 < len(classified) <= bound
