@@ -8,10 +8,10 @@ Subcommands::
     chart RANGE            ASCII picture of the point ring (even columns)
     verify                 seeded random differential suite
 
-Exit codes: 0 success, 1 mathematical check or context failure,
-2 usage/parse error.  ``--json`` switches any command to a JSON object
-with the stable field set {command, inputs, ranks, degrees, grading,
-coefficients, checks, theory, result}.
+Exit codes: 0 success, 1 mathematical check or context failure (or a
+reader that closed standard output early), 2 usage/parse error.  ``--json``
+switches any command to a JSON object with the stable field set {command,
+inputs, ranks, degrees, grading, coefficients, checks, theory, result}.
 """
 
 from __future__ import annotations
@@ -387,30 +387,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_brange(argv: list[str]) -> list[str]:
-    """``--brange LO..HI`` -> ``--brange=LO..HI``: argparse reads a separate
-    negative range such as ``-3..3`` as an option, not as the value.  Any
+def _join_ranges(argv: list[str]) -> list[str]:
+    """Let argparse read the negative ranges of ``chart``, which it would
+    take for options: ``--brange LO..HI`` becomes ``--brange=LO..HI`` (any
     abbreviation of ``--brange`` down to ``--b`` is joined the same way, as
-    argparse accepts it; nothing after a bare ``--`` is touched."""
+    argparse accepts it), and a bare negative range such as ``-8..8`` moves
+    behind a ``--``.  Nothing after a bare ``--`` is touched."""
     out: list[str] = []
+    bare: list[str] = []
     for i, arg in enumerate(argv):
         if arg == "--":
-            return out + argv[i:]
+            return out + ["--"] + bare + argv[i + 1:]
         prev = out[-1] if out else ""
         if len(prev) > 2 and "--brange".startswith(prev) and _RANGE_RE.match(arg):
             out[-1] = f"{prev}={arg}"
+        elif arg.startswith("-") and _RANGE_RE.match(arg):
+            bare.append(arg)
         else:
             out.append(arg)
-    return out
+    return out + ["--"] + bare if bare else out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_brange(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``... | head``): send the rest of
+        # the output to devnull so that the flush at exit cannot raise again,
+        # as the Python ``signal`` docs recommend
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ by the Frobenius relation tau(x)*y = tau(x*rho(y)) and kappa^2 = 2*kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grading import ROC2Degree, join_signed
 
@@ -47,38 +47,41 @@ class HMonomial:
     """One monomial of the point ring, tagged by kind.
 
     ``m`` is the e-exponent (or kappa shift), ``n`` the xi (or inverse-iota)
-    exponent; unused slots stay 0.
+    exponent; unused slots stay 0.  The grading and the hash are computed
+    once, at construction; neither takes part in ==, ordering or repr.
     """
 
     kind: str
     m: int = 0
     n: int = 0
+    grading: ROC2Degree = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown monomial kind {self.kind!r}")
-        if self.kind in (E, EIK) and (self.m < 1 or self.n != 0):
-            raise ValueError(f"bad exponents for {self.kind}: {self}")
-        if self.kind in (XI, TAUINV) and (self.n < 1 or self.m != 0):
-            raise ValueError(f"bad exponents for {self.kind}: {self}")
-        if self.kind == EXI and (self.m < 1 or self.n < 1):
-            raise ValueError(f"bad exponents for exi: {self}")
-        if self.kind in (ONE, G) and (self.m or self.n):
-            raise ValueError(f"bad exponents for {self.kind}: {self}")
+        kind, m, n = self.kind, self.m, self.n
+        if kind in (ONE, G):
+            if m or n:
+                raise ValueError(f"bad exponents for {kind}: {self}")
+            grading = ROC2Degree(0, 0)
+        elif kind in (E, EIK):
+            if m < 1 or n != 0:
+                raise ValueError(f"bad exponents for {kind}: {self}")
+            grading = ROC2Degree(0, m if kind == E else -m)
+        elif kind in (XI, TAUINV):
+            if n < 1 or m != 0:
+                raise ValueError(f"bad exponents for {kind}: {self}")
+            grading = ROC2Degree(-2 * n, 2 * n) if kind == XI else ROC2Degree(2 * n, -2 * n)
+        elif kind == EXI:
+            if m < 1 or n < 1:
+                raise ValueError(f"bad exponents for exi: {self}")
+            grading = ROC2Degree(-2 * n, m + 2 * n)
+        else:
+            raise ValueError(f"unknown monomial kind {kind!r}")
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "_hash", hash((kind, m, n)))
 
-    @property
-    def grading(self) -> ROC2Degree:
-        if self.kind in (ONE, G):
-            return ROC2Degree(0, 0)
-        if self.kind == E:
-            return ROC2Degree(0, self.m)
-        if self.kind == EIK:
-            return ROC2Degree(0, -self.m)
-        if self.kind == XI:
-            return ROC2Degree(-2 * self.n, 2 * self.n)
-        if self.kind == EXI:
-            return ROC2Degree(-2 * self.n, self.m + 2 * self.n)
-        return ROC2Degree(2 * self.n, -2 * self.n)  # TAUINV
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if self.kind == ONE:

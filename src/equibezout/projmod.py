@@ -16,7 +16,9 @@ back by the zeta power).  Every basis element is a monomial
 :class:`BasisMonomial`.
 
 Products are computed by a terminating rewrite system: multiplication by
-one generator at a time, normalizing after each step.  The rewrite rules
+one generator at a time, normalizing after each step.  A step starts from
+the term's coefficient (``gen_mul``'s ``coeff``), so a walk does one scalar
+product per rewrite rule that fires, not one per image.  The rewrite rules
 are exactly the relations above plus their consequences for divided
 classes; they are exercised against the operator identities in the test
 suite.  The engine is generic over the coefficient ring through the
@@ -30,7 +32,7 @@ public constructor makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grading import PiBDegree, deg_add, join_signed
 from .hscalar import HElement, h_fixed, h_rho, in_T
@@ -88,6 +90,7 @@ class BasisMonomial:
     other exponent pattern.  Derived data: the degree class ``mclass``,
     the position ``(A, B) = (a - s, s + b)`` in that class, and the
     restriction index ``i = a + b`` (the monomial restricts to ``c^i``).
+    The hash is computed once, at construction, and takes no part in ==.
     """
 
     sp: ProjSpace
@@ -95,6 +98,7 @@ class BasisMonomial:
     t: int
     a: int
     b: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family is None:
@@ -102,6 +106,10 @@ class BasisMonomial:
                 f"not a basis monomial of {self.sp}: "
                 f"z0^{self.s}*z1^{self.t}*cw^{self.a}*cxw^{self.b}"
             )
+        object.__setattr__(self, "_hash", hash((self.sp, self.s, self.t, self.a, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def family(self) -> str | None:
@@ -386,8 +394,13 @@ def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
     out[mono] = coeff if prev is None else prev + coeff
 
 
-def gen_mul(gen: str, x: BasisMonomial, ring=HElement) -> ModuleElement:
-    """Multiply a basis monomial by one generator, in normal form.
+def gen_mul(gen: str, x: BasisMonomial, ring=HElement, coeff=None) -> ModuleElement:
+    """Multiply ``coeff * x`` by one generator, in normal form.
+
+    ``coeff`` (default the ring's one) is the rewrite's starting
+    coefficient, so the images come out already scaled: a rewrite rule
+    multiplies it by its ring constant once, and an image that is a bare
+    monomial costs no product at all.
 
     >>> sp = ProjSpace(2, 2)
     >>> print(gen_mul("z1", BasisMonomial(sp, 0, 0, 0, 1)))
@@ -405,20 +418,21 @@ def gen_mul(gen: str, x: BasisMonomial, ring=HElement) -> ModuleElement:
     else:
         raise ValueError(f"unknown generator {gen!r}")
     out: dict = {}
-    _normalize(x.sp, ring, ring.ring_one(), s, t, a, b, out)
+    _normalize(x.sp, ring, ring.ring_one() if coeff is None else coeff, s, t, a, b, out)
     return ModuleElement._trusted(x.sp, out, ring)
 
 
 def _walk(terms: dict, steps, ring) -> dict:
     """Apply ``count`` times each generator of ``steps`` to ``terms``; every
-    step folds the ``gen_mul`` images of all terms into one new dict."""
+    step folds the ``gen_mul`` images of all terms, each started from its
+    term's coefficient, into one new dict."""
     for gen, count in steps:
         for _ in range(count):
             out: dict = {}
             for mono, coeff in terms.items():
                 if coeff:
-                    for image, c in gen_mul(gen, mono, ring).terms.items():
-                        _emit(out, image, c * coeff)
+                    for image, c in gen_mul(gen, mono, ring, coeff).terms.items():
+                        _emit(out, image, c)
             terms = out
     return terms
 

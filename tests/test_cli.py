@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -162,6 +163,30 @@ def test_chart_brange_as_separate_argument(capsys, extra):
     assert run(capsys, "chart", "0..2", *extra, "--brange", "-3..3") == joined
     assert run(capsys, "chart", "0..2", "--bra", "-3..3", *extra) == joined
     assert run(capsys, "chart", "0..2", "--b", "-3..3", *extra) == joined
+
+
+def test_chart_negative_range_as_bare_positional(capsys):
+    golden = pathlib.Path(__file__).parent / "golden" / "chart.out"
+    assert run(capsys, "chart", "-6..6") == (EXIT_OK, golden.read_text(), "")
+    assert run(capsys, "chart", "-2..2", "--brange", "-3..3", "--json") == run(
+        capsys, "chart", "--brange=-3..3", "--json", "--", "-2..2"
+    )
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the basis of X(2000, 1) is about 139 kB, more than a pipe buffer holds,
+    # so the writer meets the closed pipe before it is done
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equibezout.cli", "basis", "2000", "1", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"basis of X(2000,1)")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (EXIT_OK, EXIT_CHECK, EXIT_USAGE)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
 
 
 def test_chart_empty_range(capsys):

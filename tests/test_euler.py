@@ -180,6 +180,32 @@ def test_euler_line_skips_the_rewrite_engine(monkeypatch):
     assert [euler_line(*case) for case in cases] == expected
 
 
+def test_euler_product_work_is_bounded(monkeypatch):
+    # a long product over a large space: each generator step starts from its
+    # term's coefficient, so an image that is a bare monomial costs no
+    # point-ring product (1,048 products before that, for the same steps)
+    F = BundleSum.make(ProjSpace(40, 40), [O(3)] * 20 + [xO(2)] * 10
+                       + [O(2)] * 15 + [xO(1)] * 14)
+    assert ranks(F) == RankTriple(59, 35, 29) and context_check(F) == []
+    calls = {"mul": 0, "gen_mul": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    product = counted("mul", hs.HElement.__mul__)
+    monkeypatch.setattr(hs.HElement, "__mul__", product)
+    monkeypatch.setattr(hs.HElement, "__rmul__", product)
+    monkeypatch.setattr(projmod, "gen_mul", counted("gen_mul", projmod.gen_mul))
+    got = euler_product(F)
+    steps, products = calls["gen_mul"], calls["mul"]  # euler_closed adds its own
+    assert got == euler_closed(F)
+    assert steps == 406
+    assert products <= 600
+
+
 def test_euler_product_four_fold_twisted_class():
     F = bundle_sum(5, 5, *[xO(2)] * 4)
     sp = F.sp

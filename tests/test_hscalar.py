@@ -9,6 +9,8 @@ from equibezout.hscalar import (
     E,
     EIK,
     EXI,
+    G,
+    ONE,
     HElement,
     HMonomial,
     MONO_G,
@@ -50,6 +52,36 @@ def all_monomials(max_index=6):
 
 MONOS = all_monomials()
 ELEMS = [HElement.monomial(m) for m in MONOS]
+
+
+def test_monomial_hash_contract():
+    for mono in MONOS:
+        twin = HMonomial(mono.kind, mono.m, mono.n)
+        assert twin is not mono and twin == mono and hash(twin) == hash(mono)
+        assert {mono: "v"}[twin] == "v" and twin in {mono}
+        assert str(twin) == str(mono)
+        assert repr(twin) == f"HMonomial(kind={mono.kind!r}, m={mono.m}, n={mono.n})"
+        assert HElement({twin: 3}) == HElement({mono: 3})
+        assert hash(HElement({twin: 3})) == hash(HElement({mono: 3}))
+    # ordering is that of the exponent fields alone
+    assert sorted(MONOS) == sorted(MONOS, key=lambda x: (x.kind, x.m, x.n))
+    assert all((x < y) == ((x.kind, x.m, x.n) < (y.kind, y.m, y.n))
+               for x in MONOS[:20] for y in MONOS[:20])
+
+
+def test_monomial_grading_from_exponents():
+    from_exponents = {
+        ONE: lambda m, n: (0, 0),
+        G: lambda m, n: (0, 0),
+        E: lambda m, n: (0, m),
+        EIK: lambda m, n: (0, -m),
+        XI: lambda m, n: (-2 * n, 2 * n),
+        EXI: lambda m, n: (-2 * n, m + 2 * n),
+        TAUINV: lambda m, n: (2 * n, -2 * n),
+    }
+    assert {mono.kind for mono in MONOS} == set(from_exponents)
+    for mono in MONOS:
+        assert mono.grading == ROC2Degree(*from_exponents[mono.kind](mono.m, mono.n))
 
 
 def test_add_same_grading():

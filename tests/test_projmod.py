@@ -151,6 +151,51 @@ def test_gen_mul_divided_production():
     assert apply_gen("z0", got) == elem(sp, cw, hs.xi(1))
 
 
+def _step_coefficients(ring):
+    """Scalars a walk can hand to ``gen_mul``: monomials in a few gradings
+    and the multi-term u = g - 1 and kappa, carried into ``ring``."""
+    burnside = [HElement.monomial(mono)
+                for a, b in ((0, 0), (0, 2), (0, -1), (-2, 2), (-2, 3), (2, -2))
+                for mono in hs.monomials_in_grading(a, b)]
+    burnside += [hs.g() - 1, hs.kappa()]
+    return [ring.from_burnside(c) for c in burnside]
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_gen_mul_with_coefficient_matches_scaled_step(ring):
+    coeffs = _step_coefficients(ring)
+    checked = 0
+    for p in range(1, 5):
+        for q in range(1, 5):
+            sp = ProjSpace(p, q)
+            for m in range(-3, 4):
+                for x in basis(sp, m):
+                    for gen in ("z0", "z1", "cw", "cxw"):
+                        step = gen_mul(gen, x, ring)
+                        for c in coeffs:
+                            assert gen_mul(gen, x, ring, c) == step.scale(c)
+                        checked += 1
+    assert checked == 4 * 7 * sum(p + q for p in range(1, 5) for q in range(1, 5))
+
+
+def test_basis_monomial_hash_contract():
+    for sp in all_spaces(3):
+        for m in range(-3, 4):
+            for x in basis(sp, m):
+                twin = BasisMonomial(ProjSpace(sp.p, sp.q), x.s, x.t, x.a, x.b)
+                assert twin is not x and twin == x and hash(twin) == hash(x)
+                assert {x: "v"}[twin] == "v" and twin in {x}
+                assert str(twin) == str(x)
+                assert repr(twin) == (
+                    f"BasisMonomial(sp=ProjSpace(p={sp.p}, q={sp.q}), "
+                    f"s={x.s}, t={x.t}, a={x.a}, b={x.b})"
+                )
+                assert elem(sp, twin) == elem(sp, x)
+    one = BasisMonomial(ProjSpace(2, 2), 0, 0, 0, 0)
+    assert one != BasisMonomial(ProjSpace(2, 3), 0, 0, 0, 0)
+    assert one != BasisMonomial(ProjSpace(2, 2), 0, 0, 1, 0)
+
+
 def all_spaces(maxpq):
     for p in range(0, maxpq + 1):
         for q in range(0, maxpq + 1):
