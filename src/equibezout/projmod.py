@@ -18,10 +18,23 @@ back by the zeta power).  Every basis element is a monomial
 Products are computed by a terminating rewrite system: multiplication by
 one generator at a time, normalizing after each step.  A step starts from
 the term's coefficient (``gen_mul``'s ``coeff``), so a walk does one scalar
-product per rewrite rule that fires, not one per image.  The rewrite rules
-are exactly the relations above plus their consequences for divided
-classes; they are exercised against the operator identities in the test
-suite.  The engine is generic over the coefficient ring through the
+product per rewrite rule that fires, not one per image.  The rules, one
+branch of ``_normalize`` each, with u = 1-kappa:
+
+    vanish              cw^p * cxw^q = 0
+    zeta cancel         z0*z1 = xi, and z0 * z1^-k = xi * z1^-(k+1) on a tower
+    z1*cxw              z1*cxw = u*z0*cw + e^2
+    z1 cw^p division    z1^t * cw^p = xi^t * z0^-t * cw^p
+    z0 cxw^q division   z0^s * cxw^q = xi^s * z1^-s * cxw^q
+    cxw tower           z1^t * cxw^(q+1) = xi * z1^(t-2) * cw * cxw^q
+                                         + e^2 * z1^(t-1) * cxw^q    (t <= 0)
+    z0^2*cw             z0^2 * cw = xi*cxw + e^2*z0, also for cw^(p+1)
+
+The last two follow from z1*cxw by u*xi = xi and u*e^2 = -e^2, which hold
+in both engine rings, so only the z1*cxw rule multiplies by u.  The
+operator identities in the test suite exercise every rule.
+
+The engine is generic over the coefficient ring through the
 ``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
 the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
 normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Engine results
@@ -266,8 +279,6 @@ class ModuleElement:
         )
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if isinstance(other, ModuleElement):
             return mod_mul(self, other)
         return self.scale(other)
@@ -311,82 +322,34 @@ def _embed(deg) -> PiBDegree:
 def _normalize(sp: ProjSpace, ring, coeff, s, t, a, b, out: dict) -> None:
     """Rewrite z0^s z1^t cw^a cxw^b * coeff into normal form, into ``out``.
 
-    Entered only with exponents one generator step away from a valid
-    monomial, so a <= p+1 and b <= q+1 throughout.
+    One branch per rule of the module docstring, named in its comment: a
+    rule with one image rewrites the exponents in place, a rule with two
+    recurses.  The final constructor rejects any pattern outside the six
+    families.
     """
     p, q = sp.p, sp.q
-    if a >= p and b >= q:
-        return  # contains cw^p * cxw^q = 0
-    # cancel or deepen opposite zeta exponents; z0*z1 = xi and each zeta
-    # acting on the divided tower of the other emits xi as well
-    if s > 0 and t > 0:
-        k = min(s, t)
-        coeff = coeff * ring.ring_xi(k)
-        s -= k
-        t -= k
-    elif s > 0 and t < 0:
-        coeff = coeff * ring.ring_xi(s)
-        t -= s
-        s = 0
-    elif s < 0 and t > 0:
-        coeff = coeff * ring.ring_xi(t)
-        s -= t
-        t = 0
-    assert not (s < 0 and t < 0)
-
-    if t > 0:  # here s == 0
-        if b >= 1:
-            # one z1 meets one cxw: z1*cxw = u*z0*cw + e^2
-            _normalize(sp, ring, coeff * ring.ring_u(), 1, t - 1, a + 1, b - 1, out)
-            _normalize(sp, ring, coeff * ring.ring_e2(), 0, t - 1, a, b - 1, out)
-            return
-        if a >= p:
-            assert a == p
-            # z1^t * cw^p = xi^t * z0^-t * cw^p (division is unique)
-            coeff = coeff * ring.ring_xi(t)
-            _emit(out, BasisMonomial(sp, -t, 0, p, 0), coeff)
-            return
-        _emit(out, BasisMonomial(sp, 0, t, a, 0), coeff)
+    if a >= p and b >= q:  # vanish: cw^p * cxw^q = 0
         return
-
-    if t < 0:  # here s == 0; base is the divided cxw^q tower
-        if b > q:
-            assert b == q + 1
-            # one extra cxw on the tower; mirror of the z1*cxw relation
-            _normalize(sp, ring, coeff * ring.ring_u() * ring.ring_xi(1),
-                       0, t - 2, a + 1, q, out)
-            _normalize(sp, ring, coeff * ring.ring_e2(), 0, t - 1, a, q, out)
-            return
-        assert b == q
-        _emit(out, BasisMonomial(sp, 0, t, a, q), coeff)
+    if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
+        k = min(s, t) if s > 0 and t > 0 else max(s, t)
+        coeff, s, t = coeff * ring.ring_xi(k), s - k, t - k
+    if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
+        _normalize(sp, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
+        _normalize(sp, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
         return
-
-    # t == 0
-    if s >= 1 and b >= q:
-        assert b == q
-        # z0^s * cw^a * cxw^q = xi^s * z1^-s * cw^a * cxw^q
-        coeff = coeff * ring.ring_xi(s)
-        _emit(out, BasisMonomial(sp, 0, -s, a, q), coeff)
+    if t > 0 and a >= p:  # z1 cw^p division: z1^t*cw^p = xi^t*z0^-t*cw^p
+        coeff, s, t = coeff * ring.ring_xi(t), -t, 0
+    if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
+        coeff, s, t = coeff * ring.ring_xi(s), 0, -s
+    if b > q:  # cxw tower: z1^t*cxw^(q+1) for every t <= 0
+        _normalize(sp, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, q, out)
+        _normalize(sp, ring, coeff * ring.ring_e2(), s, t - 1, a, q, out)
         return
-    if s == 0 and b > q:
-        assert b == q + 1
-        _normalize(sp, ring, coeff * ring.ring_u() * ring.ring_xi(1),
-                   0, -2, a + 1, q, out)
-        _normalize(sp, ring, coeff * ring.ring_e2(), 0, -1, a, q, out)
+    if (s >= 2 and a) or a > p:  # z0^2*cw = xi*cxw + e^2*z0, and cw^(p+1)
+        _normalize(sp, ring, coeff * ring.ring_xi(1), s - 2, t, a - 1, b + 1, out)
+        _normalize(sp, ring, coeff * ring.ring_e2(), s - 1, t, a - 1, b, out)
         return
-    if (s >= 2 and a >= 1) or a > p:
-        assert a <= p + 1
-        # z0^2 * cw = u*xi*cxw - u*e^2*z0, multiplied through; for s <= 1
-        # this is the overflow rule for cw^(p+1) through the divided tower
-        u = ring.ring_u()
-        _normalize(sp, ring, coeff * u * ring.ring_xi(1), s - 2, 0, a - 1, b + 1, out)
-        _normalize(sp, ring, -(coeff * u * ring.ring_e2()), s - 1, 0, a - 1, b, out)
-        return
-    if s < 0:
-        assert a == p
-        _emit(out, BasisMonomial(sp, s, 0, p, b), coeff)
-        return
-    _emit(out, BasisMonomial(sp, s, 0, a, b), coeff)
+    _emit(out, BasisMonomial(sp, s, t, a, b), coeff)
 
 
 def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
@@ -568,18 +531,6 @@ class NoneqPoly:
         return join_signed(bits)
 
 
-# fixed-point images of the monomial families: exponent of c over each of
-# the two fixed components, or None when the component is hit by a zeta
-_FIXED_SHAPE = {
-    ALPHA: ("a", None),
-    BETA: (None, "b"),
-    GAMMA: ("a", "b"),
-    DELTA: (None, "b"),
-    EPS: (None, "b"),
-    ZETAF: ("a", None),
-}
-
-
 def mod_rho(x: ModuleElement) -> NoneqPoly:
     """Restriction to nonequivariant cohomology, in Z[c]/(c^(p+q))."""
     N = x.sp.p + x.sp.q
@@ -600,10 +551,11 @@ def mod_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
         value = h_fixed(coeff)
         if not value:
             continue
-        shape0, shape1 = _FIXED_SHAPE[mono.family]
-        if shape0 is not None:
+        # a power of z0 (z1), divided or not, vanishes on the first (second)
+        # fixed component; the rest restricts to c^a (c^b) there
+        if mono.s == 0:
             out0[mono.a] = out0.get(mono.a, 0) + value
-        if shape1 is not None:
+        if mono.t == 0:
             out1[mono.b] = out1.get(mono.b, 0) + value
     return (NoneqPoly.make(p, out0), NoneqPoly.make(q, out1))
 

@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 
 from equibezout import hscalar as hs
+from equibezout import projmod
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement, h_fixed, h_rho
 from equibezout.projmod import (
+    ALPHA,
+    BETA,
+    DELTA,
+    EPS,
+    GAMMA,
+    ZETAF,
     BasisMonomial,
     ModuleElement,
     NoneqPoly,
     ProjSpace,
     UnsupportedProductError,
-    _FIXED_SHAPE,
     apply_gen,
     basis,
     coeff_vector,
@@ -176,6 +182,36 @@ def test_gen_mul_with_coefficient_matches_scaled_step(ring):
                             assert gen_mul(gen, x, ring, c) == step.scale(c)
                         checked += 1
     assert checked == 4 * 7 * sum(p + q for p in range(1, 5) for q in range(1, 5))
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_tower_walks_cost_one_product_per_rewrite(ring, monkeypatch):
+    # deep into both divided towers, and mirrored: every rule that fires
+    # multiplies the coefficient once, and u, which cancels against xi and
+    # e^2, is never multiplied in
+    calls = {"mul": 0, "normalize": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    product = counted("mul", HElement.__mul__)
+    monkeypatch.setattr(HElement, "__mul__", product)
+    monkeypatch.setattr(HElement, "__rmul__", product)
+    monkeypatch.setattr(projmod, "_normalize", counted("normalize", projmod._normalize))
+    sp = ProjSpace(4, 4)
+    work = {}
+    for name, exps in {"cw^30": (0, 0, 30, 0), "cxw^30": (0, 0, 0, 30),
+                       "z0^-1*cw^30": (-1, 0, 30, 0),
+                       "z1^-1*cxw^30": (0, -1, 0, 30)}.items():
+        calls.update(mul=0, normalize=0)
+        assert raw_monomial(sp, *exps, ring=ring)
+        work[name] = (calls["mul"], calls["normalize"])
+    assert all(products <= steps for products, steps in work.values()), work
+    assert work["cw^30"][0] == work["cxw^30"][0], work
+    assert work["z0^-1*cw^30"][0] == work["z1^-1*cxw^30"][0], work
 
 
 def test_basis_monomial_hash_contract():
@@ -398,6 +434,33 @@ def test_mod_fixed_examples():
     assert mod_fixed(x) == (NoneqPoly.make(5, {0: 1}), NoneqPoly.make(5, {0: 1}))
 
 
+# the fixed-point image of each monomial family: the exponent of c over
+# each of the two fixed components, or None where a zeta class kills it
+FIXED_SHAPE = {
+    ALPHA: ("a", None),
+    BETA: (None, "b"),
+    GAMMA: ("a", "b"),
+    DELTA: (None, "b"),
+    EPS: (None, "b"),
+    ZETAF: ("a", None),
+}
+
+
+def test_mod_fixed_matches_the_family_table():
+    checked = 0
+    for sp in all_spaces(7):
+        for m in range(-12, 13):
+            for x in basis(sp, m):
+                shape0, shape1 = FIXED_SHAPE[x.family]
+                expected = tuple(
+                    NoneqPoly.make(n, {getattr(x, shape): 1} if shape else {})
+                    for n, shape in ((sp.p, shape0), (sp.q, shape1))
+                )
+                assert mod_fixed(elem(sp, x)) == expected, x
+                checked += 1
+    assert checked == 11200
+
+
 def test_in_tildeT():
     sp = ProjSpace(2, 2)
     assert in_tildeT(ModuleElement.zero(sp))
@@ -503,7 +566,7 @@ def _observation_row(sp, P, gen):
         row[("rho", P.index)] = rv
     fv = h_fixed(gen)
     if fv:
-        s0, s1 = _FIXED_SHAPE[P.family]
+        s0, s1 = FIXED_SHAPE[P.family]
         if s0 is not None and P.a < sp.p:
             row[("fix0", P.a)] = row.get(("fix0", P.a), 0) + fv
         if s1 is not None and P.b < sp.q:

@@ -2,22 +2,25 @@
 
 Homogeneous scalars are drawn from ``monomials_in_grading``: a Burnside
 element of one grading, carried into the constant-Z ring by its normal form
-and into the Borel ring by ``borel_map``.  The runs are derandomized and
-keep no example database, so they are deterministic and leave nothing in
-the working tree.
+and into the Borel ring by ``borel_map``.  The two coefficient changes are
+also checked as ring maps of the module ring: ``BorelElement`` multiplies
+polynomials, sharing no code with the rewrite engine, so it is an
+independent oracle for ``mod_mul``.  The runs are derandomized and keep no
+example database, so they are deterministic and leave nothing in the
+working tree.
 """
 
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from equibezout.hscalar import HElement, monomials_in_grading
-from equibezout.projmod import ModuleElement, ProjSpace
-from equibezout.variants import BorelScalar, ZHElement, borel_map
+from equibezout.projmod import ModuleElement, ProjSpace, basis, is_divided
+from equibezout.variants import BorelScalar, ZHElement, borel_map, z_map
 
 # Even without a database, hypothesis caches the constants it reads from
 # local source files under its home directory (./.hypothesis by default); its
@@ -101,3 +104,47 @@ def test_additive_inverse_and_unit(ring, x):
     assert x + (-x) == zero
     assert not (x - x)
     assert x * one == x == one * x
+
+
+# both fixed components nonempty, as in the exhaustive check that held on all
+# 20,414 pairs with |m| <= 3 (about 7 s, too slow for every run)
+SPACES = [ProjSpace(p, q) for p in range(1, 5) for q in range(1, 5)]
+
+
+def module_terms(sp):
+    """A basis monomial of ``sp`` in a class |m| <= 3, times an odd
+    multiple of a scalar monomial from ``monomials_in_grading`` (the
+    e-monomials are 2-torsion, so an odd multiple is never zero)."""
+    monos = st.integers(-3, 3).flatmap(lambda m: st.sampled_from(basis(sp, m)))
+    # half the scalars in grading (0, 0), where 1 and g keep nonzero images
+    # that are not 2-torsion, so a wrong integer factor in a rule shows
+    gradings = st.one_of(st.just((0, 0)), st.sampled_from(GRADINGS))
+    scalar_monos = gradings.flatmap(
+        lambda grading: st.sampled_from(monomials_in_grading(*grading))
+    )
+    coeffs = st.sampled_from((1, -1, 3))
+    return st.builds(
+        lambda mono, smono, c: ModuleElement(sp, {mono: HElement.monomial(smono, c)}),
+        monos, scalar_monos, coeffs,
+    )
+
+
+module_pairs = st.sampled_from(SPACES).flatmap(
+    lambda sp: st.tuples(module_terms(sp), module_terms(sp))
+)
+
+
+def divided(x: ModuleElement) -> bool:
+    return any(is_divided(mono) for mono in x.terms)
+
+
+@settings(AXIOMS, max_examples=200)
+@given(pair=module_pairs)
+def test_coefficient_changes_are_ring_maps(pair):
+    x, y = pair
+    assume(not (divided(x) and divided(y)))  # no generator factorization
+    xy = x * y
+    # the two orders walk different generators through the rewrite rules
+    assert xy == y * x
+    assert borel_map(xy, 0) == borel_map(x, 0) * borel_map(y, 0)
+    assert z_map(xy) == z_map(x) * z_map(y)
