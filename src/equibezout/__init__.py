@@ -27,7 +27,6 @@ from .euler import (
 from .grading import (
     PiBDegree,
     RankTriple,
-    ROC2Degree,
     deg_add,
     euler_grading,
     rank_triple,

@@ -1,12 +1,13 @@
 """Gradings for the equivariant cohomology of projective-space bundles.
 
-Two grading groups appear.  ``RO(C2)`` is free abelian on the trivial
-representation 1 and the sign representation ``s`` (sigma); a degree is a
-pair ``a + b*s``.  The extended grading group has two further generators
-``W0`` and ``W1`` subject to ``W0 + W1 = 2s - 2``, so we eliminate ``W0``
-and store a degree ``m*W1 + a + b*s`` as the integer triple ``(m, a, b)``.
+The extended grading group is free abelian on the trivial representation
+1, the sign representation ``s`` (sigma) and two further generators ``W0``
+and ``W1`` subject to ``W0 + W1 = 2s - 2``, so we eliminate ``W0`` and
+store a degree ``m*W1 + a + b*s`` as the integer triple ``(m, a, b)``.
 With this encoding the parity constraint relating the fixed-point ranks of
-a degree holds automatically.
+a degree holds automatically.  ``RO(C2)``, where the point ring is graded,
+is the slice ``m = 0``: a point-ring degree ``a + b*s`` is ``(0, a, b)``,
+so module and scalar degrees add in one type.
 
 A degree determines a triple of real ranks: the underlying rank and the
 ranks of the two fixed-point restrictions.  Euler classes of rank-``n``
@@ -21,47 +22,16 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ROC2Degree:
-    """A degree ``a + b*s`` in RO(C2)."""
-
-    a: int
-    b: int
-
-    def __add__(self, other: "ROC2Degree") -> "ROC2Degree":
-        return ROC2Degree(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "ROC2Degree") -> "ROC2Degree":
-        return ROC2Degree(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "ROC2Degree":
-        return ROC2Degree(-self.a, -self.b)
-
-    def __str__(self) -> str:
-        return format_degree(0, self.a, self.b)
-
-
-@dataclass(frozen=True)
 class PiBDegree:
-    """A degree ``m*W1 + a + b*s`` in the extended grading group."""
+    """A degree ``m*W1 + a + b*s`` in the extended grading group; the
+    point-ring degrees are those with ``m = 0``."""
 
     m: int
     a: int
     b: int
 
-    def __add__(self, other) -> "PiBDegree":
-        if isinstance(other, ROC2Degree):
-            other = PiBDegree(0, other.a, other.b)
+    def __add__(self, other: "PiBDegree") -> "PiBDegree":
         return PiBDegree(self.m + other.m, self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PiBDegree":
-        if isinstance(other, ROC2Degree):
-            other = PiBDegree(0, other.a, other.b)
-        return PiBDegree(self.m - other.m, self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "PiBDegree":
-        return PiBDegree(-self.m, -self.a, -self.b)
 
     def __str__(self) -> str:
         return format_degree(self.m, self.a, self.b)
@@ -69,7 +39,13 @@ class PiBDegree:
 
 @dataclass(frozen=True)
 class RankTriple:
-    """Real ranks (whole space, fixed over B0, fixed over B1)."""
+    """Ranks (whole space, fixed over B0, fixed over B1).
+
+    Complex ranks in ``BundleSum.classified`` and ``recover_ranks`` (the
+    inverse of ``euler_grading``, which takes complex ranks too); only
+    ``rank_triple`` returns real ranks, twice the complex ones on an Euler
+    grading.
+    """
 
     n_total: int
     n_fix0: int

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grading import ROC2Degree, join_signed
+from .grading import PiBDegree, join_signed
 
 ONE = "one"
 G = "g"
@@ -47,14 +47,15 @@ class HMonomial:
     """One monomial of the point ring, tagged by kind.
 
     ``m`` is the e-exponent (or kappa shift), ``n`` the xi (or inverse-iota)
-    exponent; unused slots stay 0.  The grading and the hash are computed
-    once, at construction; neither takes part in ==, ordering or repr.
+    exponent; unused slots stay 0.  The grading (a ``PiBDegree`` with no
+    ``W1`` part) and the hash are computed once, at construction; neither
+    takes part in ==, ordering or repr.
     """
 
     kind: str
     m: int = 0
     n: int = 0
-    grading: ROC2Degree = field(init=False, compare=False, repr=False)
+    grading: PiBDegree = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -62,19 +63,19 @@ class HMonomial:
         if kind in (ONE, G):
             if m or n:
                 raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = ROC2Degree(0, 0)
+            grading = PiBDegree(0, 0, 0)
         elif kind in (E, EIK):
             if m < 1 or n != 0:
                 raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = ROC2Degree(0, m if kind == E else -m)
+            grading = PiBDegree(0, 0, m if kind == E else -m)
         elif kind in (XI, TAUINV):
             if n < 1 or m != 0:
                 raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = ROC2Degree(-2 * n, 2 * n) if kind == XI else ROC2Degree(2 * n, -2 * n)
+            grading = PiBDegree(0, -2 * n, 2 * n) if kind == XI else PiBDegree(0, 2 * n, -2 * n)
         elif kind == EXI:
             if m < 1 or n < 1:
                 raise ValueError(f"bad exponents for exi: {self}")
-            grading = ROC2Degree(-2 * n, m + 2 * n)
+            grading = PiBDegree(0, -2 * n, m + 2 * n)
         else:
             raise ValueError(f"unknown monomial kind {kind!r}")
         object.__setattr__(self, "grading", grading)
@@ -310,7 +311,7 @@ class HElement(Scalar):
         return cls(dict(x.terms))
 
     @property
-    def grading(self) -> ROC2Degree | None:
+    def grading(self) -> PiBDegree | None:
         """Common grading of the support; None for the zero element."""
         for mono in self.terms:
             return mono.grading

@@ -303,9 +303,7 @@ class _ExprParser:
         av = _materialize(a, self.sp)
         bv = _materialize(b, self.sp)
         if isinstance(av, ModuleElement) or isinstance(bv, ModuleElement):
-            am = _as_module(av, self.sp)
-            bm = _as_module(bv, self.sp)
-            return am - bm if negate else am + bm
+            av, bv = _as_module(av, self.sp), _as_module(bv, self.sp)
         try:
             return av - bv if negate else av + bv
         except ValueError as exc:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grading import PiBDegree, deg_add, join_signed
+from .grading import PiBDegree, join_signed
 from .hscalar import HElement, h_fixed, h_rho, in_T
 
 ALPHA = "alpha"  # z1^t * cw^a            t >= 1, a <= p-1
@@ -211,7 +211,7 @@ class ModuleElement:
                 continue
             if mono.sp != sp:
                 raise ValueError(f"monomial {mono} not over {sp}")
-            total = deg_add(mono.grading, _embed(coeff.grading))
+            total = mono.grading + coeff.grading
             if grading is None:
                 grading = total
             elif total != grading:
@@ -242,7 +242,7 @@ class ModuleElement:
     @property
     def grading(self) -> PiBDegree | None:
         for mono, coeff in self.terms.items():
-            return deg_add(mono.grading, _embed(coeff.grading))
+            return mono.grading + coeff.grading
         return None
 
     def __bool__(self) -> bool:
@@ -311,12 +311,6 @@ class ModuleElement:
         return join_signed(chunks)
 
     __repr__ = __str__
-
-
-def _embed(deg) -> PiBDegree:
-    if deg is None:
-        return PiBDegree(0, 0, 0)
-    return PiBDegree(0, deg.a, deg.b)
 
 
 def _normalize(sp: ProjSpace, ring, coeff, s, t, a, b, out: dict) -> None:

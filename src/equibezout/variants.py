@@ -205,12 +205,6 @@ class BorelElement:
         _accumulate(merged, other.coeffs)
         return BorelElement(self.sp, merged)
 
-    def __sub__(self, other: "BorelElement") -> "BorelElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "BorelElement":
-        return BorelElement(self.sp, {k: v * c for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "BorelElement") -> "BorelElement":
         if self.sp != other.sp:
             raise ValueError("elements over different spaces")

@@ -219,6 +219,26 @@ def test_verify_cli(capsys):
     assert doc["result"]["passed"] == 5
 
 
+def test_verify_cli_reports_a_fault(capsys, monkeypatch):
+    original = euler.euler_closed
+    monkeypatch.setattr(euler, "euler_closed", lambda F: original(F) + original(F))
+    argv = ("verify", "--seed", "5", "--count", "50")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_CHECK
+    lines = out.splitlines()
+    assert "passed before failure (seed 5)" in lines[0]
+    assert lines[1].startswith("failing instance: X(")
+    assert lines[2].startswith("minimized: X(")
+    assert "product_equals_closed" in lines[2]
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_CHECK
+    assert doc["checks"] == {"suite": False}
+    for key in ("failure", "minimized"):
+        row = doc["result"][key]
+        assert set(row) == {"p", "q", "bundles", "failed"}
+        assert "product_equals_closed" in row["failed"]
+
+
 def test_verify_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("EQUIBEZOUT_SEED", "42")
     code, out, _ = run(capsys, "verify", "--count", "3")

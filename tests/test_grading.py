@@ -1,7 +1,9 @@
 import pytest
 
+from equibezout import hscalar as hs
 from equibezout.grading import (
     DEG_CW,
+    DEG_CXW,
     DEG_Z0,
     DEG_Z1,
     PiBDegree,
@@ -13,6 +15,7 @@ from equibezout.grading import (
     recover_ranks,
 )
 from equibezout.parsing import parse_grading
+from equibezout.projmod import EPS, ZETAF, ModuleElement, ProjSpace, basis
 
 
 def test_deg_add_identity():
@@ -102,3 +105,45 @@ def test_format_compact():
     assert format_degree(0, 0, 0) == "0"
     assert format_degree(0, 0, 8) == "8*s"
     assert format_degree(1, -2, 3) == "1*W1 - 2 + 3*s"
+
+
+def _times(k, x):
+    """``k * x`` componentwise, for any integer ``k``."""
+    return PiBDegree(k * x.m, k * x.a, k * x.b)
+
+
+def test_basis_grading_is_the_generator_degree_sum():
+    families = set()
+    for p in range(6):
+        for q in range(6):
+            if p + q == 0:
+                continue
+            for m in range(-6, 7):
+                for P in basis(ProjSpace(p, q), m):
+                    families.add(P.family)
+                    expected = (_times(P.s, DEG_Z0) + _times(P.t, DEG_Z1)
+                                + _times(P.a, DEG_CW) + _times(P.b, DEG_CXW))
+                    assert P.grading == expected, P
+    assert {EPS, ZETAF} <= families  # the divided monomials are covered
+
+
+def test_scalar_and_module_degrees_add_in_one_type():
+    # point-ring degrees are the m = 0 slice of the extended grading, so
+    # adding a scalar degree to a module degree commutes and keeps W1
+    monos = [hs.MONO_ONE, hs.MONO_G]
+    for i in (1, 2):
+        monos += [hs.HMonomial(hs.E, i), hs.HMonomial(hs.EIK, i),
+                  hs.HMonomial(hs.XI, n=i), hs.HMonomial(hs.TAUINV, n=i)]
+        monos += [hs.HMonomial(hs.EXI, i, j) for j in (1, 2)]
+    assert {mono.kind for mono in monos} == {
+        hs.ONE, hs.G, hs.E, hs.EIK, hs.XI, hs.EXI, hs.TAUINV}
+    sp = ProjSpace(2, 2)
+    for mono in monos:
+        c = hs.HElement.monomial(mono)
+        for m in range(-3, 4):
+            for P in basis(sp, m):
+                total = c.grading + P.grading
+                assert total == P.grading + c.grading
+                assert total == ModuleElement(sp, {P: c}).grading
+                assert total.m == m
+        assert isinstance(mono.grading, PiBDegree) and mono.grading.m == 0

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from equibezout.grading import ROC2Degree
+from equibezout.grading import PiBDegree
 from equibezout.hscalar import (
     E,
     EIK,
@@ -81,7 +81,7 @@ def test_monomial_grading_from_exponents():
     }
     assert {mono.kind for mono in MONOS} == set(from_exponents)
     for mono in MONOS:
-        assert mono.grading == ROC2Degree(*from_exponents[mono.kind](mono.m, mono.n))
+        assert mono.grading == PiBDegree(0, *from_exponents[mono.kind](mono.m, mono.n))
 
 
 def test_add_same_grading():
@@ -163,7 +163,7 @@ def test_grading_additivity_of_products():
         p = x * y
         if p:
             gx, gy = x.grading, y.grading
-            assert p.grading == ROC2Degree(gx.a + gy.a, gx.b + gy.b)
+            assert p.grading == PiBDegree(0, gx.a + gy.a, gx.b + gy.b)
 
 
 def test_rho_examples():

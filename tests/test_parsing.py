@@ -102,6 +102,13 @@ def test_module_parse_divided_monomials():
         parse_module_element("z0^-1*cw", sp)  # needs the full cw^p factor
 
 
+@pytest.mark.parametrize("text", ["cw + e^2", "cw - e^2", "e^2 + cw", "cw + cxw"])
+def test_module_parse_mixed_gradings_is_parse_error(text):
+    # the same error type as an inhomogeneous scalar sum
+    with pytest.raises(ParseError, match="mixed gradings"):
+        parse_module_element(text, ProjSpace(2, 2))
+
+
 def _random_elements(count, seed):
     rng = random.Random(seed)
     out = []
