@@ -28,6 +28,7 @@ by the Frobenius relation tau(x)*y = tau(x*rho(y)) and kappa^2 = 2*kappa.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .grading import PiBDegree, join_signed
 
@@ -317,22 +318,29 @@ class HElement(Scalar):
             return mono.grading
         return None
 
-    # hooks used by the generic module rewrite engine
+    # hooks used by the generic module rewrite engine.  Each is built on
+    # first use and then shared: one value per ring class (and per n for
+    # ring_xi), keyed by the class, so a subclass never gets its parent's.
+    # Sharing is safe because no scalar is changed in place.
 
     @classmethod
+    @cache
     def ring_one(cls) -> "HElement":
         return cls.from_int(1)
 
     @classmethod
+    @cache
     def ring_u(cls) -> "HElement":
         # the unit u = 1 - kappa = g - 1, with u^2 = 1
         return cls({MONO_G: 1, MONO_ONE: -1})
 
     @classmethod
+    @cache
     def ring_e2(cls) -> "HElement":
         return cls.monomial(HMonomial(E, 2))
 
     @classmethod
+    @cache
     def ring_xi(cls, n: int) -> "HElement":
         return cls.monomial(HMonomial(XI, n=n))
 

@@ -18,7 +18,9 @@ back by the zeta power).  Every basis element is a monomial
 Products are computed by a terminating rewrite system: multiplication by
 one generator at a time, normalizing after each step.  A step starts from
 the term's coefficient (``gen_mul``'s ``coeff``), so a walk does one scalar
-product per rewrite rule that fires, not one per image.  The rules, one
+product per rewrite rule that fires, not one per image, and it normalises
+straight into the walk's dict for the next generator (``gen_mul``'s
+``out``), so a step builds no dict or element of its own.  The rules, one
 branch of ``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
@@ -37,10 +39,12 @@ operator identities in the test suite exercise every rule.
 The engine is generic over the coefficient ring through the
 ``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
 the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
-normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Engine results
-are homogeneous by construction, so the engine builds them with the private
+normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Each hook
+returns one shared value per ring class.  Engine results are homogeneous by
+construction, so the engine builds them with the private
 ``ModuleElement._trusted``, which skips the per-term grading check that the
-public constructor makes.
+public constructor makes: once per product, walk or public ``gen_mul`` call,
+never per step.
 """
 
 from __future__ import annotations
@@ -351,13 +355,20 @@ def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
     out[mono] = coeff if prev is None else prev + coeff
 
 
-def gen_mul(gen: str, x: BasisMonomial, ring=HElement, coeff=None) -> ModuleElement:
+def gen_mul(
+    gen: str, x: BasisMonomial, ring=HElement, coeff=None, out: dict | None = None
+) -> ModuleElement | None:
     """Multiply ``coeff * x`` by one generator, in normal form.
 
     ``coeff`` (default the ring's one) is the rewrite's starting
     coefficient, so the images come out already scaled: a rewrite rule
     multiplies it by its ring constant once, and an image that is a bare
     monomial costs no product at all.
+
+    With ``out``, a dict from basis monomials to coefficients, the step
+    normalises into it: each image is added to the coefficient already there,
+    a sum may leave a zero, and the result is None.  This is how a walk
+    steps.  Without it, the images are returned as a ``ModuleElement``.
 
     >>> sp = ProjSpace(2, 2)
     >>> print(gen_mul("z1", BasisMonomial(sp, 0, 0, 0, 1)))
@@ -374,22 +385,21 @@ def gen_mul(gen: str, x: BasisMonomial, ring=HElement, coeff=None) -> ModuleElem
         b += 1
     else:
         raise ValueError(f"unknown generator {gen!r}")
-    out: dict = {}
-    _normalize(x.sp, ring, ring.ring_one() if coeff is None else coeff, s, t, a, b, out)
-    return ModuleElement._trusted(x.sp, out, ring)
+    terms = {} if out is None else out
+    _normalize(x.sp, ring, ring.ring_one() if coeff is None else coeff, s, t, a, b, terms)
+    return ModuleElement._trusted(x.sp, terms, ring) if out is None else None
 
 
 def _walk(terms: dict, steps, ring) -> dict:
     """Apply ``count`` times each generator of ``steps`` to ``terms``; every
-    step folds the ``gen_mul`` images of all terms, each started from its
-    term's coefficient, into one new dict."""
+    step normalises the images of all terms, each started from its term's
+    coefficient, into one new dict.  The result may hold zero coefficients."""
     for gen, count in steps:
         for _ in range(count):
             out: dict = {}
             for mono, coeff in terms.items():
                 if coeff:
-                    for image, c in gen_mul(gen, mono, ring, coeff).terms.items():
-                        _emit(out, image, c)
+                    gen_mul(gen, mono, ring, coeff, out)
             terms = out
     return terms
 

@@ -180,14 +180,20 @@ def test_euler_line_skips_the_rewrite_engine(monkeypatch):
     assert [euler_line(*case) for case in cases] == expected
 
 
+def long_sum():
+    """59 lines of four distinct kinds over X(40, 40)."""
+    F = BundleSum.make(ProjSpace(40, 40), [O(3)] * 20 + [xO(2)] * 10
+                       + [O(2)] * 15 + [xO(1)] * 14)
+    assert ranks(F) == RankTriple(59, 35, 29) and context_check(F) == []
+    return F
+
+
 def test_euler_product_work_is_bounded(monkeypatch):
     # a long product over a large space: each generator step starts from its
     # term's coefficient, so an image that is a bare monomial costs no
     # point-ring product (1,048 products before that, for the same steps),
     # and no rule multiplies by the unit u where it cancels (581 before that)
-    F = BundleSum.make(ProjSpace(40, 40), [O(3)] * 20 + [xO(2)] * 10
-                       + [O(2)] * 15 + [xO(1)] * 14)
-    assert ranks(F) == RankTriple(59, 35, 29) and context_check(F) == []
+    F = long_sum()
     calls = {"mul": 0, "gen_mul": 0}
 
     def counted(key, fn):
@@ -205,6 +211,31 @@ def test_euler_product_work_is_bounded(monkeypatch):
     assert got == euler_closed(F)
     assert steps == 406
     assert products <= 480
+
+
+def test_euler_product_builds_nothing_per_step(monkeypatch):
+    # each distinct line class is built once per call, and a generator step
+    # normalises into the walk's dict: the engine wraps a result once per
+    # product (10,480 wrappers in 20 calls when every step made its own)
+    F = long_sum()
+    calls = {"line": 0, "mod_mul": 0, "trusted": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(euler, "euler_line", counted("line", euler.euler_line))
+    monkeypatch.setattr(euler, "mod_mul", counted("mod_mul", euler.mod_mul))
+    monkeypatch.setattr(ModuleElement, "_trusted",
+                        classmethod(counted("trusted", ModuleElement._trusted.__func__)))
+    got = euler_product(F)
+    assert calls["line"] == len(set(F.lines)) == 4
+    assert calls["mod_mul"] == F.n
+    assert calls["trusted"] == calls["mod_mul"] + calls["line"]
+    calls.update(line=0, mod_mul=0, trusted=0)
+    assert euler_product(F) == got and calls["line"] == 4  # nothing kept
 
 
 def test_euler_product_four_fold_twisted_class():

@@ -185,6 +185,29 @@ def test_gen_mul_with_coefficient_matches_scaled_step(ring):
 
 
 @pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_gen_mul_into_a_dict_adds_the_step_images(ring):
+    # the walk's form of a step: the images land in the caller's dict, added
+    # to what is there, and everything else in the dict is left alone
+    coeffs = [ring.ring_one(), ring.ring_u(), ring.from_burnside(hs.kappa()),
+              ring.ring_xi(1), ring.ring_e2()]
+    checked = 0
+    for sp in all_spaces(3):
+        for m in range(-3, 4):
+            for x in basis(sp, m):
+                for gen in ("z0", "z1", "cw", "cxw"):
+                    for c in coeffs:
+                        step = gen_mul(gen, x, ring, c).terms
+                        kept = object()
+                        out = {"kept": kept, **step}
+                        assert gen_mul(gen, x, ring, c, out) is None
+                        assert out.pop("kept") is kept
+                        assert {mono: v for mono, v in out.items() if v} == {
+                            mono: v + v for mono, v in step.items() if v + v}
+                    checked += 1
+    assert checked == 4 * 7 * sum(sp.p + sp.q for sp in all_spaces(3))
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
 def test_tower_walks_cost_one_product_per_rewrite(ring, monkeypatch):
     # deep into both divided towers, and mirrored: every rule that fires
     # multiplies the coefficient once, and u, which cancels against xi and

@@ -85,6 +85,18 @@ def test_burnside_and_constZ_scalars_never_mix():
         assert type(result) is BorelScalar
 
 
+def test_ring_constants_are_shared_per_ring_class():
+    hooks = (lambda r: r.ring_one(), lambda r: r.ring_u(), lambda r: r.ring_e2(),
+             lambda r: r.ring_xi(1), lambda r: r.ring_xi(3))
+    for ring in (hs.HElement, ZHElement):
+        for hook in hooks:
+            assert hook(ring) is hook(ring) and type(hook(ring)) is ring
+    assert hs.HElement.ring_u() != hs.HElement.ring_one()
+    assert ZHElement.ring_u() == ZHElement.ring_one()  # u = g - 1 folds to 1
+    assert hs.HElement.ring_xi(1) is not hs.HElement.ring_xi(3)
+    assert ZHElement.ring_xi(2) == to_constZ(hs.HElement.ring_xi(2))
+
+
 def test_z_map_examples():
     sp = ProjSpace(5, 5)
     # the 4-fold twisted class is kappa-free and survives unchanged

@@ -8,6 +8,7 @@ import equibezout.euler as euler_mod
 import equibezout.variants as variants_mod
 from equibezout import cli
 from equibezout.euler import BundleSum, context_check
+from equibezout.hscalar import HElement
 from equibezout.parsing import parse_bundles
 from equibezout.verify import (
     check_instance,
@@ -63,6 +64,16 @@ def test_fault_injection_is_caught_and_shrunk(monkeypatch):
     assert summary.shrunk.p <= summary.failure.p
     assert summary.shrunk.q <= summary.failure.q
     assert abs(small_lines[0].d) <= 1
+
+
+def test_dropped_unit_in_z1_cxw_rule_is_caught(monkeypatch):
+    # no line class carries z1, so no Euler product walks the z1*cxw rule;
+    # only the zeta_relation row (z0*z1 = xi on e(F)) sees it lose its u
+    monkeypatch.setattr(HElement, "ring_u", vars(HElement)["ring_one"])
+    summary = run_verify(seed=1, count=200)
+    assert not summary.ok
+    assert summary.failure.failed == ["zeta_relation"]
+    assert summary.shrunk.failed == ["zeta_relation"]
 
 
 def test_shrink_preserves_failure(monkeypatch):
