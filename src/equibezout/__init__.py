@@ -27,7 +27,6 @@ from .euler import (
 from .grading import (
     PiBDegree,
     RankTriple,
-    deg_add,
     euler_grading,
     rank_triple,
     recover_ranks,
@@ -35,9 +34,7 @@ from .grading import (
 from .hscalar import (
     HElement,
     HMonomial,
-    h_add,
     h_fixed,
-    h_mul,
     h_rho,
     in_Ie,
     in_T,

@@ -155,22 +155,21 @@ def cmd_euler(args) -> int:
         _emit(payload, args.json, ["context violation:"] + [f"  {v}" for v in violations])
         return EXIT_CHECK
 
-    suffix = ""
-    if args.coeffs == "burnside":
-        report = _euler.bezout_report(F)
-        checks, vec = report.checks, report.coefficients
-        class_lines = [f"e(F) = {format_vector(vec)}", f"     = {report.product_class}"]
-        suffix = f"   grading: {report.grading}"
+    report = _euler.EulerReport(F)
+    checks = report.reported(_variants.CHECKS, args.coeffs)
+    if args.coeffs == "borel":
+        closed = _variants.closed_class(report, "borel")
+        vec = sorted(closed.coeffs.items())
+        class_lines = [f"e_BH(F) = {closed}"]
     else:
-        report = _euler.EulerReport(F)
-        checks = report.reported(_variants.CHECKS, args.coeffs)
-        closed = _variants.closed_class(report, args.coeffs)
-        if args.coeffs == "zconst":
-            vec = coeff_vector(closed, report.grading.m)
-            class_lines = [f"e_Z(F) = {format_vector(vec)}", f"       = {closed}"]
-        else:
-            vec = sorted(closed.coeffs.items())
-            class_lines = [f"e_BH(F) = {closed}"]
+        name, cls = (("e(F)", report.product_class) if args.coeffs == "burnside"
+                     else ("e_Z(F)", _variants.closed_class(report, "zconst")))
+        # the JSON array has p + q entries by contract; the text line needs
+        # only the class's own terms (P_i is the basis monomial of index i)
+        vec = (coeff_vector(cls, report.grading.m) if args.json
+               else [(mono.index, c) for mono, c in cls.sorted_terms()])
+        class_lines = [f"{name} = {format_vector(vec)}", f"{' ' * len(name)} = {cls}"]
+    suffix = f"   grading: {report.grading}" if args.coeffs == "burnside" else ""
     text = str if args.coeffs == "borel" else format_t_scalar
     vector = [{"i": i, "scalar": text(c)} for i, c in vec]
     r, dd = report.ranks, report.degrees
@@ -185,7 +184,7 @@ def cmd_euler(args) -> int:
         "euler",
         inputs,
         ranks=list(r),
-        degrees=[dd.delta, dd.delta0, dd.delta1],
+        degrees=list(dd),
         grading=str(report.grading),
         coefficients=vector,
         checks=checks,
@@ -217,13 +216,13 @@ def cmd_compare(args) -> int:
     ]
     for theory, equal in report.flags.items():
         lines.append(f"{theory}: {'equal' if equal else 'differ'}")
-    lines.append(f"note: {report.note}")
+    lines.append(f"note: {_variants.COMPARE_NOTE}")
     payload = _envelope(
         "compare",
         {"p": args.p, "q": args.q, "A": str(FA), "B": str(FB)},
-        degrees={"A": da.as_tuple(), "B": db.as_tuple()},
+        degrees={"A": list(da), "B": list(db)},
         checks=report.flags,
-        result={"note": report.note},
+        result={"note": _variants.COMPARE_NOTE},
     )
     _emit(payload, args.json, lines)
     return EXIT_OK

@@ -20,9 +20,9 @@ The Euler class of a sum is computed two independent ways:
 Each statement of the Bezout theorems is one named ``Check`` in a single
 table, whose Burnside rows (``BURNSIDE_CHECKS``) live here and which
 ``variants.CHECKS`` completes.  A check is a predicate over an
-``EulerReport``, which computes each class it is asked for once.
-``bezout_report`` evaluates the Burnside checks ``euler`` prints; ``verify``
-evaluates every row on the same report.
+``EulerReport``, which computes each class it is asked for once; a row
+that raises has failed.  ``euler`` prints the reported rows of its theory,
+and ``verify`` evaluates every row on one report.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class DegreeTriple:
     delta0: int
     delta1: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.delta, self.delta0, self.delta1)
+    def __iter__(self):
+        return iter((self.delta, self.delta0, self.delta1))
 
 
 @dataclass(frozen=True)
@@ -409,9 +409,17 @@ class EulerReport:
         return self._kept[compute]
 
     def evaluate(self, checks) -> dict[Check, bool]:
-        """Results of the ``checks`` that apply to F, each evaluated once."""
-        results = {check: self.kept(check.holds) for check in checks}
-        return {check: ok for check, ok in results.items() if ok is not None}
+        """Results of the ``checks`` that apply to F, each evaluated once; a
+        check that raises ValueError or ArithmeticError has failed."""
+        results = {}
+        for check in checks:
+            try:
+                ok = self.kept(check.holds)
+            except (ValueError, ArithmeticError):
+                ok = False
+            if ok is not None:
+                results[check] = ok
+        return results
 
     def reported(self, checks, theory: str) -> dict[str, bool]:
         """What ``euler --coeffs theory`` prints, by check name."""
@@ -421,7 +429,7 @@ class EulerReport:
 
 def _split_degrees(r: EulerReport) -> tuple[int, int, int]:
     """The degree triple multiplied out over the split, zero-clamped."""
-    (a, a0, a1), (b, b0, b1) = (degrees(part).as_tuple() for part in r.split)
+    (a, a0, a1), (b, b0, b1) = map(degrees, r.split)
     return (a * b, 0 if r.ranks.n_fix0 >= r.F.sp.p else a0 * b0,
             0 if r.ranks.n_fix1 >= r.F.sp.q else a1 * b1)
 
@@ -431,7 +439,7 @@ def _parity(case: str, law) -> tuple:
     def holds(r):
         t = r.F.classified[0]
         found = "typeII" if TYPE_II in t else "typeIV" if TYPE_IV in t else "odd"
-        return law(*r.degrees.as_tuple()) if found == case else None
+        return law(*r.degrees) if found == case else None
     return f"parity_{case}", False, holds
 
 
@@ -452,7 +460,8 @@ def _congruent_mod_Je(r: EulerReport) -> bool:
 # not apply) for a single summand.
 BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
     ("product_equals_closed", True, lambda r: r.product_class == euler_closed(r.F)),
-    ("grading", True, lambda r: r.product_class.grading in (None, r.grading)),
+    ("grading", True, lambda r: all(
+        m.grading + c.grading == r.grading for m, c in r.product_class.terms.items())),
     ("support_at_most_three", True, lambda r: len(r.product_class.terms) <= 3),
     ("support_locations", False, lambda r: all(
         m.index == r.ranks.n_total or m.pos[0] == r.ranks.n_fix0
@@ -466,7 +475,7 @@ BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
     ("multiplicative", True,
      lambda r: r.split and mod_mul(*map(euler_product, r.split)) == r.product_class),
     *((f"multiplicative_{d}", False, lambda r, i=i: r.split
-       and r.degrees.as_tuple()[i] == r.kept(_split_degrees)[i])
+       and tuple(r.degrees)[i] == r.kept(_split_degrees)[i])
       for i, d in enumerate(("delta", "delta0", "delta1"))),
     _parity("typeII", lambda d, d0, d1: d % 2 == d0 % 2 == d1 % 2 == 0),
     _parity("typeIV", lambda d, d0, d1: d % 2 == 0 and d0 % 2 == d1 % 2 == 1),

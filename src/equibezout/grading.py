@@ -69,11 +69,6 @@ DEG_Z1 = W1
 DEG_Z0 = W0
 
 
-def deg_add(x: PiBDegree, y: PiBDegree) -> PiBDegree:
-    """Sum of degrees, componentwise in the (m, a, b) encoding."""
-    return x + y
-
-
 def rank_triple(x: PiBDegree) -> RankTriple:
     """Real rank triple of a degree: (a+b, a, a-2m)."""
     return RankTriple(x.a + x.b, x.a, x.a - 2 * x.m)

@@ -395,16 +395,6 @@ def e_power_kappa(j: int) -> HElement:
     return einvkappa(-j)
 
 
-def h_add(x: HElement, y: HElement) -> HElement:
-    """Sum; raises ValueError when the gradings disagree."""
-    return x + y
-
-
-def h_mul(x: HElement, y: HElement) -> HElement:
-    """Product in normal form."""
-    return x * y
-
-
 # images of the monomials under the two restriction maps
 _RHO = {ONE: 1, G: 2, E: 0, EIK: 0, XI: 1, EXI: 0, TAUINV: 2}
 _FIXED = {ONE: 1, G: 0, E: 1, EIK: 2, XI: 0, EXI: 0, TAUINV: 0}

@@ -366,12 +366,6 @@ def parse_bundles(text: str) -> list[LineBundle]:
     return [L for L, count in parse_bundle_terms(text) for _ in range(count)]
 
 
-def format_bundles(lines) -> str:
-    if not lines:
-        return "0"
-    return " + ".join(str(L) for L in lines)
-
-
 def parse_grading(text: str) -> PiBDegree:
     """Parse ``m*W1 + a + b*s`` (any subset of terms, in any order)."""
     tokens = _tokenize(text)

@@ -16,11 +16,11 @@ back by the zeta power).  Every basis element is a monomial
 :class:`BasisMonomial`.
 
 Products are computed by a terminating rewrite system: multiplication by
-one generator at a time, normalizing after each step.  A step starts from
-the term's coefficient (``gen_mul``'s ``coeff``), so a walk does one scalar
-product per rewrite rule that fires, not one per image, and it normalises
-straight into the walk's dict for the next generator (``gen_mul``'s
-``out``), so a step builds no dict or element of its own.  The rules, one
+one generator at a time, normalizing after each step.  One step is
+``gen_mul(gen, x, ring, coeff, out)``: it starts from the term's coefficient,
+so a walk does one scalar product per rewrite rule that fires, not one per
+image, and it adds its images into ``out``, the walk's dict for the next
+generator, so a step builds no dict or element of its own.  The rules, one
 branch of ``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
@@ -43,8 +43,8 @@ normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Each hook
 returns one shared value per ring class.  Engine results are homogeneous by
 construction, so the engine builds them with the private
 ``ModuleElement._trusted``, which skips the per-term grading check that the
-public constructor makes: once per product, walk or public ``gen_mul`` call,
-never per step.
+public constructor makes: once per product, walk or ``apply_gen`` call, never
+per step.
 """
 
 from __future__ import annotations
@@ -355,24 +355,19 @@ def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
     out[mono] = coeff if prev is None else prev + coeff
 
 
-def gen_mul(
-    gen: str, x: BasisMonomial, ring=HElement, coeff=None, out: dict | None = None
-) -> ModuleElement | None:
-    """Multiply ``coeff * x`` by one generator, in normal form.
+def gen_mul(gen: str, x: BasisMonomial, ring, coeff, out: dict) -> None:
+    """Normalise ``coeff * gen * x`` into ``out``, one generator step.
 
-    ``coeff`` (default the ring's one) is the rewrite's starting
-    coefficient, so the images come out already scaled: a rewrite rule
-    multiplies it by its ring constant once, and an image that is a bare
-    monomial costs no product at all.
+    ``coeff`` is the rewrite's starting coefficient, so the images come out
+    already scaled: a rewrite rule multiplies it by its ring constant once,
+    and an image that is a bare monomial costs no product at all.  ``out``
+    maps basis monomials to coefficients; each image is added to the
+    coefficient already there, so a sum may leave a zero.
 
-    With ``out``, a dict from basis monomials to coefficients, the step
-    normalises into it: each image is added to the coefficient already there,
-    a sum may leave a zero, and the result is None.  This is how a walk
-    steps.  Without it, the images are returned as a ``ModuleElement``.
-
-    >>> sp = ProjSpace(2, 2)
-    >>> print(gen_mul("z1", BasisMonomial(sp, 0, 0, 0, 1)))
-    e^2 + (-1 + g)*z0*cw
+    >>> sp, out = ProjSpace(2, 2), {}
+    >>> gen_mul("cw", BasisMonomial(sp, 0, 0, 0, 1), HElement, HElement.ring_one(), out)
+    >>> [str(mono) for mono in out]
+    ['cw*cxw']
     """
     s, t, a, b = x.s, x.t, x.a, x.b
     if gen == "z0":
@@ -385,9 +380,7 @@ def gen_mul(
         b += 1
     else:
         raise ValueError(f"unknown generator {gen!r}")
-    terms = {} if out is None else out
-    _normalize(x.sp, ring, ring.ring_one() if coeff is None else coeff, s, t, a, b, terms)
-    return ModuleElement._trusted(x.sp, terms, ring) if out is None else None
+    _normalize(x.sp, ring, coeff, s, t, a, b, out)
 
 
 def _walk(terms: dict, steps, ring) -> dict:
@@ -405,6 +398,11 @@ def _walk(terms: dict, steps, ring) -> dict:
 
 
 def apply_gen(gen: str, x: ModuleElement) -> ModuleElement:
+    """Multiply ``x`` by one generator, in normal form.
+
+    >>> print(apply_gen("z1", raw_monomial(ProjSpace(2, 2), 0, 0, 0, 1)))
+    e^2 + (-1 + g)*z0*cw
+    """
     return ModuleElement._trusted(x.sp, _walk(x.terms, ((gen, 1),), x.ring), x.ring)
 
 
@@ -467,16 +465,9 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
     return ModuleElement._trusted(x.sp, out, x.ring)
 
 
-def coeff_vector(x: ModuleElement, m: int | None = None) -> list:
-    """Coefficients of ``x`` against the ordered basis of its degree class.
-
-    Returns ``p + q`` pairs ``(i, coefficient)``; absent terms are zero.
-    """
-    if m is None:
-        if not x.terms:
-            m = 0
-        else:
-            m = next(iter(x.terms)).mclass
+def coeff_vector(x: ModuleElement, m: int) -> list:
+    """Coefficients of ``x`` against the ordered basis of the degree class
+    ``m``: ``p + q`` pairs ``(i, coefficient)``; absent terms are zero."""
     vector = []
     zero = x.ring.ring_one() * 0
     by_mono = dict(x.terms)
@@ -499,20 +490,8 @@ class NoneqPoly:
         clean = {k: v for k, v in coeffs.items() if v and 0 <= k < N}
         return cls(N, tuple(sorted(clean.items())))
 
-    @classmethod
-    def zero(cls, N: int) -> "NoneqPoly":
-        return cls.make(N, {})
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
-
-    def __add__(self, other: "NoneqPoly") -> "NoneqPoly":
-        if self.N != other.N:
-            raise ValueError(f"polynomials mod c^{self.N} and c^{other.N}")
-        merged = self.as_dict()
-        for k, v in other.coeffs:
-            merged[k] = merged.get(k, 0) + v
-        return NoneqPoly.make(self.N, merged)
 
     def reduce_mod(self, n: int) -> "NoneqPoly":
         return NoneqPoly.make(self.N, {k: v % n for k, v in self.coeffs})

@@ -176,13 +176,12 @@ class BorelElement:
         if any(k < 0 for k in work):
             raise ValueError("negative c-exponent")
         N = sp.p + sp.q
-        while True:
-            top = max((k for k, v in work.items() if k >= N and v), default=None)
-            if top is None:
-                break
-            # subtract lead * c^(top-N) * relation, clearing c^top; this can
-            # reintroduce degrees in [N, top), so take the maximum again
-            _accumulate(work, _c_binomial(-work[top], top - N + sp.p, sp.q))
+        for top in range(max(work, default=0), N - 1, -1):
+            # subtract lead * c^(top-N) * relation: it clears c^top and changes
+            # only lower degrees, so one pass from the top degree down is enough
+            lead = work.get(top)
+            if lead:
+                _accumulate(work, _c_binomial(-lead, top - N + sp.p, sp.q))
         self.sp = sp
         self.coeffs = {k: v for k, v in work.items() if v}
 
@@ -293,25 +292,18 @@ def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
     return leading
 
 
+COMPARE_NOTE = "Borel theory carries no fixed-point data"
+
+
 @dataclass(frozen=True)
 class CompareReport:
-    """Side-by-side Euler classes of two bundle sums in all three theories."""
+    """Side-by-side Euler classes of two bundle sums in all three theories:
+    ``flags`` says, per theory, whether the two classes are equal."""
 
     sp: ProjSpace
     degrees_a: _euler.DegreeTriple
     degrees_b: _euler.DegreeTriple
-    burnside_equal: bool
-    zconst_equal: bool
-    borel_equal: bool
-    note: str = "Borel theory carries no fixed-point data"
-
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {
-            "burnside": self.burnside_equal,
-            "zconst": self.zconst_equal,
-            "borel": self.borel_equal,
-        }
+    flags: dict[str, bool]
 
 
 def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
@@ -328,9 +320,11 @@ def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
         sp=FA.sp,
         degrees_a=a.degrees,
         degrees_b=b.degrees,
-        burnside_equal=a.product_class == b.product_class,
-        zconst_equal=_z_mapped(a) == _z_mapped(b),
-        borel_equal=_borel_mapped(a) == _borel_mapped(b),
+        flags={
+            "burnside": a.product_class == b.product_class,
+            "zconst": _z_mapped(a) == _z_mapped(b),
+            "borel": _borel_mapped(a) == _borel_mapped(b),
+        },
     )
 
 

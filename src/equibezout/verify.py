@@ -58,7 +58,7 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def random_bundle_sum(rng: random.Random, pmax=6, qmax=6, dmax=5) -> _euler.BundleSum:
+def random_bundle_sum(rng: random.Random, pmax: int, qmax: int, dmax: int) -> _euler.BundleSum:
     """One uniformly-drawn context-valid instance (rejection sampling)."""
     while True:
         p = rng.randint(1, pmax)

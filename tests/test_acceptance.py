@@ -199,9 +199,7 @@ def test_criterion_8_information_loss():
         report = compare(
             bundle_sum(2, 2, O(3), xO(1)), bundle_sum(2, 2, O(1), xO(3))
         )
-        assert not report.burnside_equal
-        assert report.zconst_equal
-        assert report.borel_equal
+        assert report.flags == {"burnside": False, "zconst": True, "borel": True}
         assert main(["compare", "2", "2", "O(3)+xO(1)", "O(1)+xO(3)"]) == 0
         rng = random.Random(8)
         for _ in range(300):

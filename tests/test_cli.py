@@ -322,6 +322,23 @@ def test_huge_bundle_count_is_never_expanded(argv):
 
 
 @pytest.mark.parametrize(
+    "theory, line",
+    [("burnside", "e(F) = (1 + g)*P2 + e^-2*kappa*P3"), ("zconst", "e_Z(F) = 3*P2")],
+)
+def test_text_euler_over_a_huge_space_reads_only_the_class_terms(theory, line):
+    # the text class line comes from the class's own terms; the basis of a
+    # degree class of X(10^7, 2) would not fit in the 512 MB the child may map
+    proc = subprocess.run(
+        [sys.executable, "-m", "equibezout.cli", "euler", "10000000", "2",
+         "O(1)+xO(3)", "--coeffs", theory],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    assert line in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
     "module, engine, theory, name, key",
     [
         (euler, "euler_closed", "burnside", "product_equals_closed",

@@ -8,7 +8,6 @@ from equibezout.grading import (
     DEG_Z1,
     PiBDegree,
     RankTriple,
-    deg_add,
     euler_grading,
     format_degree,
     rank_triple,
@@ -18,15 +17,15 @@ from equibezout.parsing import parse_grading
 from equibezout.projmod import EPS, ZETAF, ModuleElement, ProjSpace, basis
 
 
-def test_deg_add_identity():
-    assert deg_add(PiBDegree(0, 0, 0), PiBDegree(1, 2, 0)) == PiBDegree(1, 2, 0)
+def test_degree_sum_identity():
+    assert PiBDegree(0, 0, 0) + PiBDegree(1, 2, 0) == PiBDegree(1, 2, 0)
 
 
-def test_deg_add_generator_degrees():
+def test_degree_sum_generator_degrees():
     # z0 * cw sits in degree 2*sigma
-    assert deg_add(DEG_Z0, DEG_CW) == PiBDegree(0, 0, 2)
+    assert DEG_Z0 + DEG_CW == PiBDegree(0, 0, 2)
     # z0 * z1 sits in the degree of xi, -2 + 2*sigma
-    assert deg_add(DEG_Z0, DEG_Z1) == PiBDegree(0, -2, 2)
+    assert DEG_Z0 + DEG_Z1 == PiBDegree(0, -2, 2)
 
 
 def test_rank_triple_examples():
@@ -47,7 +46,7 @@ def test_rank_triple_additive():
     xs = [PiBDegree(m, a, b) for m in (-2, 0, 3) for a in (-4, 1) for b in (0, 5)]
     for x in xs:
         for y in xs:
-            s = rank_triple(deg_add(x, y))
+            s = rank_triple(x + y)
             rx, ry = rank_triple(x), rank_triple(y)
             assert s == RankTriple(
                 rx.n_total + ry.n_total, rx.n_fix0 + ry.n_fix0, rx.n_fix1 + ry.n_fix1

@@ -22,9 +22,7 @@ from equibezout.hscalar import (
     einvkappa,
     exi,
     g,
-    h_add,
     h_fixed,
-    h_mul,
     h_rho,
     in_Ie,
     in_T,
@@ -86,13 +84,13 @@ def test_monomial_grading_from_exponents():
 
 def test_add_same_grading():
     assert g() + g() == 2 * g()
-    assert h_add(exi(1, 1), exi(1, 1)) == HElement.zero()  # 2*e*xi = 0
+    assert exi(1, 1) + exi(1, 1) == HElement.zero()  # 2*e*xi = 0
     assert kappa() + g() == HElement.from_int(2)
 
 
 def test_add_grading_mismatch_raises():
     with pytest.raises(ValueError):
-        h_add(e(1), xi(1))
+        e(1) + xi(1)
 
 
 def test_specific_identities():
@@ -108,7 +106,7 @@ def test_specific_identities():
 
 def test_frobenius_style_products():
     # tau(i^-2) * tau(i^-4) = 2 tau(i^-6)
-    assert h_mul(tauinv(1), tauinv(2)) == 2 * tauinv(3)
+    assert tauinv(1) * tauinv(2) == 2 * tauinv(3)
     # xi^k * tau(i^-2n) walks up the diagonal and through the origin
     assert xi(1) * tauinv(3) == tauinv(2)
     assert xi(3) * tauinv(3) == g()

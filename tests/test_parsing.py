@@ -5,12 +5,11 @@ import random
 import pytest
 
 from equibezout import hscalar as hs
-from equibezout.euler import LineBundle
-from equibezout.grading import PiBDegree, deg_add
+from equibezout.euler import BundleSum, LineBundle
+from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement, monomials_in_grading
 from equibezout.parsing import (
     ParseError,
-    format_bundles,
     parse_bundles,
     parse_grading,
     parse_module_element,
@@ -120,7 +119,7 @@ def _random_elements(count, seed):
         shift_a, shift_b = rng.choice(
             [(0, 0), (0, 2), (0, -2), (-2, 2), (2, -2), (0, 1), (0, 3)]
         )
-        grading = deg_add(P0.grading, PiBDegree(0, shift_a, shift_b))
+        grading = P0.grading + PiBDegree(0, shift_a, shift_b)
         terms = {}
         for P in monos:
             da = grading.a - 2 * P.pos[0]
@@ -212,7 +211,7 @@ def test_parse_bundles_round_trip():
             LineBundle(rng.random() < 0.5, rng.randint(-9, 9))
             for _ in range(rng.randint(1, 6))
         ]
-        assert parse_bundles(format_bundles(lines)) == lines
+        assert parse_bundles(str(BundleSum(ProjSpace(1, 1), tuple(lines)))) == lines
 
 
 def test_parse_bundles_errors():

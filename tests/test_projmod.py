@@ -41,6 +41,13 @@ def elem(sp, mono, coeff=None):
     return ModuleElement(sp, {mono: hs.one() if coeff is None else coeff})
 
 
+def step(gen, x, ring=HElement, coeff=None):
+    """The images of ``coeff * gen * x`` (coeff defaults to one) as an element."""
+    out = {}
+    gen_mul(gen, x, ring, ring.ring_one() if coeff is None else coeff, out)
+    return ModuleElement(x.sp, out, ring)
+
+
 def test_projspace_validation():
     with pytest.raises(ValueError):
         ProjSpace(0, 0)
@@ -138,20 +145,20 @@ def test_gen_mul_defining_relations():
     unit = BasisMonomial(sp, 0, 0, 0, 0)
     cxw = BasisMonomial(sp, 0, 0, 0, 1)
     # z0 * z1 = xi
-    assert apply_gen("z0", gen_mul("z1", unit)) == elem(sp, unit, hs.xi(1))
+    assert apply_gen("z0", apply_gen("z1", elem(sp, unit))) == elem(sp, unit, hs.xi(1))
     # z1 * cxw = (1 - kappa) z0 cw + e^2
-    got = gen_mul("z1", cxw)
+    got = step("z1", cxw)
     expected = elem(sp, BasisMonomial(sp, 1, 0, 1, 0), U) + elem(sp, unit, hs.e(2))
     assert got == expected
     # cxw * (cw^p cxw^(q-1)) = 0
     top = BasisMonomial(sp, 0, 0, 3, 2)
-    assert not gen_mul("cxw", top)
+    assert not step("cxw", top)
 
 
 def test_gen_mul_divided_production():
     sp = ProjSpace(1, 1)
     cw = BasisMonomial(sp, 0, 0, 1, 0)
-    got = gen_mul("z1", cw)
+    got = step("z1", cw)
     assert got == elem(sp, BasisMonomial(sp, -1, 0, 1, 0), hs.xi(1))
     # multiplying back by z0 recovers xi * cw
     assert apply_gen("z0", got) == elem(sp, cw, hs.xi(1))
@@ -177,9 +184,9 @@ def test_gen_mul_with_coefficient_matches_scaled_step(ring):
             for m in range(-3, 4):
                 for x in basis(sp, m):
                     for gen in ("z0", "z1", "cw", "cxw"):
-                        step = gen_mul(gen, x, ring)
+                        one = step(gen, x, ring)
                         for c in coeffs:
-                            assert gen_mul(gen, x, ring, c) == step.scale(c)
+                            assert step(gen, x, ring, c) == one.scale(c)
                         checked += 1
     assert checked == 4 * 7 * sum(p + q for p in range(1, 5) for q in range(1, 5))
 
@@ -196,13 +203,13 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
             for x in basis(sp, m):
                 for gen in ("z0", "z1", "cw", "cxw"):
                     for c in coeffs:
-                        step = gen_mul(gen, x, ring, c).terms
+                        images = step(gen, x, ring, c).terms
                         kept = object()
-                        out = {"kept": kept, **step}
+                        out = {"kept": kept, **images}
                         assert gen_mul(gen, x, ring, c, out) is None
                         assert out.pop("kept") is kept
                         assert {mono: v for mono, v in out.items() if v} == {
-                            mono: v + v for mono, v in step.items() if v + v}
+                            mono: v + v for mono, v in images.items() if v + v}
                     checked += 1
     assert checked == 4 * 7 * sum(sp.p + sp.q for sp in all_spaces(3))
 
@@ -404,7 +411,7 @@ def test_coeff_vector_example():
     x = ModuleElement.unit(sp).scale(hs.e(8)) + elem(
         sp, BasisMonomial(sp, 0, 0, 2, 2), 16 * hs.xi(2)
     )
-    vec = coeff_vector(x)
+    vec = coeff_vector(x, 0)
     assert len(vec) == 10
     nonzero = {i: c for i, c in vec if c}
     assert set(nonzero) == {0, 4}
@@ -417,10 +424,6 @@ def test_coeff_vector_rejects_terms_outside_the_class():
     with pytest.raises(ValueError, match="outside the basis of class m=2"):
         coeff_vector(ModuleElement.unit(ProjSpace(2, 2)), 2)
 
-
-def test_noneq_polys_of_different_lengths_do_not_add():
-    with pytest.raises(ValueError):
-        NoneqPoly.make(2, {0: 1}) + NoneqPoly.make(5, {3: 1})
 
 
 def test_mod_rho_basis_elements():
@@ -437,7 +440,7 @@ def test_mod_rho_examples():
         sp, BasisMonomial(sp, 0, 0, 2, 2), 16 * hs.xi(2)
     )
     assert mod_rho(x) == NoneqPoly.make(10, {4: 16})
-    assert mod_rho(ModuleElement.zero(sp)) == NoneqPoly.zero(10)
+    assert mod_rho(ModuleElement.zero(sp)) == NoneqPoly.make(10, {})
 
 
 def test_mod_fixed_examples():
@@ -448,7 +451,7 @@ def test_mod_fixed_examples():
     # divided element: only the twisted component survives
     sp2 = ProjSpace(2, 4)
     f0, f1 = mod_fixed(elem(sp2, BasisMonomial(sp2, -2, 0, 2, 3)))
-    assert f0 == NoneqPoly.zero(2)
+    assert f0 == NoneqPoly.make(2, {})
     assert f1 == NoneqPoly.make(4, {3: 1})
     # the 4-fold twisted-bundle class has fixed values (1, 1)
     x = ModuleElement.unit(sp).scale(hs.e(8)) + elem(

@@ -7,9 +7,11 @@ import pytest
 import equibezout.euler as euler_mod
 import equibezout.variants as variants_mod
 from equibezout import cli
-from equibezout.euler import BundleSum, context_check
+from equibezout.euler import BundleSum, context_check, ranks
+from equibezout.grading import euler_grading
 from equibezout.hscalar import HElement
 from equibezout.parsing import parse_bundles
+from equibezout.projmod import ModuleElement, basis
 from equibezout.verify import (
     check_instance,
     random_bundle_sum,
@@ -74,6 +76,25 @@ def test_dropped_unit_in_z1_cxw_rule_is_caught(monkeypatch):
     assert not summary.ok
     assert summary.failure.failed == ["zeta_relation"]
     assert summary.shrunk.failed == ["zeta_relation"]
+
+
+def test_a_check_that_raises_counts_as_failed(monkeypatch, capsys):
+    # a term from the next degree class makes coeff_vector and
+    # recover_degrees raise: verify must report and shrink it, not stop
+    honest = euler_mod.euler_product
+
+    def with_stray_term(F, ring=HElement):
+        x = honest(F, ring)
+        stray = basis(F.sp, euler_grading(*ranks(F)).m + 1)[0]
+        return ModuleElement._trusted(F.sp, {**x.terms, stray: ring.ring_one()}, ring)
+
+    monkeypatch.setattr(euler_mod, "euler_product", with_stray_term)
+    summary = run_verify(seed=1, count=50)
+    assert not summary.ok
+    assert {"grading", "coefficient_vector_length"} <= set(summary.failure.failed)
+    assert summary.shrunk.failed
+    assert cli.main(["verify", "--seed", "1", "--count", "50"]) == 1
+    assert "minimized: " in capsys.readouterr().out
 
 
 def test_shrink_preserves_failure(monkeypatch):
