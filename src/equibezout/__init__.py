@@ -58,7 +58,6 @@ from .projmod import (
     mod_fixed,
     mod_mul,
     mod_rho,
-    position,
 )
 from .variants import (
     BorelElement,

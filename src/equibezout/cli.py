@@ -25,7 +25,7 @@ import sys
 from . import euler as _euler
 from . import variants as _variants
 from .grading import join_signed
-from .hscalar import XI, monomials_in_grading
+from .hscalar import EXI, XI, monomials_in_grading
 from .parsing import ParseError, parse_bundle_terms, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
 from .verify import run_verify
@@ -164,14 +164,20 @@ def cmd_euler(args) -> int:
     else:
         name, cls = (("e(F)", report.product_class) if args.coeffs == "burnside"
                      else ("e_Z(F)", _variants.closed_class(report, "zconst")))
-        # the JSON array has p + q entries by contract; the text line needs
-        # only the class's own terms (P_i is the basis monomial of index i)
-        vec = (coeff_vector(cls, report.grading.m) if args.json
-               else [(mono.index, c) for mono, c in cls.sorted_terms()])
+        # the JSON array has p + q entries by contract, and is null when a
+        # term lies outside the degree class (the grading check fails); the
+        # text line needs only the class's own terms (P_i is the basis
+        # monomial of index i)
+        vec = [(mono.index, c) for mono, c in cls.sorted_terms()]
         class_lines = [f"{name} = {format_vector(vec)}", f"{' ' * len(name)} = {cls}"]
+        if args.json:
+            try:
+                vec = coeff_vector(cls, report.grading.m)
+            except ValueError:
+                vec = None
     suffix = f"   grading: {report.grading}" if args.coeffs == "burnside" else ""
     text = str if args.coeffs == "borel" else format_t_scalar
-    vector = [{"i": i, "scalar": text(c)} for i, c in vec]
+    vector = None if vec is None else [{"i": i, "scalar": text(c)} for i, c in vec]
     r, dd = report.ranks, report.degrees
     lines = [f"F = {F} over {F.sp}", *class_lines]
     lines.append(
@@ -248,7 +254,7 @@ def chart_cell(a: int, b: int) -> str:
         return "#"  # the Burnside ring itself
     if not monos:
         return "."
-    return "o" if monos[0].kind == "exi" else "*"
+    return "o" if monos[0].kind == EXI else "*"
 
 
 def chart_lines(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> list[str]:

@@ -12,17 +12,25 @@ only ever need its even-column part, which is spanned by the monomials
     tau(i^-2n)      (degree 2n - 2n*s; transfer of a negative power of
                      the nonequivariant invertible class i)
 
-kappa itself is not a monomial but the combination 2 - g; with that
-convention e^m * kappa = 2e^m for m > 0 falls out of the normal form
-instead of needing a special case.  Likewise tau(i^2n) = 2*xi^n for n > 0
-and tau(1) = g.
+Every monomial sits at signed exponents (u, v) of e and xi: the plain
+monomials e^m*xi^n at (m, n) >= 0, the kappa family e^-m*kappa at (-m, 0)
+and the transfers tau(i^-2n) at (0, -n).  Each family continues through
+the origin: e^j*kappa is kappa = 2 - g at j = 0 and 2e^j for j > 0, and
+tau(i^2k) is tau(1) = g at k = 0 and 2*xi^k for k > 0.
 
 An :class:`HElement` is a graded-homogeneous integer combination of these
 monomials in normal form (no zero coefficients, e^m*xi^n coefficients
 reduced mod 2), on the ring core :class:`Scalar` that the constant-Z and
-Borel scalars share.  Multiplication is driven by a complete monomial
-product table; the entries not printed in the source of record are forced
-by the Frobenius relation tau(x)*y = tau(x*rho(y)) and kappa^2 = 2*kappa.
+Borel scalars share.  The monomial product is three laws on the signed
+exponents, which always add:
+
+* plain times plain is the plain monomial at the sum;
+* plain times a family member is the family member at the sum, and zero
+  when the plain monomial has a nonzero exponent across the family's axis
+  (e*tau(y) = tau(rho(e)*y) = 0, xi*e^-m*kappa = 0);
+* two members of one family give twice the member at the sum
+  (kappa^2 = 2*kappa, tau(x)*tau(y) = tau(x*rho(tau(y))) = 2*tau(xy)), and
+  kappa times a transfer is zero (kappa*tau(y) = tau(rho(kappa)*y) = 0).
 """
 
 from __future__ import annotations
@@ -105,58 +113,54 @@ MONO_ONE = HMonomial(ONE)
 MONO_G = HMonomial(G)
 
 
+def _at(u: int, v: int) -> HMonomial | None:
+    """The monomial at signed exponents (u, v); None where the group is zero."""
+    if v == 0:
+        return HMonomial(E, u) if u > 0 else HMonomial(EIK, -u) if u else MONO_ONE
+    if u == 0:
+        return HMonomial(XI, n=v) if v > 0 else HMonomial(TAUINV, n=-v)
+    return HMonomial(EXI, u, v) if u > 0 and v > 0 else None
+
+
+def _kappa_at(j: int) -> list[tuple[HMonomial, int]]:
+    """e^j * kappa for any integer j, as (monomial, coefficient) pairs."""
+    if j == 0:
+        return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
+    return [(_at(j, 0), 1 if j < 0 else 2)]
+
+
+def _tau_at(k: int) -> list[tuple[HMonomial, int]]:
+    """tau(i^2k) for any integer k, as (monomial, coefficient) pairs."""
+    if k == 0:
+        return [(MONO_G, 1)]  # tau(1) = g
+    return [(_at(0, k), 1 if k < 0 else 2)]
+
+
+# the family of each family kind: the axis of the signed exponents it
+# moves along (0 for e, 1 for xi) and its normaliser
+_FAMILY = {EIK: (0, _kappa_at), G: (1, _tau_at), TAUINV: (1, _tau_at)}
+
+
 def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
-    """Product of two monomials as a list of (monomial, coefficient) pairs."""
+    """Product of two monomials as a list of (monomial, coefficient) pairs,
+    by the three laws of the module docstring."""
     if x.kind == ONE:
         return [(y, 1)]
     if y.kind == ONE:
         return [(x, 1)]
-    # order the pair so each case below is handled once
-    if _KINDS.index(x.kind) > _KINDS.index(y.kind):
-        x, y = y, x
-    a, b = x.kind, y.kind
-    if a == G:
-        if b == G:
-            return [(MONO_G, 2)]
-        if b in (E, EXI, EIK):
+    fx, fy = _FAMILY.get(x.kind), _FAMILY.get(y.kind)
+    # signed exponents add; a family member's are (-m, -n), so g's are (0, 0)
+    sx, sy = (-1 if fx else 1), (-1 if fy else 1)
+    uv = (sx * x.m + sy * y.m, sx * x.n + sy * y.n)
+    if not (fx or fy):  # plain * plain
+        return [(_at(*uv), 1)]
+    if fx and fy:  # one family twice, or kappa * transfer
+        if fx != fy:
             return []
-        # g acts as multiplication by 2 on transfers: g = tau(1)
-        return [(y, 2)]
-    if a == E:
-        if b == E:
-            return [(HMonomial(E, x.m + y.m), 1)]
-        if b == EIK:
-            if x.m < y.m:
-                return [(HMonomial(EIK, y.m - x.m), 1)]
-            if x.m == y.m:
-                return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
-            return [(HMonomial(E, x.m - y.m), 2)]  # e^m * kappa = 2e^m
-        if b == XI:
-            return [(HMonomial(EXI, x.m, y.n), 1)]
-        if b == EXI:
-            return [(HMonomial(EXI, x.m + y.m, y.n), 1)]
-        return []  # E * TAUINV
-    if a == EIK:
-        if b == EIK:
-            return [(HMonomial(EIK, x.m + y.m), 2)]
-        return []  # EIK * XI, EIK * EXI, EIK * TAUINV
-    if a == XI:
-        if b == XI:
-            return [(HMonomial(XI, n=x.n + y.n), 1)]
-        if b == EXI:
-            return [(HMonomial(EXI, y.m, x.n + y.n), 1)]
-        # xi^k * tau(i^-2n) = tau(i^(2k-2n)) via Frobenius
-        if x.n < y.n:
-            return [(HMonomial(TAUINV, n=y.n - x.n), 1)]
-        if x.n == y.n:
-            return [(MONO_G, 1)]
-        return [(HMonomial(XI, n=x.n - y.n), 2)]
-    if a == EXI:
-        if b == EXI:
-            return [(HMonomial(EXI, x.m + y.m, x.n + y.n), 1)]
-        return []  # EXI * TAUINV
-    # TAUINV * TAUINV: tau(x)tau(y) = tau(x * rho(tau(y))) = 2 tau(xy)
-    return [(HMonomial(TAUINV, n=x.n + y.n), 2)]
+        axis, at = fx
+        return [(mono, 2 * c) for mono, c in at(uv[axis])]
+    axis, at = fx or fy  # plain * family member
+    return [] if uv[1 - axis] else at(uv[axis])
 
 
 class Scalar:
@@ -264,8 +268,8 @@ class HElement(Scalar):
 
     The grading is read off the support; the zero element is
     grading-agnostic.  A subclass that only changes the normal form in
-    ``__init__`` is a quotient ring with the same monomials and product
-    table (see ``variants.ZHElement``).
+    ``__init__`` is a quotient ring with the same monomials and monomial
+    product (see ``variants.ZHElement``).
 
     >>> g = HElement.monomial(MONO_G)
     >>> print(g * g)
@@ -354,7 +358,7 @@ def g() -> HElement:
 
 
 def kappa() -> HElement:
-    return HElement({MONO_ONE: 2, MONO_G: -1})
+    return e_power_kappa(0)
 
 
 def e(m: int = 1) -> HElement:
@@ -379,20 +383,12 @@ def tauinv(n: int) -> HElement:
 
 def tau_iota(k: int) -> HElement:
     """tau(i^2k) for any integer k: tau(1) = g and tau(i^2k) = 2*xi^k."""
-    if k < 0:
-        return tauinv(-k)
-    if k == 0:
-        return g()
-    return 2 * xi(k)
+    return HElement(dict(_tau_at(k)))
 
 
 def e_power_kappa(j: int) -> HElement:
     """e^j * kappa for any integer j (2e^j for j > 0, kappa at j = 0)."""
-    if j > 0:
-        return 2 * e(j)
-    if j == 0:
-        return kappa()
-    return einvkappa(-j)
+    return HElement(dict(_kappa_at(j)))
 
 
 # images of the monomials under the two restriction maps
@@ -455,18 +451,10 @@ def in_Ie(x: HElement) -> bool:
 
 def monomials_in_grading(a: int, b: int) -> list[HMonomial]:
     """Generators of the even-column point ring in grading ``a + b*s``."""
-    if a == 0 and b == 0:
-        return [MONO_ONE, MONO_G]
-    if a == 0:
-        return [HMonomial(E, b)] if b > 0 else [HMonomial(EIK, -b)]
     if a % 2:
         return []
-    if a < 0:
-        n = -a // 2
-        if b == 2 * n:
-            return [HMonomial(XI, n=n)]
-        if b > 2 * n:
-            return [HMonomial(EXI, b - 2 * n, n)]
-        return []
-    n = a // 2
-    return [HMonomial(TAUINV, n=n)] if b == -2 * n else []
+    # e^u * xi^v has grading -2v + (u + 2v)*s
+    mono = _at(a + b, -a // 2)
+    if mono is MONO_ONE:
+        return [MONO_ONE, MONO_G]
+    return [mono] if mono else []

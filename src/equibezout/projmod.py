@@ -159,12 +159,6 @@ class BasisMonomial:
         return "*".join(parts) if parts else "1"
 
 
-def position(x: BasisMonomial) -> tuple[int, int, int]:
-    """(m, A, B) of a basis monomial: degree m*W1 + 2A + 2B*s."""
-    A, B = x.pos
-    return (x.mclass, A, B)
-
-
 def _basis_tuples(p: int, q: int, m: int) -> list[tuple[int, int, int, int]]:
     out = []
     a = b = 0  # generator exponents pushed forward so far

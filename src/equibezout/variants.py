@@ -6,7 +6,7 @@ classes:
 * constant-Z coefficients, obtained by killing kappa (so g = 2, the
   e^-m*kappa classes vanish, and e becomes 2-torsion).  Only the normal
   form changes, so its scalar ``ZHElement`` is ``HElement`` with a
-  different ``__init__``: same monomials, same product table, same module
+  different ``__init__``: same monomials, same monomial product, same module
   engine;
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single

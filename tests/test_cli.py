@@ -11,6 +11,9 @@ import pytest
 
 from equibezout import euler, variants
 from equibezout.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, chart_cell, main
+from equibezout.grading import euler_grading
+from equibezout.hscalar import HElement
+from equibezout.projmod import ModuleElement, basis
 from equibezout.verify import run_verify
 
 JSON_KEYS = {
@@ -237,6 +240,27 @@ def test_verify_cli_reports_a_fault(capsys, monkeypatch):
         row = doc["result"][key]
         assert set(row) == {"p", "q", "bundles", "failed"}
         assert "product_equals_closed" in row["failed"]
+
+
+def test_euler_json_with_a_term_outside_the_degree_class(capsys, monkeypatch):
+    # the stray term of test_verify.py: the dense coefficient vector has no
+    # value, so --json reports it as null instead of raising
+    honest = euler.euler_product
+
+    def with_stray_term(F, ring=HElement):
+        x = honest(F, ring)
+        stray = basis(F.sp, euler_grading(*euler.ranks(F)).m + 1)[0]
+        return ModuleElement._trusted(F.sp, {**x.terms, stray: ring.ring_one()}, ring)
+
+    monkeypatch.setattr(euler, "euler_product", with_stray_term)
+    argv = ("euler", "2", "2", "O(3)+xO(1)")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_CHECK
+    assert "grading=FAIL" in out
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_CHECK
+    assert doc["coefficients"] is None
+    assert doc["checks"]["grading"] is False
 
 
 def test_verify_env_seed(capsys, monkeypatch):

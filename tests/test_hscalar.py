@@ -1,4 +1,4 @@
-"""Arithmetic in the point ring: the product table and its consequences."""
+"""Arithmetic in the point ring: the monomial product and its consequences."""
 
 import itertools
 
@@ -104,16 +104,57 @@ def test_specific_identities():
     assert tauinv(1) * tauinv(1) == 2 * tauinv(2)
 
 
-def test_frobenius_style_products():
-    # tau(i^-2) * tau(i^-4) = 2 tau(i^-6)
-    assert tauinv(1) * tauinv(2) == 2 * tauinv(3)
-    # xi^k * tau(i^-2n) walks up the diagonal and through the origin
-    assert xi(1) * tauinv(3) == tauinv(2)
-    assert xi(3) * tauinv(3) == g()
-    assert xi(5) * tauinv(3) == 2 * xi(2)
-    # e^i against the e^-j kappa tower
-    assert e(1) * einvkappa(3) == einvkappa(2)
-    assert e(5) * einvkappa(2) == 2 * e(3)
+# one representative product per unordered pair of kinds, with the identity
+# it must equal; the e^m * e^-k*kappa and xi^k * tau(i^-2n) walks are pinned
+# below, at and above the origin
+KIND_PAIR_PRODUCTS = [
+    (one(), one(), one()),
+    (one(), g(), g()),
+    (one(), e(3), e(3)),
+    (one(), einvkappa(2), einvkappa(2)),
+    (one(), xi(2), xi(2)),
+    (one(), exi(1, 2), exi(1, 2)),
+    (one(), tauinv(2), tauinv(2)),
+    (g(), g(), 2 * g()),
+    (g(), e(2), HElement.zero()),
+    (g(), einvkappa(2), HElement.zero()),  # g * kappa = 0
+    (g(), xi(3), 2 * xi(3)),  # g = tau(1), tau(1) * xi^3 = tau(i^6)
+    (g(), exi(2, 1), HElement.zero()),
+    (g(), tauinv(3), 2 * tauinv(3)),
+    (e(2), e(3), e(5)),
+    (e(1), einvkappa(3), einvkappa(2)),
+    (e(3), einvkappa(3), 2 - g()),  # kappa = 2 - g
+    (e(5), einvkappa(2), 2 * e(3)),  # e^3 * kappa = 2e^3
+    (e(2), xi(3), exi(2, 3)),
+    (e(2), exi(1, 3), exi(3, 3)),
+    (e(2), tauinv(1), HElement.zero()),
+    (einvkappa(1), einvkappa(2), 2 * einvkappa(3)),  # kappa^2 = 2kappa
+    (einvkappa(2), xi(1), HElement.zero()),
+    (einvkappa(2), exi(3, 2), HElement.zero()),
+    (einvkappa(2), tauinv(1), HElement.zero()),
+    (xi(1), xi(2), xi(3)),
+    (xi(2), exi(1, 1), exi(1, 3)),
+    (xi(1), tauinv(3), tauinv(2)),
+    (xi(3), tauinv(3), g()),  # tau(1) = g
+    (xi(5), tauinv(3), 2 * xi(2)),  # tau(i^4) = 2xi^2
+    (exi(1, 1), exi(2, 3), exi(3, 4)),
+    (exi(1, 2), tauinv(1), HElement.zero()),
+    (tauinv(1), tauinv(2), 2 * tauinv(3)),  # tau(x)tau(y) = 2tau(xy)
+]
+
+
+def test_product_of_every_pair_of_kinds():
+    def kind(x):
+        (mono,) = x.terms
+        return mono.kind
+
+    pairs = {frozenset((kind(x), kind(y))) for x, y, _ in KIND_PAIR_PRODUCTS}
+    assert pairs == {frozenset(p) for p in itertools.combinations_with_replacement(
+        (ONE, G, E, EIK, XI, EXI, TAUINV), 2)}
+    assert len(pairs) == 28
+    for x, y, expected in KIND_PAIR_PRODUCTS:
+        assert x * y == expected, (x, y)
+        assert y * x == expected, (y, x)
 
 
 def test_tau_iota_convention():
@@ -252,6 +293,10 @@ def test_monomials_in_grading():
     for mono in MONOS:
         grad = mono.grading
         assert mono in monomials_in_grading(grad.a, grad.b)
+    # and the other way: every monomial returned has the grading asked for
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        for mono in monomials_in_grading(a, b):
+            assert mono.grading == PiBDegree(0, a, b)
 
 
 def test_divide_by_two():

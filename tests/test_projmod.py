@@ -29,7 +29,6 @@ from equibezout.projmod import (
     mod_fixed,
     mod_mul,
     mod_rho,
-    position,
     raw_monomial,
 )
 from equibezout.variants import ZHElement
@@ -125,9 +124,13 @@ def test_basis_base_case():
 
 def test_position_examples():
     sp = ProjSpace(4, 5)
-    assert position(BasisMonomial(sp, 1, 0, 1, 0)) == (0, 0, 1)
-    assert position(BasisMonomial(sp, 0, 0, 4, 4)) == (0, 4, 4)
-    assert position(BasisMonomial(sp, 6, 0, 0, 0)) == (-6, -6, 6)
+    for exponents, expected in [
+        ((1, 0, 1, 0), (0, 0, 1)),
+        ((0, 0, 4, 4), (0, 4, 4)),
+        ((6, 0, 0, 0), (-6, -6, 6)),
+    ]:
+        x = BasisMonomial(sp, *exponents)
+        assert (x.mclass, *x.pos) == expected
 
 
 def test_family_rejects_bad_monomials():
