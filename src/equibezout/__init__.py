@@ -66,7 +66,6 @@ from .variants import (
     borel_euler_closed,
     borel_map,
     compare,
-    to_constZ,
     z_euler_closed,
     z_fixed,
     z_map,

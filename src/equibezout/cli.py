@@ -25,7 +25,7 @@ import sys
 from . import euler as _euler
 from . import variants as _variants
 from .grading import join_signed
-from .hscalar import EXI, XI, monomials_in_grading
+from .hscalar import PLAIN, monomials_in_grading
 from .parsing import ParseError, parse_bundle_terms, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
 from .verify import run_verify
@@ -43,9 +43,9 @@ def format_t_scalar(x) -> str:
     """
     if len(x.terms) == 1:
         ((mono, coeff),) = x.terms.items()
-        if mono.kind == XI and coeff % 2 == 0:
+        if mono.family == PLAIN and not mono.u and mono.v and coeff % 2 == 0:
             half = coeff // 2
-            body = f"tau(i^{2 * mono.n})"
+            body = f"tau(i^{2 * mono.v})"
             if half == 1:
                 return body
             if half == -1:
@@ -254,7 +254,7 @@ def chart_cell(a: int, b: int) -> str:
         return "#"  # the Burnside ring itself
     if not monos:
         return "."
-    return "o" if monos[0].kind == EXI else "*"
+    return "o" if monos[0].u and monos[0].v else "*"  # e^u*xi^v is Z/2
 
 
 def chart_lines(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> list[str]:

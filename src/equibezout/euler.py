@@ -35,11 +35,11 @@ from math import prod
 from . import hscalar
 from .grading import RankTriple, euler_grading, recover_ranks
 from .hscalar import (
-    E,
-    EIK,
+    KAPPA,
     MONO_G,
     MONO_ONE,
-    TAUINV,
+    PLAIN,
+    TRANSFER,
     HElement,
     HMonomial,
     e_power_kappa,
@@ -65,9 +65,9 @@ TYPE_III = "III"
 TYPE_IV = "IV"
 
 # the point-ring monomials of the line classes, besides 1 and g
-_E2 = HMonomial(E, 2)
-_EIK2 = HMonomial(EIK, 2)  # e^-2*kappa
-_TAUINV1 = HMonomial(TAUINV, n=1)  # tau(i^-2)
+_E2 = HMonomial(PLAIN, 2, 0)
+_EIK2 = HMonomial(KAPPA, -2, 0)  # e^-2*kappa
+_TAUINV1 = HMonomial(TRANSFER, 0, -1)  # tau(i^-2)
 
 
 class EulerInternalError(ArithmeticError):
@@ -449,8 +449,7 @@ def _congruent_mod_Je(r: EulerReport) -> bool:
     x, (n, n0, n1) = r.product_class, r.ranks
     if r.degrees.delta0 % 2 or r.degrees.delta1 % 2:
         exponent = 2 * (n - n0 - n1)
-        scalar = hscalar.e(exponent) if exponent else HElement.from_int(1)
-        x = x - raw_monomial(r.F.sp, 0, 0, n0, n1).scale(scalar)
+        x = x - raw_monomial(r.F.sp, 0, 0, n0, n1).scale(hscalar.e(exponent))
     return all(in_Ie(c) for c in x.terms.values())
 
 

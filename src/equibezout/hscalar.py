@@ -2,35 +2,42 @@
 
 The coefficient ring for everything in this package is the RO(C2)-graded
 equivariant cohomology of a point with Burnside-ring coefficients.  We
-only ever need its even-column part, which is spanned by the monomials
+only ever need its even-column part, which has one monomial group at each
+pair of signed exponents (u, v) of e and xi, in grading -2v + (u + 2v)*s.
+The monomials come in three families:
 
-    1, g            (degree 0; the Burnside ring, g^2 = 2g)
-    e^m             (degree m*s)
-    e^-m * kappa    (degree -m*s, where kappa = 2 - g)
-    xi^n            (degree -2n + 2n*s)
-    e^m * xi^n      (degree -2n + (m+2n)*s; a Z/2 class, 2*e*xi = 0)
-    tau(i^-2n)      (degree 2n - 2n*s; transfer of a negative power of
-                     the nonequivariant invertible class i)
+    plain      e^u * xi^v     u, v >= 0 (1 at the origin; a Z/2 class
+                              when u, v >= 1, as 2*e*xi = 0)
+    kappa      e^u * kappa    u < 0, v = 0 (kappa = 2 - g)
+    transfer   tau(i^2v)      u = 0, v <= 0 (the transfer of a power of
+                              the nonequivariant invertible class i;
+                              g = tau(1) at the origin)
 
-Every monomial sits at signed exponents (u, v) of e and xi: the plain
-monomials e^m*xi^n at (m, n) >= 0, the kappa family e^-m*kappa at (-m, 0)
-and the transfers tau(i^-2n) at (0, -n).  Each family continues through
-the origin: e^j*kappa is kappa = 2 - g at j = 0 and 2e^j for j > 0, and
-tau(i^2k) is tau(1) = g at k = 0 and 2*xi^k for k > 0.
+so degree 0 is the Burnside ring on 1 and g, with g^2 = 2g.  Each of the
+two other families continues along its axis (u for kappa, v for the
+transfers) past the origin into the plain monomials: e^u*kappa is
+kappa = 2 - g at u = 0 and 2e^u for u > 0, and tau(i^2v) is 2*xi^v for
+v > 0.
 
 An :class:`HElement` is a graded-homogeneous integer combination of these
-monomials in normal form (no zero coefficients, e^m*xi^n coefficients
-reduced mod 2), on the ring core :class:`Scalar` that the constant-Z and
-Borel scalars share.  The monomial product is three laws on the signed
-exponents, which always add:
+monomials in normal form (no zero coefficients, e^u*xi^v coefficients
+reduced mod 2 when u, v >= 1), on the ring core :class:`Scalar` that the
+constant-Z and Borel scalars share.  In a product the signed exponents
+always add, and the monomial product is three laws:
 
 * plain times plain is the plain monomial at the sum;
-* plain times a family member is the family member at the sum, and zero
-  when the plain monomial has a nonzero exponent across the family's axis
-  (e*tau(y) = tau(rho(e)*y) = 0, xi*e^-m*kappa = 0);
-* two members of one family give twice the member at the sum
-  (kappa^2 = 2*kappa, tau(x)*tau(y) = tau(x*rho(tau(y))) = 2*tau(xy)), and
-  kappa times a transfer is zero (kappa*tau(y) = tau(rho(kappa)*y) = 0).
+* a product with a family member is zero when the sum has a nonzero
+  exponent across the axis of a family factor (e*tau(y) = tau(rho(e)*y) = 0,
+  xi*e^-m*kappa = 0, and kappa*tau(y) = tau(rho(kappa)*y) = 0, as kappa's
+  u < 0 lies across the transfer axis);
+* otherwise it is the family member at the sum, doubled when both factors
+  are members (kappa^2 = 2*kappa, tau(x)*tau(y) = tau(x*rho(tau(y))) =
+  2*tau(xy)).
+
+The maps out of the ring are laws on the fields as well: the restriction
+rho to the nonequivariant point is 1 on the plain monomials with u = 0,
+2 on the transfers and 0 elsewhere; the fixed-point map is 1 on the plain
+monomials with v = 0, 2 on the kappa family and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -40,127 +47,90 @@ from functools import cache
 
 from .grading import PiBDegree, join_signed
 
-ONE = "one"
-G = "g"
-E = "e"  # e^m, m >= 1
-EIK = "eik"  # e^-m * kappa, m >= 1
-XI = "xi"  # xi^n, n >= 1
-EXI = "exi"  # e^m * xi^n, m, n >= 1; coefficient lives in Z/2
-TAUINV = "tauinv"  # tau(i^-2n), n >= 1
+PLAIN, KAPPA, TRANSFER = range(3)  # the families, plain first: 1 prints before g
 
-_KINDS = (ONE, G, E, EIK, XI, EXI, TAUINV)
+
+def _exists(family: int, u: int, v: int) -> bool:
+    """Whether the family has a monomial at signed exponents (u, v)."""
+    if family == PLAIN:
+        return u >= 0 and v >= 0
+    if family == KAPPA:
+        return u < 0 and v == 0
+    return family == TRANSFER and u == 0 and v <= 0
+
+
+def monomial_text(uv: tuple[int, int]) -> str:
+    """e^u*xi^v as text, leaving out zero exponents ("1" at the origin)."""
+    factors = [f if k == 1 else f"{f}^{k}" for f, k in zip(("e", "xi"), uv) if k]
+    return "*".join(factors) or "1"
 
 
 @dataclass(frozen=True, order=True)
 class HMonomial:
-    """One monomial of the point ring, tagged by kind.
+    """One monomial of the point ring: a family and its signed exponents.
 
-    ``m`` is the e-exponent (or kappa shift), ``n`` the xi (or inverse-iota)
-    exponent; unused slots stay 0.  The grading (a ``PiBDegree`` with no
-    ``W1`` part) and the hash are computed once, at construction; neither
-    takes part in ==, ordering or repr.
+    The grading (a ``PiBDegree`` with no ``W1`` part) and the hash are
+    computed once, at construction; neither takes part in ==, ordering or
+    repr.
     """
 
-    kind: str
-    m: int = 0
-    n: int = 0
+    family: int
+    u: int
+    v: int
     grading: PiBDegree = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        kind, m, n = self.kind, self.m, self.n
-        if kind in (ONE, G):
-            if m or n:
-                raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = PiBDegree(0, 0, 0)
-        elif kind in (E, EIK):
-            if m < 1 or n != 0:
-                raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = PiBDegree(0, 0, m if kind == E else -m)
-        elif kind in (XI, TAUINV):
-            if n < 1 or m != 0:
-                raise ValueError(f"bad exponents for {kind}: {self}")
-            grading = PiBDegree(0, -2 * n, 2 * n) if kind == XI else PiBDegree(0, 2 * n, -2 * n)
-        elif kind == EXI:
-            if m < 1 or n < 1:
-                raise ValueError(f"bad exponents for exi: {self}")
-            grading = PiBDegree(0, -2 * n, m + 2 * n)
-        else:
-            raise ValueError(f"unknown monomial kind {kind!r}")
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "_hash", hash((kind, m, n)))
+        family, u, v = self.family, self.u, self.v
+        if not _exists(family, u, v):
+            raise ValueError(f"no point-ring monomial {self!r}")
+        object.__setattr__(self, "grading", PiBDegree(0, -2 * v, u + 2 * v))
+        object.__setattr__(self, "_hash", hash((family, u, v)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        if self.kind == ONE:
-            return "1"
-        if self.kind == G:
-            return "g"
-        if self.kind == E:
-            return "e" if self.m == 1 else f"e^{self.m}"
-        if self.kind == EIK:
-            return f"e^-{self.m}*kappa"
-        if self.kind == XI:
-            return "xi" if self.n == 1 else f"xi^{self.n}"
-        if self.kind == EXI:
-            return f"{HMonomial(E, self.m)}*{HMonomial(XI, n=self.n)}"
-        return f"tau(i^-{2 * self.n})"
+        if self.family == KAPPA:
+            return f"e^{self.u}*kappa"
+        if self.family == TRANSFER:
+            return f"tau(i^{2 * self.v})" if self.v else "g"
+        return monomial_text((self.u, self.v))
 
 
-MONO_ONE = HMonomial(ONE)
-MONO_G = HMonomial(G)
+MONO_ONE = HMonomial(PLAIN, 0, 0)
+MONO_G = HMonomial(TRANSFER, 0, 0)
 
 
-def _at(u: int, v: int) -> HMonomial | None:
-    """The monomial at signed exponents (u, v); None where the group is zero."""
-    if v == 0:
-        return HMonomial(E, u) if u > 0 else HMonomial(EIK, -u) if u else MONO_ONE
-    if u == 0:
-        return HMonomial(XI, n=v) if v > 0 else HMonomial(TAUINV, n=-v)
-    return HMonomial(EXI, u, v) if u > 0 and v > 0 else None
-
-
-def _kappa_at(j: int) -> list[tuple[HMonomial, int]]:
-    """e^j * kappa for any integer j, as (monomial, coefficient) pairs."""
-    if j == 0:
+def _member(family: int, w: int) -> list[tuple[HMonomial, int]]:
+    """The member at w of a family along its axis, e^w*kappa or tau(i^2w),
+    for any integer w, as (monomial, coefficient) pairs."""
+    uv = (w, 0) if family == KAPPA else (0, w)
+    if w > 0:  # e^w*kappa = 2e^w, tau(i^2w) = 2*xi^w
+        return [(HMonomial(PLAIN, *uv), 2)]
+    if w == 0 and family == KAPPA:
         return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
-    return [(_at(j, 0), 1 if j < 0 else 2)]
-
-
-def _tau_at(k: int) -> list[tuple[HMonomial, int]]:
-    """tau(i^2k) for any integer k, as (monomial, coefficient) pairs."""
-    if k == 0:
-        return [(MONO_G, 1)]  # tau(1) = g
-    return [(_at(0, k), 1 if k < 0 else 2)]
-
-
-# the family of each family kind: the axis of the signed exponents it
-# moves along (0 for e, 1 for xi) and its normaliser
-_FAMILY = {EIK: (0, _kappa_at), G: (1, _tau_at), TAUINV: (1, _tau_at)}
+    return [(HMonomial(family, *uv), 1)]
 
 
 def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
     """Product of two monomials as a list of (monomial, coefficient) pairs,
     by the three laws of the module docstring."""
-    if x.kind == ONE:
+    if x.family > y.family:
+        x, y = y, x  # y is a family member when either factor is
+    if not (x.family or x.u or x.v):
         return [(y, 1)]
-    if y.kind == ONE:
+    if not (y.family or y.u or y.v):
         return [(x, 1)]
-    fx, fy = _FAMILY.get(x.kind), _FAMILY.get(y.kind)
-    # signed exponents add; a family member's are (-m, -n), so g's are (0, 0)
-    sx, sy = (-1 if fx else 1), (-1 if fy else 1)
-    uv = (sx * x.m + sy * y.m, sx * x.n + sy * y.n)
-    if not (fx or fy):  # plain * plain
-        return [(_at(*uv), 1)]
-    if fx and fy:  # one family twice, or kappa * transfer
-        if fx != fy:
-            return []
-        axis, at = fx
-        return [(mono, 2 * c) for mono, c in at(uv[axis])]
-    axis, at = fx or fy  # plain * family member
-    return [] if uv[1 - axis] else at(uv[axis])
+    u, v = x.u + y.u, x.v + y.v
+    if y.family == PLAIN:
+        return [(HMonomial(PLAIN, u, v), 1)]
+    along, across = (u, v) if y.family == KAPPA else (v, u)
+    if across:  # a kappa factor is always across the transfer axis
+        return []
+    if x.family == PLAIN:
+        return _member(y.family, along)
+    return [(mono, 2 * c) for mono, c in _member(y.family, along)]
 
 
 class Scalar:
@@ -169,15 +139,14 @@ class Scalar:
     Supports ==, hash, +, -, * (with elements of the same class and with
     ints), exact halving and the signed ``coeff*monomial`` text.  Arithmetic
     builds its results with ``type(self)``, whose ``__init__`` puts a dict
-    of terms into normal form; a subclass supplies that and four hooks: the
-    unit monomial ``_UNIT``, the monomial product ``_mono_mul`` (a list of
-    (monomial, coefficient) pairs), and ``_mono_text`` / ``_mono_key`` for
-    printing.  Scalars of different classes never mix.
+    of terms into normal form; a subclass supplies that and three hooks:
+    the unit monomial ``_UNIT``, the monomial product ``_mono_mul`` (a list
+    of (monomial, coefficient) pairs), and ``_mono_text`` for printing.  The
+    terms print in the natural order of their monomials.  Scalars of
+    different classes never mix.
     """
 
     __slots__ = ("terms",)
-
-    _mono_key = None  # print the monomials in their natural order
 
     @classmethod
     def zero(cls):
@@ -248,7 +217,7 @@ class Scalar:
     def __str__(self) -> str:
         """Canonical text form: signed sum of coeff*monomial."""
         chunks = []
-        for mono in sorted(self.terms, key=self._mono_key):
+        for mono in sorted(self.terms):
             coeff = self.terms[mono]
             body = self._mono_text(mono)
             if body == "1":
@@ -283,13 +252,12 @@ class HElement(Scalar):
     _UNIT = MONO_ONE
     _mono_mul = staticmethod(_mono_mul)
     _mono_text = staticmethod(HMonomial.__str__)
-    _mono_key = staticmethod(lambda mono: (_KINDS.index(mono.kind), mono.m, mono.n))
 
     def __init__(self, terms: dict[HMonomial, int]):
         clean: dict[HMonomial, int] = {}
         grading = None
         for mono, coeff in terms.items():
-            if mono.kind == EXI:
+            if mono.u and mono.v:  # e^u*xi^v with u, v >= 1
                 coeff %= 2
             if not coeff:
                 continue
@@ -341,12 +309,12 @@ class HElement(Scalar):
     @classmethod
     @cache
     def ring_e2(cls) -> "HElement":
-        return cls.monomial(HMonomial(E, 2))
+        return cls.monomial(HMonomial(PLAIN, 2, 0))
 
     @classmethod
     @cache
     def ring_xi(cls, n: int) -> "HElement":
-        return cls.monomial(HMonomial(XI, n=n))
+        return cls.monomial(HMonomial(PLAIN, 0, n))
 
 
 def one() -> HElement:
@@ -362,38 +330,33 @@ def kappa() -> HElement:
 
 
 def e(m: int = 1) -> HElement:
-    return HElement.monomial(HMonomial(E, m))
+    return HElement.monomial(HMonomial(PLAIN, m, 0))
 
 
 def einvkappa(m: int) -> HElement:
-    return HElement.monomial(HMonomial(EIK, m))
+    return HElement.monomial(HMonomial(KAPPA, -m, 0))
 
 
 def xi(n: int = 1) -> HElement:
-    return HElement.monomial(HMonomial(XI, n=n))
+    return HElement.monomial(HMonomial(PLAIN, 0, n))
 
 
 def exi(m: int, n: int) -> HElement:
-    return HElement.monomial(HMonomial(EXI, m, n))
+    return HElement.monomial(HMonomial(PLAIN, m, n))
 
 
 def tauinv(n: int) -> HElement:
-    return HElement.monomial(HMonomial(TAUINV, n=n))
+    return HElement.monomial(HMonomial(TRANSFER, 0, -n))
 
 
 def tau_iota(k: int) -> HElement:
     """tau(i^2k) for any integer k: tau(1) = g and tau(i^2k) = 2*xi^k."""
-    return HElement(dict(_tau_at(k)))
+    return HElement(dict(_member(TRANSFER, k)))
 
 
 def e_power_kappa(j: int) -> HElement:
     """e^j * kappa for any integer j (2e^j for j > 0, kappa at j = 0)."""
-    return HElement(dict(_kappa_at(j)))
-
-
-# images of the monomials under the two restriction maps
-_RHO = {ONE: 1, G: 2, E: 0, EIK: 0, XI: 1, EXI: 0, TAUINV: 2}
-_FIXED = {ONE: 1, G: 0, E: 1, EIK: 2, XI: 0, EXI: 0, TAUINV: 0}
+    return HElement(dict(_member(KAPPA, j)))
 
 
 def h_rho(x: HElement) -> tuple[int, int]:
@@ -406,10 +369,13 @@ def h_rho(x: HElement) -> tuple[int, int]:
     total = 0
     carrier = 0
     for mono, coeff in x.terms.items():
-        v = _RHO[mono.kind]
-        if v:
-            total += coeff * v
-            carrier = mono.grading.b
+        if mono.family == TRANSFER:
+            total += 2 * coeff
+        elif mono.family == PLAIN and not mono.u:
+            total += coeff
+        else:
+            continue
+        carrier = mono.grading.b
     if total == 0:
         return (0, 0)
     return (total, carrier)
@@ -417,7 +383,13 @@ def h_rho(x: HElement) -> tuple[int, int]:
 
 def h_fixed(x: HElement) -> int:
     """Value of the fixed-point map, an integer."""
-    return sum(coeff * _FIXED[mono.kind] for mono, coeff in x.terms.items())
+    total = 0
+    for mono, coeff in x.terms.items():
+        if mono.family == KAPPA:
+            total += 2 * coeff
+        elif mono.family == PLAIN and not mono.v:
+            total += coeff
+    return total
 
 
 def in_T(x: HElement) -> bool:
@@ -427,12 +399,8 @@ def in_T(x: HElement) -> bool:
     e^-m*kappa and of tau(i^-2n), and the even multiples of xi^n (these
     being the integer multiples of tau(i^2n)).  No e^m*xi^n class is in T.
     """
-    for mono, coeff in x.terms.items():
-        if mono.kind == EXI:
-            return False
-        if mono.kind == XI and coeff % 2:
-            return False
-    return True
+    # only plain monomials have v > 0
+    return not any(mono.v > 0 and (mono.u or coeff % 2) for mono, coeff in x.terms.items())
 
 
 def in_Ie(x: HElement) -> bool:
@@ -441,12 +409,10 @@ def in_Ie(x: HElement) -> bool:
     On top of T-membership this requires the unit coefficient in degree 0
     and all e^m coefficients to be even.
     """
-    if not in_T(x):
-        return False
-    for mono, coeff in x.terms.items():
-        if mono.kind in (ONE, E) and coeff % 2:
-            return False
-    return True
+    return in_T(x) and not any(
+        mono.family == PLAIN and not mono.v and coeff % 2
+        for mono, coeff in x.terms.items()
+    )
 
 
 def monomials_in_grading(a: int, b: int) -> list[HMonomial]:
@@ -454,7 +420,5 @@ def monomials_in_grading(a: int, b: int) -> list[HMonomial]:
     if a % 2:
         return []
     # e^u * xi^v has grading -2v + (u + 2v)*s
-    mono = _at(a + b, -a // 2)
-    if mono is MONO_ONE:
-        return [MONO_ONE, MONO_G]
-    return [mono] if mono else []
+    u, v = a + b, -a // 2
+    return [HMonomial(f, u, v) for f in (PLAIN, KAPPA, TRANSFER) if _exists(f, u, v)]

@@ -187,7 +187,8 @@ def basis(sp: ProjSpace, m: int) -> list[BasisMonomial]:
     """
     monos = [BasisMonomial(sp, *tup) for tup in _basis_tuples(sp.p, sp.q, m)]
     monos.sort(key=lambda x: x.index)
-    assert [x.index for x in monos] == list(range(sp.p + sp.q))
+    if [x.index for x in monos] != list(range(sp.p + sp.q)):
+        raise ValueError(f"the basis of class m={m} over {sp} is not indexed 0..p+q-1")
     return monos
 
 

@@ -4,16 +4,18 @@ The Burnside theory maps onto two coarser theories, both respecting Euler
 classes:
 
 * constant-Z coefficients, obtained by killing kappa (so g = 2, the
-  e^-m*kappa classes vanish, and e becomes 2-torsion).  Only the normal
-  form changes, so its scalar ``ZHElement`` is ``HElement`` with a
+  kappa family e^-m*kappa vanishes, and e becomes 2-torsion).  Only the
+  normal form changes, so its scalar ``ZHElement`` is ``HElement`` with a
   different ``__init__``: same monomials, same monomial product, same module
-  engine;
+  engine.  ``ZHElement.from_burnside`` is the change of coefficients;
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single
   polynomial generator c with c^p * (c + e^2)^q = 0, and the fixed-point
   information disappears entirely.  Its scalar ``BorelScalar`` is another
-  normal form on the shared core ``hscalar.Scalar``, with exponent pairs
-  (m, n) for monomials.
+  normal form on the shared core ``hscalar.Scalar``, whose monomials are
+  the signed exponent pairs (u, v) of e^u*xi^v.  A Burnside monomial keeps
+  its exponents: the plain ones map to themselves, a transfer tau(i^2v) to
+  2*xi^v, and the kappa family to 0.
 
 All three scalar rings share one arithmetic and one printer, and refuse
 to mix with each other.
@@ -32,17 +34,14 @@ from math import comb
 from . import euler as _euler
 from .grading import join_signed
 from .hscalar import (
-    E,
-    EIK,
-    EXI,
-    G,
+    KAPPA,
+    MONO_ONE,
+    PLAIN,
+    TRANSFER,
     HElement,
     HMonomial,
-    MONO_ONE,
-    ONE,
     Scalar,
-    TAUINV,
-    XI,
+    monomial_text,
 )
 from .projmod import (
     ModuleElement,
@@ -67,12 +66,12 @@ class ZHElement(HElement):
     def __init__(self, terms: dict[HMonomial, int]):
         folded: dict[HMonomial, int] = {}
         for mono, coeff in terms.items():
-            if mono.kind == EIK:
+            if mono.family == KAPPA:
                 continue
-            if mono.kind == G:
+            if mono.family == TRANSFER and not mono.v:  # g
                 mono, coeff = MONO_ONE, 2 * coeff
-            elif mono.kind == E:
-                coeff %= 2  # no other kind folds onto e^m
+            elif mono.u:
+                coeff %= 2  # e^u*xi^v with u >= 1: nothing else folds onto it
             folded[mono] = folded.get(mono, 0) + coeff
         super().__init__(folded)
 
@@ -84,15 +83,10 @@ class ZHElement(HElement):
     __rmul__ = __mul__
 
 
-def to_constZ(x: HElement) -> ZHElement:
-    """Change of coefficients to the constant-Z theory (set kappa = 0)."""
-    return ZHElement.from_burnside(x)
-
-
 def z_map(x: ModuleElement) -> ModuleElement:
     """Push a Burnside-coefficient class into the constant-Z theory."""
     return ModuleElement(
-        x.sp, {m: to_constZ(c) for m, c in x.terms.items()}, ZHElement
+        x.sp, {m: ZHElement.from_burnside(c) for m, c in x.terms.items()}, ZHElement
     )
 
 
@@ -105,9 +99,9 @@ def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
 
     if dd.delta % 2:
         return pn.scale(dd.delta)
-    result = pn.scale(to_constZ(car.tau_n)).scale(dd.delta // 2)
+    result = pn.scale(ZHElement.from_burnside(car.tau_n)).scale(dd.delta // 2)
     if dd.delta0 % 2 or dd.delta1 % 2:
-        e_pow = ZHElement({HMonomial(E, 2 * (n - n0 - n1)): 1})
+        e_pow = ZHElement({HMonomial(PLAIN, 2 * (n - n0 - n1), 0): 1})
         pkm1 = raw_monomial(F.sp, 0, 0, n0, n1, ZHElement)
         result = result + pkm1.scale(e_pow)
     return result
@@ -126,11 +120,11 @@ def z_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
 
 
 class BorelScalar(Scalar):
-    """An element of Z[e, xi, xi^-1]/(2e): monomials e^m * xi^n, m >= 0.
+    """An element of Z[e, xi, xi^-1]/(2e): monomials e^u * xi^v, u >= 0.
 
     A normal form on the shared scalar core (``hscalar.Scalar``): the
-    monomial is the exponent pair (m, n), the product adds exponents, and
-    coefficients are integers for m = 0 and live in Z/2 for m >= 1.
+    monomial is the exponent pair (u, v), the product adds exponents, and
+    coefficients are integers for u = 0 and live in Z/2 for u >= 1.
     """
 
     __slots__ = ()
@@ -141,20 +135,17 @@ class BorelScalar(Scalar):
     def _mono_mul(x: tuple[int, int], y: tuple[int, int]):
         return (((x[0] + y[0], x[1] + y[1]), 1),)
 
-    @staticmethod
-    def _mono_text(mono: tuple[int, int]) -> str:
-        factors = [f if k == 1 else f"{f}^{k}" for f, k in zip(("e", "xi"), mono) if k]
-        return "*".join(factors) or "1"
+    _mono_text = staticmethod(monomial_text)
 
     def __init__(self, terms: dict[tuple[int, int], int]):
         clean = {}
-        for (m, n), coeff in terms.items():
-            if m < 0:
+        for (u, v), coeff in terms.items():
+            if u < 0:
                 raise ValueError("negative e-exponent in Borel scalar")
-            if m >= 1:
+            if u >= 1:
                 coeff %= 2
             if coeff:
-                clean[(m, n)] = coeff
+                clean[(u, v)] = coeff
         self.terms = clean
 
     @classmethod
@@ -249,31 +240,24 @@ def borel_relation(sp: ProjSpace) -> dict[int, BorelScalar]:
     return _c_binomial(BorelScalar.from_int(1), sp.p, sp.q)
 
 
-_BOREL_SCALAR = {
-    ONE: lambda m, n: BorelScalar.from_int(1),
-    G: lambda m, n: BorelScalar.from_int(2),
-    E: lambda m, n: BorelScalar.monomial(m, 0),
-    EIK: lambda m, n: BorelScalar.from_int(0),
-    XI: lambda m, n: BorelScalar.monomial(0, n),
-    EXI: lambda m, n: BorelScalar.monomial(m, n),
-    TAUINV: lambda m, n: BorelScalar.monomial(0, -n, 2),
-}
-
-
 def borel_map(x: ModuleElement, n1: int) -> BorelElement:
     """Push a Burnside class into Borel cohomology.
 
     The multiplicative map sends z0 to 1, z1 to xi, cw to c and cxw to
     xi^-1 * (c + e^2); the result is multiplied by xi^n1 so that every
     line bundle is counted with rank 2s, matching the Borel closed forms.
+    On the point ring it kills the kappa family and keeps e^u*xi^v, a
+    transfer tau(i^2v) going to 2*xi^v.
     """
     out: dict[int, BorelScalar] = {}
     for mono, coeff in x.terms.items():
-        scal = BorelScalar.from_int(0)
+        shift = mono.t - mono.b + n1  # the power of xi beside c^a * (c + e^2)^b
+        image: dict[tuple[int, int], int] = {}
         for hm, c in coeff.terms.items():
-            scal = scal + _BOREL_SCALAR[hm.kind](hm.m, hm.n) * c
-        scal = scal * BorelScalar.monomial(0, mono.t - mono.b + n1)
-        _accumulate(out, _c_binomial(scal, mono.a, mono.b))
+            if hm.family != KAPPA:
+                uv = (hm.u, hm.v + shift)
+                image[uv] = image.get(uv, 0) + (2 * c if hm.family == TRANSFER else c)
+        _accumulate(out, _c_binomial(BorelScalar(image), mono.a, mono.b))
     return BorelElement(x.sp, out)
 
 

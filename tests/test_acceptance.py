@@ -135,17 +135,10 @@ def test_criterion_5_basis_structure():
 
 def test_criterion_6_point_ring_arithmetic():
     with criterion(6, "point-ring laws (exhaustive to index 6) and identities"):
-        monos = [hs.MONO_ONE, hs.MONO_G]
+        monos = [hs.MONO_G]
         for i in range(1, 7):
-            monos += [
-                hs.HMonomial(hs.E, i),
-                hs.HMonomial(hs.EIK, i),
-                hs.HMonomial(hs.XI, n=i),
-                hs.HMonomial(hs.TAUINV, n=i),
-            ]
-        monos += [
-            hs.HMonomial(hs.EXI, m, n) for m in range(1, 7) for n in range(1, 7)
-        ]
+            monos += [hs.HMonomial(hs.KAPPA, -i, 0), hs.HMonomial(hs.TRANSFER, 0, -i)]
+        monos += [hs.HMonomial(hs.PLAIN, u, v) for u in range(7) for v in range(7)]
         elems = [HElement.monomial(x) for x in monos]
         products = {}
         for i, x in enumerate(elems):

@@ -129,13 +129,11 @@ def test_basis_grading_is_the_generator_degree_sum():
 def test_scalar_and_module_degrees_add_in_one_type():
     # point-ring degrees are the m = 0 slice of the extended grading, so
     # adding a scalar degree to a module degree commutes and keeps W1
-    monos = [hs.MONO_ONE, hs.MONO_G]
+    monos = [hs.MONO_G]
     for i in (1, 2):
-        monos += [hs.HMonomial(hs.E, i), hs.HMonomial(hs.EIK, i),
-                  hs.HMonomial(hs.XI, n=i), hs.HMonomial(hs.TAUINV, n=i)]
-        monos += [hs.HMonomial(hs.EXI, i, j) for j in (1, 2)]
-    assert {mono.kind for mono in monos} == {
-        hs.ONE, hs.G, hs.E, hs.EIK, hs.XI, hs.EXI, hs.TAUINV}
+        monos += [hs.HMonomial(hs.KAPPA, -i, 0), hs.HMonomial(hs.TRANSFER, 0, -i)]
+    monos += [hs.HMonomial(hs.PLAIN, u, v) for u in range(3) for v in range(3)]
+    assert {mono.family for mono in monos} == {hs.PLAIN, hs.KAPPA, hs.TRANSFER}
     sp = ProjSpace(2, 2)
     for mono in monos:
         c = hs.HElement.monomial(mono)

@@ -6,17 +6,13 @@ import pytest
 
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import (
-    E,
-    EIK,
-    EXI,
-    G,
-    ONE,
-    HElement,
-    HMonomial,
+    KAPPA,
     MONO_G,
     MONO_ONE,
-    TAUINV,
-    XI,
+    PLAIN,
+    TRANSFER,
+    HElement,
+    HMonomial,
     e,
     e_power_kappa,
     einvkappa,
@@ -33,19 +29,46 @@ from equibezout.hscalar import (
     tauinv,
     xi,
 )
+from equibezout.projmod import ModuleElement, ProjSpace
+from equibezout.variants import BorelScalar, ZHElement, borel_map
+
+# The seven kinds the monomials were once tagged with, by name: the monomial
+# of each kind with exponents (m, n), an unused slot being 0, as a family at
+# signed exponents.  The oracle tables below are keyed by these names.
+KINDS = {
+    "one": lambda m, n: HMonomial(PLAIN, 0, 0),
+    "g": lambda m, n: HMonomial(TRANSFER, 0, 0),
+    "e": lambda m, n: HMonomial(PLAIN, m, 0),
+    "eik": lambda m, n: HMonomial(KAPPA, -m, 0),
+    "xi": lambda m, n: HMonomial(PLAIN, 0, n),
+    "exi": lambda m, n: HMonomial(PLAIN, m, n),
+    "tauinv": lambda m, n: HMonomial(TRANSFER, 0, -n),
+}
+
+
+def kind_of(mono):
+    """The name in KINDS of a monomial's kind."""
+    if mono.family == KAPPA:
+        return "eik"
+    if mono.family == TRANSFER:
+        return "tauinv" if mono.v else "g"
+    return ("one", "xi", "e", "exi")[2 * bool(mono.u) + bool(mono.v)]
+
+
+def kinded(max_index=6):
+    """(kind, m, n, monomial) for every monomial with exponents <= max_index."""
+    r = range(1, max_index + 1)
+    exponents = {
+        "one": [(0, 0)], "g": [(0, 0)],
+        "e": [(i, 0) for i in r], "eik": [(i, 0) for i in r],
+        "xi": [(0, i) for i in r], "tauinv": [(0, i) for i in r],
+        "exi": list(itertools.product(r, r)),
+    }
+    return [(kind, m, n, KINDS[kind](m, n)) for kind, mn in exponents.items() for m, n in mn]
 
 
 def all_monomials(max_index=6):
-    monos = [MONO_ONE, MONO_G]
-    for i in range(1, max_index + 1):
-        monos.append(HMonomial(E, i))
-        monos.append(HMonomial(EIK, i))
-        monos.append(HMonomial(XI, n=i))
-        monos.append(HMonomial(TAUINV, n=i))
-    for m in range(1, max_index + 1):
-        for n in range(1, max_index + 1):
-            monos.append(HMonomial(EXI, m, n))
-    return monos
+    return [mono for *_, mono in kinded(max_index)]
 
 
 MONOS = all_monomials()
@@ -54,32 +77,117 @@ ELEMS = [HElement.monomial(m) for m in MONOS]
 
 def test_monomial_hash_contract():
     for mono in MONOS:
-        twin = HMonomial(mono.kind, mono.m, mono.n)
+        twin = HMonomial(mono.family, mono.u, mono.v)
         assert twin is not mono and twin == mono and hash(twin) == hash(mono)
         assert {mono: "v"}[twin] == "v" and twin in {mono}
         assert str(twin) == str(mono)
-        assert repr(twin) == f"HMonomial(kind={mono.kind!r}, m={mono.m}, n={mono.n})"
+        assert repr(twin) == f"HMonomial(family={mono.family}, u={mono.u}, v={mono.v})"
         assert HElement({twin: 3}) == HElement({mono: 3})
         assert hash(HElement({twin: 3})) == hash(HElement({mono: 3}))
-    # ordering is that of the exponent fields alone
-    assert sorted(MONOS) == sorted(MONOS, key=lambda x: (x.kind, x.m, x.n))
-    assert all((x < y) == ((x.kind, x.m, x.n) < (y.kind, y.m, y.n))
+    # ordering is that of the fields alone, plain first
+    assert sorted(MONOS) == sorted(MONOS, key=lambda x: (x.family, x.u, x.v))
+    assert all((x < y) == ((x.family, x.u, x.v) < (y.family, y.u, y.v))
                for x in MONOS[:20] for y in MONOS[:20])
+    assert PLAIN < KAPPA < TRANSFER and MONO_ONE < MONO_G
+
+
+def test_monomials_exist_only_where_their_family_has_a_group():
+    for family, u, v in [(PLAIN, -1, 0), (PLAIN, 0, -1), (KAPPA, 0, 0), (KAPPA, 1, 0),
+                         (KAPPA, -1, 1), (TRANSFER, 1, 0), (TRANSFER, 0, 1),
+                         (TRANSFER, -1, -1), (3, 0, 0)]:
+        with pytest.raises(ValueError, match="no point-ring monomial"):
+            HMonomial(family, u, v)
 
 
 def test_monomial_grading_from_exponents():
     from_exponents = {
-        ONE: lambda m, n: (0, 0),
-        G: lambda m, n: (0, 0),
-        E: lambda m, n: (0, m),
-        EIK: lambda m, n: (0, -m),
-        XI: lambda m, n: (-2 * n, 2 * n),
-        EXI: lambda m, n: (-2 * n, m + 2 * n),
-        TAUINV: lambda m, n: (2 * n, -2 * n),
+        "one": lambda m, n: (0, 0),
+        "g": lambda m, n: (0, 0),
+        "e": lambda m, n: (0, m),
+        "eik": lambda m, n: (0, -m),
+        "xi": lambda m, n: (-2 * n, 2 * n),
+        "exi": lambda m, n: (-2 * n, m + 2 * n),
+        "tauinv": lambda m, n: (2 * n, -2 * n),
     }
-    assert {mono.kind for mono in MONOS} == set(from_exponents)
-    for mono in MONOS:
-        assert mono.grading == PiBDegree(0, *from_exponents[mono.kind](mono.m, mono.n))
+    assert {kind for kind, *_ in kinded()} == set(from_exponents) == set(KINDS)
+    for kind, m, n, mono in kinded():
+        assert kind_of(mono) == kind
+        assert mono.grading == PiBDegree(0, *from_exponents[kind](m, n))
+        assert mono.grading == PiBDegree(0, -2 * mono.v, mono.u + 2 * mono.v)
+
+
+# The maps out of the ring as tables per kind, the form they had before
+# they became laws on the signed exponents: the restriction and fixed-point
+# values, the Borel image as {(e, xi) exponents: coefficient}, the
+# constant-Z fold as (the kind it lands on, factor, modulus) or None where
+# the monomial dies, and the coefficients c for which c times the monomial
+# lies in T and in I_e.
+RHO = {"one": 1, "g": 2, "e": 0, "eik": 0, "xi": 1, "exi": 0, "tauinv": 2}
+FIXED = {"one": 1, "g": 0, "e": 1, "eik": 2, "xi": 0, "exi": 0, "tauinv": 0}
+BOREL_SCALAR = {
+    "one": lambda m, n: {(0, 0): 1},
+    "g": lambda m, n: {(0, 0): 2},
+    "e": lambda m, n: {(m, 0): 1},
+    "eik": lambda m, n: {},
+    "xi": lambda m, n: {(0, n): 1},
+    "exi": lambda m, n: {(m, n): 1},
+    "tauinv": lambda m, n: {(0, -n): 2},
+}
+Z_FOLD = {"one": ("one", 1, None), "g": ("one", 2, None), "e": ("e", 1, 2), "eik": None,
+          "xi": ("xi", 1, None), "exi": ("exi", 1, 2), "tauinv": ("tauinv", 1, None)}
+ALL, EVEN, NONE = (lambda c: True), (lambda c: c % 2 == 0), (lambda c: False)
+IN_T = {"one": ALL, "g": ALL, "e": ALL, "eik": ALL, "xi": EVEN, "exi": NONE, "tauinv": ALL}
+IN_IE = {"one": EVEN, "g": ALL, "e": EVEN, "eik": ALL, "xi": EVEN, "exi": NONE,
+         "tauinv": ALL}
+
+
+def borel_image(x):
+    """The Borel image of the scalar x, read off its class times 1."""
+    sp = ProjSpace(1, 1)
+    return borel_map(ModuleElement.unit(sp).scale(x), 0).coeffs.get(0, BorelScalar.zero())
+
+
+def test_ring_maps_match_the_per_kind_tables():
+    for kind, m, n, mono in kinded():
+        for c in (1, 2, 3, -1, -4):
+            x = HElement.monomial(mono, c)
+            if not x:
+                continue  # an even multiple of e^m*xi^n
+            rho = RHO[kind] * c
+            assert h_rho(x) == ((rho, mono.grading.b) if rho else (0, 0)), x
+            assert h_fixed(x) == FIXED[kind] * c, x
+            borel = {uv: k * c for uv, k in BOREL_SCALAR[kind](m, n).items()}
+            assert borel_image(x) == BorelScalar(borel), x
+            fold = {}
+            if Z_FOLD[kind]:
+                target, factor, modulus = Z_FOLD[kind]
+                coeff = factor * c % modulus if modulus else factor * c
+                fold = {KINDS[target](m, n): coeff} if coeff else {}
+            assert ZHElement.from_burnside(x).terms == fold, x
+            assert in_T(x) == IN_T[kind](c), x
+            assert in_Ie(x) == (IN_T[kind](c) and IN_IE[kind](c)), x
+    # degree 0 holds both 1 and g, and each map adds their rows
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        x = a * one() + b * g()
+        rho = a * RHO["one"] + b * RHO["g"]
+        assert h_rho(x) == (rho, 0)
+        assert h_fixed(x) == a * FIXED["one"] + b * FIXED["g"]
+        assert borel_image(x) == BorelScalar.from_int(a + 2 * b)
+        assert ZHElement.from_burnside(x) == ZHElement.from_int(a + 2 * b)
+        assert in_T(x) and in_Ie(x) == (a % 2 == 0)
+
+
+def test_degree_zero_prints_1_before_g():
+    # natural order of the monomials, whatever order the terms came in
+    assert str(kappa()) == str(HElement({MONO_G: -1, MONO_ONE: 2})) == "2 - g"
+    assert str(3 * g() - 5) == "-5 + 3*g"
+    # constant-Z folds g to 2; the Borel image sends g to 2 as well
+    assert str(ZHElement.from_burnside(2 - g())) == "0"
+    assert str(ZHElement.from_burnside(3 + g())) == "5"
+    assert str(borel_image(2 - g())) == "0"
+    assert str(borel_image(3 + g())) == "5"
+    # Borel scalars print by their exponent pairs
+    assert str(BorelScalar({(1, 0): 1, (0, 0): 2, (0, -1): -1})) == "-xi^-1 + 2 + e"
 
 
 def test_add_same_grading():
@@ -146,11 +254,10 @@ KIND_PAIR_PRODUCTS = [
 def test_product_of_every_pair_of_kinds():
     def kind(x):
         (mono,) = x.terms
-        return mono.kind
+        return kind_of(mono)
 
     pairs = {frozenset((kind(x), kind(y))) for x, y, _ in KIND_PAIR_PRODUCTS}
-    assert pairs == {frozenset(p) for p in itertools.combinations_with_replacement(
-        (ONE, G, E, EIK, XI, EXI, TAUINV), 2)}
+    assert pairs == {frozenset(p) for p in itertools.combinations_with_replacement(KINDS, 2)}
     assert len(pairs) == 28
     for x, y, expected in KIND_PAIR_PRODUCTS:
         assert x * y == expected, (x, y)
@@ -282,11 +389,11 @@ def test_Ie_is_an_ideal():
 
 def test_monomials_in_grading():
     assert monomials_in_grading(0, 0) == [MONO_ONE, MONO_G]
-    assert monomials_in_grading(0, 3) == [HMonomial(E, 3)]
-    assert monomials_in_grading(0, -2) == [HMonomial(EIK, 2)]
-    assert monomials_in_grading(-4, 4) == [HMonomial(XI, n=2)]
-    assert monomials_in_grading(-4, 7) == [HMonomial(EXI, 3, 2)]
-    assert monomials_in_grading(6, -6) == [HMonomial(TAUINV, n=3)]
+    assert monomials_in_grading(0, 3) == [HMonomial(PLAIN, 3, 0)]
+    assert monomials_in_grading(0, -2) == [HMonomial(KAPPA, -2, 0)]
+    assert monomials_in_grading(-4, 4) == [HMonomial(PLAIN, 0, 2)]
+    assert monomials_in_grading(-4, 7) == [HMonomial(PLAIN, 3, 2)]
+    assert monomials_in_grading(6, -6) == [HMonomial(TRANSFER, 0, -3)]
     assert monomials_in_grading(6, -4) == []
     assert monomials_in_grading(3, -3) == []  # odd columns are out of scope
     # consistency with the monomials' own gradings

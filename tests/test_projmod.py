@@ -122,6 +122,14 @@ def test_basis_base_case():
     assert [str(x) for x in basis(ProjSpace(1, 0), 3)] == ["z1^3"]
 
 
+def test_basis_with_a_missing_index_raises(monkeypatch):
+    # the index check is a ValueError, so it also holds under python -O
+    tuples = projmod._basis_tuples
+    monkeypatch.setattr(projmod, "_basis_tuples", lambda p, q, m: tuples(p, q, m)[1:])
+    with pytest.raises(ValueError, match="not indexed 0..p\\+q-1"):
+        basis(ProjSpace(2, 3), 1)
+
+
 def test_position_examples():
     sp = ProjSpace(4, 5)
     for exponents, expected in [
