@@ -17,7 +17,9 @@ so degree 0 is the Burnside ring on 1 and g, with g^2 = 2g.  Each of the
 two other families continues along its axis (u for kappa, v for the
 transfers) past the origin into the plain monomials: e^u*kappa is
 kappa = 2 - g at u = 0 and 2e^u for u > 0, and tau(i^2v) is 2*xi^v for
-v > 0.
+v > 0.  A monomial is the tuple ``(family, u, v)`` (:class:`HMonomial`):
+it hashes, compares and orders as that bare exponent tuple, with tuple's
+C slots, and (u, v) alone fixes its grading.
 
 An :class:`HElement` is a graded-homogeneous integer combination of these
 monomials in normal form (no zero coefficients, e^u*xi^v coefficients
@@ -42,8 +44,8 @@ monomials with v = 0, 2 on the kappa family and 0 elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 
 from .grading import PiBDegree, join_signed
 
@@ -65,37 +67,45 @@ def monomial_text(uv: tuple[int, int]) -> str:
     return "*".join(factors) or "1"
 
 
-@dataclass(frozen=True, order=True)
-class HMonomial:
-    """One monomial of the point ring: a family and its signed exponents.
+class HMonomial(tuple):
+    """One monomial of the point ring: the tuple ``(family, u, v)``.
 
-    The grading (a ``PiBDegree`` with no ``W1`` part) and the hash are
-    computed once, at construction; neither takes part in ==, ordering or
-    repr.
+    The constructor rejects exponents where the family has no group.  Being
+    a tuple, a monomial hashes, compares and orders as its bare exponent
+    tuple, with tuple's own C slots (so ``HMonomial(PLAIN, 1, 0) == (0, 1,
+    0)``); the fields and the grading (a ``PiBDegree`` with no ``W1`` part)
+    are read-only properties, the grading computed on each read.
     """
 
-    family: int
-    u: int
-    v: int
-    grading: PiBDegree = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        family, u, v = self.family, self.u, self.v
+    def __new__(cls, family: int, u: int, v: int):
         if not _exists(family, u, v):
-            raise ValueError(f"no point-ring monomial {self!r}")
-        object.__setattr__(self, "grading", PiBDegree(0, -2 * v, u + 2 * v))
-        object.__setattr__(self, "_hash", hash((family, u, v)))
+            raise ValueError(f"no point-ring monomial HMonomial(family={family}, u={u}, v={v})")
+        return tuple.__new__(cls, (family, u, v))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
+
+    family = property(itemgetter(0))
+    u = property(itemgetter(1))
+    v = property(itemgetter(2))
+
+    @property
+    def grading(self) -> PiBDegree:
+        _, u, v = self
+        return PiBDegree(0, -2 * v, u + 2 * v)
+
+    def __repr__(self) -> str:
+        return "HMonomial(family={}, u={}, v={})".format(*self)
 
     def __str__(self) -> str:
-        if self.family == KAPPA:
-            return f"e^{self.u}*kappa"
-        if self.family == TRANSFER:
-            return f"tau(i^{2 * self.v})" if self.v else "g"
-        return monomial_text((self.u, self.v))
+        family, u, v = self
+        if family == KAPPA:
+            return f"e^{u}*kappa"
+        if family == TRANSFER:
+            return f"tau(i^{2 * v})" if v else "g"
+        return monomial_text((u, v))
 
 
 MONO_ONE = HMonomial(PLAIN, 0, 0)
@@ -116,21 +126,23 @@ def _member(family: int, w: int) -> list[tuple[HMonomial, int]]:
 def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
     """Product of two monomials as a list of (monomial, coefficient) pairs,
     by the three laws of the module docstring."""
-    if x.family > y.family:
+    if x[0] > y[0]:
         x, y = y, x  # y is a family member when either factor is
-    if not (x.family or x.u or x.v):
+    fx, ux, vx = x
+    fy, uy, vy = y
+    if not (fx or ux or vx):
         return [(y, 1)]
-    if not (y.family or y.u or y.v):
+    if not (fy or uy or vy):
         return [(x, 1)]
-    u, v = x.u + y.u, x.v + y.v
-    if y.family == PLAIN:
+    u, v = ux + uy, vx + vy
+    if fy == PLAIN:
         return [(HMonomial(PLAIN, u, v), 1)]
-    along, across = (u, v) if y.family == KAPPA else (v, u)
+    along, across = (u, v) if fy == KAPPA else (v, u)
     if across:  # a kappa factor is always across the transfer axis
         return []
-    if x.family == PLAIN:
-        return _member(y.family, along)
-    return [(mono, 2 * c) for mono, c in _member(y.family, along)]
+    if fx == PLAIN:
+        return _member(fy, along)
+    return [(mono, 2 * c) for mono, c in _member(fy, along)]
 
 
 class Scalar:
@@ -255,17 +267,18 @@ class HElement(Scalar):
 
     def __init__(self, terms: dict[HMonomial, int]):
         clean: dict[HMonomial, int] = {}
-        grading = None
+        first = None  # (u, v) determines the grading, so compare those
         for mono, coeff in terms.items():
-            if mono.u and mono.v:  # e^u*xi^v with u, v >= 1
+            _, u, v = mono
+            if u and v:  # e^u*xi^v with u, v >= 1
                 coeff %= 2
             if not coeff:
                 continue
-            if grading is None:
-                grading = mono.grading
-            elif mono.grading != grading:
+            if first is None:
+                first, fu, fv = mono, u, v
+            elif u != fu or v != fv:
                 raise ValueError(
-                    f"mixed gradings in element: {mono.grading} vs {grading}"
+                    f"mixed gradings in element: {mono.grading} vs {first.grading}"
                 )
             clean[mono] = coeff
         self.terms = clean
@@ -375,7 +388,7 @@ def h_rho(x: HElement) -> tuple[int, int]:
             total += coeff
         else:
             continue
-        carrier = mono.grading.b
+        carrier = mono.u + 2 * mono.v  # the s part of the grading
     if total == 0:
         return (0, 0)
     return (total, carrier)

@@ -13,14 +13,19 @@ together with "divided" classes ``z0^-k * cw^p`` and ``z1^-k * cxw^q``
 (the unique elements returning ``cw^p`` resp. ``cxw^q`` after multiplying
 back by the zeta power).  Every basis element is a monomial
 ``z0^s * z1^t * cw^a * cxw^b`` falling into one of six families; see
-:class:`BasisMonomial`.
+:class:`BasisMonomial`.  A basis monomial is the tuple
+``(p, q, s, t, a, b)``: it hashes and compares equal to that bare exponent
+tuple, with tuple's C slots, and its space ``.sp`` is rebuilt from
+``(p, q)`` on each read.
 
 Products are computed by a terminating rewrite system: multiplication by
 one generator at a time, normalizing after each step.  One step is
 ``gen_mul(gen, x, ring, coeff, out)``: it starts from the term's coefficient,
 so a walk does one scalar product per rewrite rule that fires, not one per
 image, and it adds its images into ``out``, the walk's dict for the next
-generator, so a step builds no dict or element of its own.  The rules, one
+generator, so a step builds no dict or element of its own.  Each image is
+built by ``_basis(p, q, s, t, a, b)``, which checks its family (a
+``ValueError``, not an assert) and builds no ``ProjSpace``.  The rules, one
 branch of ``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
@@ -49,7 +54,8 @@ per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .grading import PiBDegree, join_signed
 from .hscalar import HElement, h_fixed, h_rho, in_T
@@ -99,59 +105,73 @@ def _family(p: int, q: int, s: int, t: int, a: int, b: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+def _basis(p: int, q: int, s: int, t: int, a: int, b: int) -> "BasisMonomial":
+    """The basis monomial z0^s * z1^t * cw^a * cxw^b over X(p, q); raises
+    ``ValueError`` when the exponents fall in none of the six families."""
+    if _family(p, q, s, t, a, b) is None:
+        raise ValueError(f"not a basis monomial of X({p},{q}): z0^{s}*z1^{t}*cw^{a}*cxw^{b}")
+    return tuple.__new__(BasisMonomial, (p, q, s, t, a, b))
+
+
+class BasisMonomial(tuple):
     """A canonical monomial z0^s * z1^t * cw^a * cxw^b over a fixed X(p, q).
 
     Exactly one of the six families holds; the constructor rejects any
-    other exponent pattern.  Derived data: the degree class ``mclass``,
-    the position ``(A, B) = (a - s, s + b)`` in that class, and the
-    restriction index ``i = a + b`` (the monomial restricts to ``c^i``).
-    The hash is computed once, at construction, and takes no part in ==.
+    other exponent pattern.  The monomial is the tuple ``(p, q, s, t, a,
+    b)``, so it hashes and compares as that bare exponent tuple, with
+    tuple's own C slots, and monomials over different spaces differ.  The
+    fields are read-only properties; ``sp`` is rebuilt from ``(p, q)`` on
+    each read.  Derived data: the degree class ``mclass``, the position
+    ``(A, B) = (a - s, s + b)`` in that class, and the restriction index
+    ``i = a + b`` (the monomial restricts to ``c^i``).
     """
 
-    sp: ProjSpace
-    s: int
-    t: int
-    a: int
-    b: int
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family is None:
-            raise ValueError(
-                f"not a basis monomial of {self.sp}: "
-                f"z0^{self.s}*z1^{self.t}*cw^{self.a}*cxw^{self.b}"
-            )
-        object.__setattr__(self, "_hash", hash((self.sp, self.s, self.t, self.a, self.b)))
+    def __new__(cls, sp: ProjSpace, s: int, t: int, a: int, b: int):
+        return _basis(sp.p, sp.q, s, t, a, b)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return (self.sp, *self[2:])
+
+    s = property(itemgetter(2))
+    t = property(itemgetter(3))
+    a = property(itemgetter(4))
+    b = property(itemgetter(5))
+
+    @property
+    def sp(self) -> ProjSpace:
+        return ProjSpace(self[0], self[1])
 
     @property
     def family(self) -> str | None:
-        return _family(self.sp.p, self.sp.q, self.s, self.t, self.a, self.b)
+        return _family(*self)
 
     @property
     def mclass(self) -> int:
-        return self.t - self.s + self.a - self.b
+        _, _, s, t, a, b = self
+        return t - s + a - b
 
     @property
     def pos(self) -> tuple[int, int]:
-        return (self.a - self.s, self.s + self.b)
+        _, _, s, _, a, b = self
+        return (a - s, s + b)
 
     @property
     def index(self) -> int:
-        return self.a + self.b
+        return self[4] + self[5]
 
     @property
     def grading(self) -> PiBDegree:
         A, B = self.pos
         return PiBDegree(self.mclass, 2 * A, 2 * B)
 
+    def __repr__(self) -> str:
+        return "BasisMonomial(sp={!r}, s={}, t={}, a={}, b={})".format(self.sp, *self[2:])
+
     def __str__(self) -> str:
         parts = []
-        for name, exp in (("z0", self.s), ("z1", self.t), ("cw", self.a), ("cxw", self.b)):
+        for name, exp in zip(("z0", "z1", "cw", "cxw"), self[2:]):
             if exp == 1:
                 parts.append(name)
             elif exp:
@@ -205,10 +225,11 @@ class ModuleElement:
     def __init__(self, sp: ProjSpace, terms: dict, ring=HElement):
         clean = {}
         grading = None
+        p, q = sp.p, sp.q
         for mono, coeff in terms.items():
             if not coeff:
                 continue
-            if mono.sp != sp:
+            if mono[0] != p or mono[1] != q:
                 raise ValueError(f"monomial {mono} not over {sp}")
             total = mono.grading + coeff.grading
             if grading is None:
@@ -312,37 +333,37 @@ class ModuleElement:
     __repr__ = __str__
 
 
-def _normalize(sp: ProjSpace, ring, coeff, s, t, a, b, out: dict) -> None:
-    """Rewrite z0^s z1^t cw^a cxw^b * coeff into normal form, into ``out``.
+def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
+    """Rewrite z0^s z1^t cw^a cxw^b * coeff over X(p, q) into normal form,
+    into ``out``.
 
     One branch per rule of the module docstring, named in its comment: a
     rule with one image rewrites the exponents in place, a rule with two
-    recurses.  The final constructor rejects any pattern outside the six
+    recurses.  The final ``_basis`` rejects any pattern outside the six
     families.
     """
-    p, q = sp.p, sp.q
     if a >= p and b >= q:  # vanish: cw^p * cxw^q = 0
         return
     if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
         k = min(s, t) if s > 0 and t > 0 else max(s, t)
         coeff, s, t = coeff * ring.ring_xi(k), s - k, t - k
     if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
-        _normalize(sp, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
-        _normalize(sp, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
+        _normalize(p, q, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
+        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
         return
     if t > 0 and a >= p:  # z1 cw^p division: z1^t*cw^p = xi^t*z0^-t*cw^p
         coeff, s, t = coeff * ring.ring_xi(t), -t, 0
     if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
         coeff, s, t = coeff * ring.ring_xi(s), 0, -s
     if b > q:  # cxw tower: z1^t*cxw^(q+1) for every t <= 0
-        _normalize(sp, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, q, out)
-        _normalize(sp, ring, coeff * ring.ring_e2(), s, t - 1, a, q, out)
+        _normalize(p, q, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, q, out)
+        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, q, out)
         return
     if (s >= 2 and a) or a > p:  # z0^2*cw = xi*cxw + e^2*z0, and cw^(p+1)
-        _normalize(sp, ring, coeff * ring.ring_xi(1), s - 2, t, a - 1, b + 1, out)
-        _normalize(sp, ring, coeff * ring.ring_e2(), s - 1, t, a - 1, b, out)
+        _normalize(p, q, ring, coeff * ring.ring_xi(1), s - 2, t, a - 1, b + 1, out)
+        _normalize(p, q, ring, coeff * ring.ring_e2(), s - 1, t, a - 1, b, out)
         return
-    _emit(out, BasisMonomial(sp, s, t, a, b), coeff)
+    _emit(out, _basis(p, q, s, t, a, b), coeff)
 
 
 def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
@@ -364,7 +385,7 @@ def gen_mul(gen: str, x: BasisMonomial, ring, coeff, out: dict) -> None:
     >>> [str(mono) for mono in out]
     ['cw*cxw']
     """
-    s, t, a, b = x.s, x.t, x.a, x.b
+    p, q, s, t, a, b = x
     if gen == "z0":
         s += 1
     elif gen == "z1":
@@ -375,7 +396,7 @@ def gen_mul(gen: str, x: BasisMonomial, ring, coeff, out: dict) -> None:
         b += 1
     else:
         raise ValueError(f"unknown generator {gen!r}")
-    _normalize(x.sp, ring, coeff, s, t, a, b, out)
+    _normalize(p, q, ring, coeff, s, t, a, b, out)
 
 
 def _walk(terms: dict, steps, ring) -> dict:
@@ -454,9 +475,11 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
         x, y = y, x
     out: dict = {}
     for mono, coeff in y.terms.items():
-        steps = (("z0", mono.s), ("z1", mono.t), ("cw", mono.a), ("cxw", mono.b))
+        _, _, s, t, a, b = mono
+        steps = (("z0", s), ("z1", t), ("cw", a), ("cxw", b))
         for image, c in _walk(x.terms, steps, x.ring).items():
-            _emit(out, image, c * coeff)
+            if c:  # a walk may leave a zero; scaling it is wasted work
+                _emit(out, image, c * coeff)
     return ModuleElement._trusted(x.sp, out, x.ring)
 
 

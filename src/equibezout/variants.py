@@ -66,11 +66,12 @@ class ZHElement(HElement):
     def __init__(self, terms: dict[HMonomial, int]):
         folded: dict[HMonomial, int] = {}
         for mono, coeff in terms.items():
-            if mono.family == KAPPA:
+            family, u, v = mono
+            if family == KAPPA:
                 continue
-            if mono.family == TRANSFER and not mono.v:  # g
+            if family == TRANSFER and not v:  # g
                 mono, coeff = MONO_ONE, 2 * coeff
-            elif mono.u:
+            elif u:
                 coeff %= 2  # e^u*xi^v with u >= 1: nothing else folds onto it
             folded[mono] = folded.get(mono, 0) + coeff
         super().__init__(folded)

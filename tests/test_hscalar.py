@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from equibezout import hscalar as hs
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import (
     KAPPA,
@@ -97,6 +98,34 @@ def test_monomials_exist_only_where_their_family_has_a_group():
                          (TRANSFER, -1, -1), (3, 0, 0)]:
         with pytest.raises(ValueError, match="no point-ring monomial"):
             HMonomial(family, u, v)
+
+
+def test_monomials_hash_and_compare_as_tuples():
+    # dict lookups in the point-ring product use tuple's own C slots
+    assert HMonomial.__hash__ is tuple.__hash__
+    assert HMonomial.__eq__ is tuple.__eq__
+    x = HMonomial(KAPPA, -2, 0)
+    assert x == (KAPPA, -2, 0) and hash(x) == hash((KAPPA, -2, 0))
+    assert (x.family, x.u, x.v, x.grading) == (KAPPA, -2, 0, PiBDegree(0, 0, -2))
+    with pytest.raises(AttributeError):
+        x.u = 0
+
+
+def test_monomial_constructor_matches_the_existence_oracle():
+    built = 0
+    for family, u, v in itertools.product(range(-1, 4), range(-4, 5), range(-4, 5)):
+        if hs._exists(family, u, v):
+            assert HMonomial(family, u, v) == (family, u, v)
+            built += 1
+        else:
+            with pytest.raises(ValueError, match="no point-ring monomial"):
+                HMonomial(family, u, v)
+    assert built == 25 + 4 + 5  # plain u, v >= 0; kappa u < 0; transfer v <= 0
+
+
+def test_monomials_of_different_families_never_compare_equal():
+    assert len(set(MONOS)) == len({(m.family, m.u, m.v) for m in MONOS}) == len(MONOS)
+    assert MONO_ONE != MONO_G and HMonomial(PLAIN, 0, 0) == MONO_ONE
 
 
 def test_monomial_grading_from_exponents():

@@ -1,12 +1,20 @@
 """Basis structure, the rewrite engine, and the two restriction maps."""
 
+import copy
+import itertools
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from equibezout import hscalar as hs
 from equibezout import projmod
+from equibezout.euler import BundleSum, O, euler_product, xO
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement, h_fixed, h_rho
 from equibezout.projmod import (
@@ -271,6 +279,91 @@ def test_basis_monomial_hash_contract():
     one = BasisMonomial(ProjSpace(2, 2), 0, 0, 0, 0)
     assert one != BasisMonomial(ProjSpace(2, 3), 0, 0, 0, 0)
     assert one != BasisMonomial(ProjSpace(2, 2), 0, 0, 1, 0)
+
+
+def test_basis_monomials_hash_and_compare_as_tuples():
+    # dict lookups in the rewrite engine use tuple's own C slots
+    assert BasisMonomial.__hash__ is tuple.__hash__
+    assert BasisMonomial.__eq__ is tuple.__eq__
+    x = BasisMonomial(ProjSpace(3, 2), 1, 0, 2, 1)
+    assert x == (3, 2, 1, 0, 2, 1) and hash(x) == hash((3, 2, 1, 0, 2, 1))
+    assert (x.sp, x.s, x.t, x.a, x.b) == (ProjSpace(3, 2), 1, 0, 2, 1)
+    with pytest.raises(AttributeError):
+        x.s = 0
+
+
+def test_basis_monomial_constructor_matches_the_family_oracle():
+    box = range(-3, 4), range(-3, 4), range(-1, 6), range(-1, 6)
+    built = 0
+    for sp in all_spaces(4):
+        for s, t, a, b in itertools.product(*box):
+            if projmod._family(sp.p, sp.q, s, t, a, b) is None:
+                with pytest.raises(ValueError, match="not a basis monomial"):
+                    BasisMonomial(sp, s, t, a, b)
+            else:
+                assert BasisMonomial(sp, s, t, a, b) == (sp.p, sp.q, s, t, a, b)
+                built += 1
+    assert built > len(list(all_spaces(4)))
+
+
+def test_basis_monomials_of_different_spaces_never_compare_equal():
+    monos = [x for sp in all_spaces(3) for m in range(-3, 4) for x in basis(sp, m)]
+    fields = {(x.sp, x.s, x.t, x.a, x.b) for x in monos}
+    assert len(set(monos)) == len(fields)
+    point = [hs.HMonomial(f, u, v) for f, u, v in
+             ((hs.PLAIN, 0, 0), (hs.TRANSFER, 0, 0), (hs.KAPPA, -1, 0), (hs.PLAIN, 1, 1))]
+    assert not set(monos) & set(point)
+    assert all(x != y for x in monos[:40] for y in point)
+
+
+def test_family_guard_holds_without_asserts():
+    # the guard on every emitted image is an if, not an assert
+    code = (
+        "from equibezout import projmod\n"
+        "for exps in ((0, 1, 0, 1), (0, 0, 2, 2), (-1, 0, 1, 0)):\n"
+        "    try:\n"
+        "        projmod._basis(2, 2, *exps)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {exps}')\n"
+        "print('guarded')\n"
+    )
+    src = str(pathlib.Path(projmod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "guarded\n"), proc.stderr
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_euler_classes_survive_pickle_and_deepcopy(ring):
+    F = BundleSum.make(ProjSpace(4, 4), [O(3), O(3), O(2), xO(1), xO(2)])
+    x = euler_product(F, ring)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert twin == x and str(twin) == str(x) and twin.ring is ring
+        assert all(type(mono) is BasisMonomial and type(c) is ring
+                   for mono, c in twin.terms.items())
+        assert {mono: c for mono, c in twin.terms.items()} == x.terms
+        assert apply_gen("z1", twin) == apply_gen("z1", x)
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_mod_mul_multiplies_no_zero_scalar(ring, monkeypatch):
+    # a walk may leave a zero coefficient; mod_mul drops it before scaling
+    calls = {"all": 0, "zero": 0}
+    product = HElement.__mul__
+
+    def counted(self, other):
+        calls["all"] += 1
+        calls["zero"] += not self or not other
+        return product(self, other)
+
+    monkeypatch.setattr(HElement, "__mul__", counted)
+    monkeypatch.setattr(HElement, "__rmul__", counted)
+    for sp, lines in ((ProjSpace(3, 5), [O(2)] * 3 + [O(3)] * 4),
+                      (ProjSpace(3, 3), [O(1), O(2), O(5), xO(2), xO(3)])):
+        euler_product(BundleSum.make(sp, lines), ring)
+    assert calls["all"] > 0 and calls["zero"] == 0, calls
 
 
 def all_spaces(maxpq):
