@@ -25,7 +25,7 @@ import sys
 from . import euler as _euler
 from . import variants as _variants
 from .grading import join_signed
-from .hscalar import PLAIN, monomials_in_grading
+from .hscalar import monomials_in_grading, signed_term
 from .parsing import ParseError, parse_bundle_terms, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
 from .verify import run_verify
@@ -41,16 +41,8 @@ def format_t_scalar(x) -> str:
     16*xi^2 is printed as 8*tau(i^4); anything else falls back to the
     plain normal form.  Both spellings parse back to the same element.
     """
-    if len(x.terms) == 1:
-        ((mono, coeff),) = x.terms.items()
-        if mono.family == PLAIN and not mono.u and mono.v and coeff % 2 == 0:
-            half = coeff // 2
-            body = f"tau(i^{2 * mono.v})"
-            if half == 1:
-                return body
-            if half == -1:
-                return f"-{body}"
-            return f"{half}*{body}"
+    if not x.u and x.v > 0 and x.c % 2 == 0:  # an even multiple of xi^v
+        return signed_term(x.c // 2, f"tau(i^{2 * x.v})")
     return str(x)
 
 
@@ -241,7 +233,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text)
     if not m:
         raise ParseError(f"bad range {text!r}; expected LO..HI")
-    return int(m.group(1)), int(m.group(2))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise ParseError(f"empty range {text!r}; expected LO <= HI")
+    return lo, hi
 
 
 def chart_cell(a: int, b: int) -> str:
@@ -258,8 +253,6 @@ def chart_cell(a: int, b: int) -> str:
 
 
 def chart_lines(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> list[str]:
-    if a_lo > a_hi or b_lo > b_hi:
-        return []
     lines = []
     for b in range(b_hi, b_lo - 1, -1):
         cells = " ".join(chart_cell(a, b) for a in range(a_lo, a_hi + 1))

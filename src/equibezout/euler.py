@@ -34,18 +34,7 @@ from math import prod
 
 from . import hscalar
 from .grading import RankTriple, euler_grading, recover_ranks
-from .hscalar import (
-    KAPPA,
-    MONO_G,
-    MONO_ONE,
-    PLAIN,
-    TRANSFER,
-    HElement,
-    HMonomial,
-    e_power_kappa,
-    in_Ie,
-    tau_iota,
-)
+from .hscalar import HElement, e_power_kappa, in_Ie, tau_iota
 from .projmod import (
     BasisMonomial,
     ModuleElement,
@@ -63,11 +52,6 @@ TYPE_I = "I"
 TYPE_II = "II"
 TYPE_III = "III"
 TYPE_IV = "IV"
-
-# the point-ring monomials of the line classes, besides 1 and g
-_E2 = HMonomial(PLAIN, 2, 0)
-_EIK2 = HMonomial(KAPPA, -2, 0)  # e^-2*kappa
-_TAUINV1 = HMonomial(TRANSFER, 0, -1)  # tau(i^-2)
 
 
 class EulerInternalError(ArithmeticError):
@@ -198,10 +182,10 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
     with g*e^-2*kappa = 0 and e^2*e^-2*kappa = kappa = 2 - g.  At p = 1 the
     carrier z1*cw*cxw is xi*z0^-1*cw*cxw (0 when also q = 1), and at q = 1
     the carrier z0*cw*cxw of xO(2h+1) is xi*z1^-1*cw*cxw; e^-2*kappa*xi = 0
-    kills both.  Each coefficient is written as a dict of point-ring
-    monomials and put into ``ring``'s normal form by ``ring(...)``, so the
-    constant-Z classes fold g to 2 there; zero coefficients (h = 0, or
-    e^-m*kappa in constant Z) drop out.
+    kills both.  Each coefficient is written as its point-ring fields
+    (u, v, c, g) and put into ``ring``'s normal form by ``ring(u, v, c, g)``,
+    so the constant-Z classes fold g to 2 there; zero coefficients (h = 0,
+    or e^-m*kappa in constant Z) drop out.
 
     >>> print(euler_line(O(5), ProjSpace(2, 1)))
     5*cw - 2*e^-2*kappa*z0*cw^2
@@ -212,21 +196,21 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
     h, odd = divmod(L.d, 2)
     if not L.twisted and odd:  # O(2h+1)
         if p == 1:
-            terms = {(0, 0, 1, 0): {MONO_ONE: 1, MONO_G: h}}
+            terms = {(0, 0, 1, 0): (0, 0, 1, h)}
         else:
-            terms = {(0, 0, 1, 0): {MONO_ONE: 2 * h + 1}, (1, 0, 2, 0): {_EIK2: -h}}
+            terms = {(0, 0, 1, 0): (0, 0, 2 * h + 1, 0), (1, 0, 2, 0): (-2, 0, -h, 0)}
     elif not L.twisted:  # O(2h)
-        terms = {(1, 0, 1, 0): {_TAUINV1: h}}
+        terms = {(1, 0, 1, 0): (0, -1, h, 0)}  # tau(i^-2)
         if (p, q) != (1, 1):
-            terms[0, 0, 1, 1] = {_EIK2: h}
+            terms[0, 0, 1, 1] = (-2, 0, h, 0)  # e^-2*kappa
     elif odd:  # xO(2h+1)
-        terms = {(0, 0, 0, 1): {MONO_ONE: 1, MONO_G: h}}
+        terms = {(0, 0, 0, 1): (0, 0, 1, h)}
         if q > 1:
-            terms[1, 0, 1, 1] = {_EIK2: h}
+            terms[1, 0, 1, 1] = (-2, 0, h, 0)
     else:  # xO(2h)
-        terms = {(0, 0, 0, 0): {_E2: 1}, (1, 0, 1, 0): {MONO_G: h}}
+        terms = {(0, 0, 0, 0): (2, 0, 1, 0), (1, 0, 1, 0): (0, 0, 0, h)}
     return ModuleElement._trusted(
-        sp, {BasisMonomial(sp, *mono): ring(c) for mono, c in terms.items()}, ring)
+        sp, {BasisMonomial(sp, *mono): ring(*c) for mono, c in terms.items()}, ring)
 
 
 def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:

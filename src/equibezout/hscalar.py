@@ -13,19 +13,22 @@ The monomials come in three families:
                               the nonequivariant invertible class i;
                               g = tau(1) at the origin)
 
-so degree 0 is the Burnside ring on 1 and g, with g^2 = 2g.  Each of the
-two other families continues along its axis (u for kappa, v for the
-transfers) past the origin into the plain monomials: e^u*kappa is
-kappa = 2 - g at u = 0 and 2e^u for u > 0, and tau(i^2v) is 2*xi^v for
-v > 0.  A monomial is the tuple ``(family, u, v)`` (:class:`HMonomial`):
-it hashes, compares and orders as that bare exponent tuple, with tuple's
-C slots, and (u, v) alone fixes its grading.
+so degree 0 is the Burnside ring on 1 and g, with g^2 = 2g, and every other
+grading holds one group: Z/2 at u, v >= 1, Z elsewhere on the axes and in
+the plain quadrant, and nothing off them.  Each of the two other families
+continues along its axis (u for kappa, v for the transfers) past the origin
+into the plain monomials: e^u*kappa is kappa = 2 - g at u = 0 and 2e^u for
+u > 0, and tau(i^2v) is 2*xi^v for v > 0.  A monomial is the tuple
+``(family, u, v)`` (:class:`HMonomial`), the form in which it prints and
+parses; it hashes, compares and orders as that bare tuple, with tuple's C
+slots.
 
-An :class:`HElement` is a graded-homogeneous integer combination of these
-monomials in normal form (no zero coefficients, e^u*xi^v coefficients
-reduced mod 2 when u, v >= 1), on the ring core :class:`Scalar` that the
-constant-Z and Borel scalars share.  In a product the signed exponents
-always add, and the monomial product is three laws:
+A homogeneous element is therefore four integers, :class:`HElement`
+``(u, v, c, g)``: ``c`` is the coefficient of the one monomial at (u, v)
+other than g, whose family the signs of u and v fix (kappa for u < 0,
+transfer for v < 0, plain otherwise), and ``g`` is the coefficient of g,
+nonzero only at the origin.  In a product the signed exponents always add,
+and the product of two family members is three laws (``_family_product``):
 
 * plain times plain is the plain monomial at the sum;
 * a product with a family member is zero when the sum has a nonzero
@@ -67,6 +70,27 @@ def monomial_text(uv: tuple[int, int]) -> str:
     return "*".join(factors) or "1"
 
 
+def _text_at(u: int, v: int) -> str:
+    """The monomial at (u, v) other than g, as text."""
+    if u < 0:
+        return f"e^{u}*kappa"
+    if v < 0:
+        return f"tau(i^{2 * v})"
+    return monomial_text((u, v))
+
+
+def signed_term(coeff: int, body: str) -> str:
+    """``coeff*body`` with its sign in front, the factor 1 and the body "1"
+    left out."""
+    if body == "1":
+        chunk = str(abs(coeff))
+    elif abs(coeff) == 1:
+        chunk = body
+    else:
+        chunk = f"{abs(coeff)}*{body}"
+    return "-" + chunk if coeff < 0 else chunk
+
+
 class HMonomial(tuple):
     """One monomial of the point ring: the tuple ``(family, u, v)``.
 
@@ -100,101 +124,41 @@ class HMonomial(tuple):
         return "HMonomial(family={}, u={}, v={})".format(*self)
 
     def __str__(self) -> str:
-        family, u, v = self
-        if family == KAPPA:
-            return f"e^{u}*kappa"
-        if family == TRANSFER:
-            return f"tau(i^{2 * v})" if v else "g"
-        return monomial_text((u, v))
+        return "g" if self == MONO_G else _text_at(self[1], self[2])
 
 
 MONO_ONE = HMonomial(PLAIN, 0, 0)
 MONO_G = HMonomial(TRANSFER, 0, 0)
 
 
-def _member(family: int, w: int) -> list[tuple[HMonomial, int]]:
-    """The member at w of a family along its axis, e^w*kappa or tau(i^2w),
-    for any integer w, as (monomial, coefficient) pairs."""
-    uv = (w, 0) if family == KAPPA else (0, w)
-    if w > 0:  # e^w*kappa = 2e^w, tau(i^2w) = 2*xi^w
-        return [(HMonomial(PLAIN, *uv), 2)]
-    if w == 0 and family == KAPPA:
-        return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
-    return [(HMonomial(family, *uv), 1)]
-
-
-def _mono_mul(x: HMonomial, y: HMonomial) -> list[tuple[HMonomial, int]]:
-    """Product of two monomials as a list of (monomial, coefficient) pairs,
+def _family_product(fx: int, fy: int, u: int, v: int) -> tuple[int, int]:
+    """The product of a family-``fx`` and a family-``fy`` monomial whose
+    exponents sum to (u, v), as (coefficient at (u, v), coefficient of g),
     by the three laws of the module docstring."""
-    if x[0] > y[0]:
-        x, y = y, x  # y is a family member when either factor is
-    fx, ux, vx = x
-    fy, uy, vy = y
-    if not (fx or ux or vx):
-        return [(y, 1)]
-    if not (fy or uy or vy):
-        return [(x, 1)]
-    u, v = ux + uy, vx + vy
+    if fx > fy:
+        fx, fy = fy, fx  # fy is a family member when either factor is
     if fy == PLAIN:
-        return [(HMonomial(PLAIN, u, v), 1)]
+        return 1, 0
     along, across = (u, v) if fy == KAPPA else (v, u)
     if across:  # a kappa factor is always across the transfer axis
-        return []
-    if fx == PLAIN:
-        return _member(fy, along)
-    return [(mono, 2 * c) for mono, c in _member(fy, along)]
+        return 0, 0
+    k = 1 if fx == PLAIN else 2
+    if along > 0:  # e^w*kappa = 2e^w, tau(i^2w) = 2*xi^w
+        return 2 * k, 0
+    if along < 0:
+        return k, 0
+    return (2 * k, -k) if fy == KAPPA else (0, k)  # kappa = 2 - g, tau(1) = g
 
 
 class Scalar:
-    """Integer combinations of monomials in a normal form: the shared core.
+    """The operators a scalar ring derives from its own ``+``, ``-x`` and
+    ``from_int``."""
 
-    Supports ==, hash, +, -, * (with elements of the same class and with
-    ints), exact halving and the signed ``coeff*monomial`` text.  Arithmetic
-    builds its results with ``type(self)``, whose ``__init__`` puts a dict
-    of terms into normal form; a subclass supplies that and three hooks:
-    the unit monomial ``_UNIT``, the monomial product ``_mono_mul`` (a list
-    of (monomial, coefficient) pairs), and ``_mono_text`` for printing.  The
-    terms print in the natural order of their monomials.  Scalars of
-    different classes never mix.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
-        return cls({})
-
-    @classmethod
-    def from_int(cls, c: int):
-        return cls({cls._UNIT: c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not type(self):
-            return NotImplemented  # scalars of different rings never mix
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not type(self):
-            return NotImplemented
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return type(self)(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return cls.from_int(0)
 
     def __sub__(self, other):
         return self + (-other)
@@ -202,55 +166,18 @@ class Scalar:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return type(self)({m: other * c for m, c in self.terms.items()})
-        if type(other) is not type(self):
-            return NotImplemented
-        mono_mul = self._mono_mul
-        out: dict = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                for mono, c in mono_mul(mx, my):
-                    out[mono] = out.get(mono, 0) + cx * cy * c
-        return type(self)(out)
-
-    __rmul__ = __mul__
-
-    def divide_by_two(self):
-        """Exact division by 2; raises ArithmeticError when not divisible."""
-        halved = {}
-        for mono, coeff in self.terms.items():
-            if coeff % 2:
-                raise ArithmeticError(f"{self} is not divisible by 2")
-            halved[mono] = coeff // 2
-        return type(self)(halved)
-
-    def __str__(self) -> str:
-        """Canonical text form: signed sum of coeff*monomial."""
-        chunks = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            body = self._mono_text(mono)
-            if body == "1":
-                chunk = str(abs(coeff))
-            elif abs(coeff) == 1:
-                chunk = body
-            else:
-                chunk = f"{abs(coeff)}*{body}"
-            chunks.append(("-" if coeff < 0 else "") + chunk)
-        return join_signed(chunks)
-
-    __repr__ = __str__
-
 
 class HElement(Scalar):
-    """A homogeneous element of the point ring in normal form.
+    """A homogeneous element of the point ring: the fields (u, v, c, g) of
+    the module docstring.
 
-    The grading is read off the support; the zero element is
-    grading-agnostic.  A subclass that only changes the normal form in
-    ``__init__`` is a quotient ring with the same monomials and monomial
-    product (see ``variants.ZHElement``).
+    The constructor is the normal form: it reduces c mod 2 at u, v >= 1 and
+    raises ValueError for a nonzero c where the ring has no group or a
+    nonzero g off the origin.  Zero is grading-agnostic: it is stored at the
+    origin, so all zeros are equal and hash alike.  A subclass that only
+    changes the normal form in ``__init__`` is a quotient ring with the same
+    product (see ``variants.ZHElement``).  Scalars of different classes
+    never mix.
 
     >>> g = HElement.monomial(MONO_G)
     >>> print(g * g)
@@ -259,49 +186,112 @@ class HElement(Scalar):
     0
     """
 
-    __slots__ = ()
+    __slots__ = ("u", "v", "c", "g")
 
-    _UNIT = MONO_ONE
-    _mono_mul = staticmethod(_mono_mul)
-    _mono_text = staticmethod(HMonomial.__str__)
-
-    def __init__(self, terms: dict[HMonomial, int]):
-        clean: dict[HMonomial, int] = {}
-        first = None  # (u, v) determines the grading, so compare those
-        for mono, coeff in terms.items():
-            _, u, v = mono
-            if u and v:  # e^u*xi^v with u, v >= 1
-                coeff %= 2
-            if not coeff:
-                continue
-            if first is None:
-                first, fu, fv = mono, u, v
-            elif u != fu or v != fv:
-                raise ValueError(
-                    f"mixed gradings in element: {mono.grading} vs {first.grading}"
-                )
-            clean[mono] = coeff
-        self.terms = clean
-
-    # own binding: bench/tracer.py times point-ring products through
-    # vars(HElement)["__mul__"]
-    __mul__ = __rmul__ = Scalar.__mul__
+    def __init__(self, u: int, v: int, c: int, g: int = 0):
+        if u and v:  # off both axes: Z/2 at u, v >= 1 and no group elsewhere
+            if u > 0 < v:
+                c %= 2
+            elif c:
+                raise ValueError(f"no point-ring group at u={u}, v={v}")
+        if g and (u or v):
+            raise ValueError(f"a g term at u={u}, v={v}: g lies at the origin")
+        if not (c or g):
+            u = v = 0
+        self.u = u
+        self.v = v
+        self.c = c
+        self.g = g
 
     @classmethod
     def monomial(cls, mono: HMonomial, coeff: int = 1) -> "HElement":
-        return cls({mono: coeff})
+        return cls(0, 0, 0, coeff) if mono == MONO_G else cls(mono[1], mono[2], coeff)
+
+    @classmethod
+    def from_int(cls, c: int) -> "HElement":
+        return cls(0, 0, c)
 
     @classmethod
     def from_burnside(cls, x: "HElement") -> "HElement":
         """Carry a Burnside scalar into this ring's normal form."""
-        return cls(dict(x.terms))
+        return cls(x.u, x.v, x.c, x.g)
 
     @property
     def grading(self) -> PiBDegree | None:
-        """Common grading of the support; None for the zero element."""
-        for mono in self.terms:
-            return mono.grading
-        return None
+        """The grading of (u, v); None for the zero element."""
+        if not (self.c or self.g):
+            return None
+        return PiBDegree(0, -2 * self.v, self.u + 2 * self.v)
+
+    def __bool__(self) -> bool:
+        return bool(self.c or self.g)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            if not isinstance(other, int):
+                return NotImplemented  # scalars of different rings never mix
+            other = self.from_int(other)
+        return (self.c == other.c and self.g == other.g
+                and self.u == other.u and self.v == other.v)
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.c, self.g))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = self.from_int(other)
+        if self.u == other.u and self.v == other.v:
+            return type(self)(self.u, self.v, self.c + other.c, self.g + other.g)
+        if not other:
+            return self
+        if not self:
+            return other
+        raise ValueError(f"mixed gradings in element: {other.grading} vs {self.grading}")
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.u, self.v, -self.c, -self.g)
+
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            if not isinstance(other, int):
+                return NotImplemented
+            return cls(self.u, self.v, self.c * other, self.g * other)
+        xu, xv, xc, xg = self.u, self.v, self.c, self.g
+        yu, yv, yc, yg = other.u, other.v, other.c, other.g
+        u, v = xu + yu, xv + yv
+        fx = KAPPA if xu < 0 else TRANSFER if xv < 0 else PLAIN
+        fy = KAPPA if yu < 0 else TRANSFER if yv < 0 else PLAIN
+        c, g = _family_product(fx, fy, u, v)
+        c, g = xc * yc * c, xc * yc * g
+        if xg or yg:  # a factor with a g term sits at the origin
+            for f1, f2, k in ((fx, TRANSFER, xc * yg), (TRANSFER, fy, xg * yc),
+                              (TRANSFER, TRANSFER, xg * yg)):
+                if k:
+                    dc, dg = _family_product(f1, f2, u, v)
+                    c, g = c + k * dc, g + k * dg
+        return cls(u, v, c, g)
+
+    __rmul__ = __mul__
+
+    def divide_by_two(self):
+        """Exact division by 2; raises ArithmeticError when not divisible."""
+        if self.c % 2 or self.g % 2:
+            raise ArithmeticError(f"{self} is not divisible by 2")
+        return type(self)(self.u, self.v, self.c // 2, self.g // 2)
+
+    def __str__(self) -> str:
+        """Canonical text form: signed sum of coeff*monomial, 1 before g."""
+        chunks = [signed_term(self.c, _text_at(self.u, self.v))] if self.c else []
+        if self.g:
+            chunks.append(signed_term(self.g, "g"))
+        return join_signed(chunks)
+
+    __repr__ = __str__
 
     # hooks used by the generic module rewrite engine.  Each is built on
     # first use and then shared: one value per ring class (and per n for
@@ -317,17 +307,17 @@ class HElement(Scalar):
     @cache
     def ring_u(cls) -> "HElement":
         # the unit u = 1 - kappa = g - 1, with u^2 = 1
-        return cls({MONO_G: 1, MONO_ONE: -1})
+        return cls(0, 0, -1, 1)
 
     @classmethod
     @cache
     def ring_e2(cls) -> "HElement":
-        return cls.monomial(HMonomial(PLAIN, 2, 0))
+        return cls(2, 0, 1)
 
     @classmethod
     @cache
     def ring_xi(cls, n: int) -> "HElement":
-        return cls.monomial(HMonomial(PLAIN, 0, n))
+        return cls(0, n, 1)
 
 
 def one() -> HElement:
@@ -335,7 +325,7 @@ def one() -> HElement:
 
 
 def g() -> HElement:
-    return HElement.monomial(MONO_G)
+    return HElement(0, 0, 0, 1)
 
 
 def kappa() -> HElement:
@@ -343,33 +333,33 @@ def kappa() -> HElement:
 
 
 def e(m: int = 1) -> HElement:
-    return HElement.monomial(HMonomial(PLAIN, m, 0))
+    return HElement(m, 0, 1)
 
 
 def einvkappa(m: int) -> HElement:
-    return HElement.monomial(HMonomial(KAPPA, -m, 0))
+    return HElement(-m, 0, 1)
 
 
 def xi(n: int = 1) -> HElement:
-    return HElement.monomial(HMonomial(PLAIN, 0, n))
+    return HElement(0, n, 1)
 
 
 def exi(m: int, n: int) -> HElement:
-    return HElement.monomial(HMonomial(PLAIN, m, n))
+    return HElement(m, n, 1)
 
 
 def tauinv(n: int) -> HElement:
-    return HElement.monomial(HMonomial(TRANSFER, 0, -n))
+    return HElement(0, -n, 1)
 
 
 def tau_iota(k: int) -> HElement:
     """tau(i^2k) for any integer k: tau(1) = g and tau(i^2k) = 2*xi^k."""
-    return HElement(dict(_member(TRANSFER, k)))
+    return HElement(0, k, *_family_product(PLAIN, TRANSFER, 0, k))
 
 
 def e_power_kappa(j: int) -> HElement:
     """e^j * kappa for any integer j (2e^j for j > 0, kappa at j = 0)."""
-    return HElement(dict(_member(KAPPA, j)))
+    return HElement(j, 0, *_family_product(PLAIN, KAPPA, j, 0))
 
 
 def h_rho(x: HElement) -> tuple[int, int]:
@@ -379,30 +369,17 @@ def h_rho(x: HElement) -> tuple[int, int]:
     power of i; the second component is that power (0 when the image is 0).
     The transfer classes restrict to twice a power of i.
     """
-    total = 0
-    carrier = 0
-    for mono, coeff in x.terms.items():
-        if mono.family == TRANSFER:
-            total += 2 * coeff
-        elif mono.family == PLAIN and not mono.u:
-            total += coeff
-        else:
-            continue
-        carrier = mono.u + 2 * mono.v  # the s part of the grading
-    if total == 0:
+    if x.u:  # e^u*xi^v with u >= 1 and the kappa family restrict to 0
         return (0, 0)
-    return (total, carrier)
+    total = (2 * x.c if x.v < 0 else x.c) + 2 * x.g
+    return (total, 2 * x.v) if total else (0, 0)
 
 
 def h_fixed(x: HElement) -> int:
     """Value of the fixed-point map, an integer."""
-    total = 0
-    for mono, coeff in x.terms.items():
-        if mono.family == KAPPA:
-            total += 2 * coeff
-        elif mono.family == PLAIN and not mono.v:
-            total += coeff
-    return total
+    if x.v:  # xi^v with v >= 1 and the transfers other than g fix to 0
+        return 0
+    return 2 * x.c if x.u < 0 else x.c
 
 
 def in_T(x: HElement) -> bool:
@@ -412,8 +389,7 @@ def in_T(x: HElement) -> bool:
     e^-m*kappa and of tau(i^-2n), and the even multiples of xi^n (these
     being the integer multiples of tau(i^2n)).  No e^m*xi^n class is in T.
     """
-    # only plain monomials have v > 0
-    return not any(mono.v > 0 and (mono.u or coeff % 2) for mono, coeff in x.terms.items())
+    return not (x.v > 0 and (x.u or x.c % 2))
 
 
 def in_Ie(x: HElement) -> bool:
@@ -422,10 +398,7 @@ def in_Ie(x: HElement) -> bool:
     On top of T-membership this requires the unit coefficient in degree 0
     and all e^m coefficients to be even.
     """
-    return in_T(x) and not any(
-        mono.family == PLAIN and not mono.v and coeff % 2
-        for mono, coeff in x.terms.items()
-    )
+    return in_T(x) and not (x.v == 0 and x.u >= 0 and x.c % 2)
 
 
 def monomials_in_grading(a: int, b: int) -> list[HMonomial]:

@@ -333,6 +333,8 @@ def parse_module_element(text: str, sp: ProjSpace) -> ModuleElement:
 _BUNDLE_RE = re.compile(
     r"\s*(?:(\d+)\s*\*\s*)?(x?O)\s*\(\s*(-?\d+)\s*\)\s*$"
 )
+# one bundle term: everything up to a "+" outside parentheses
+_CHUNK_RE = re.compile(r"(?:[^+(]|\([^)]*\)?)*")
 
 
 def parse_bundle_terms(text: str) -> list[tuple[LineBundle, int]]:
@@ -346,10 +348,13 @@ def parse_bundle_terms(text: str) -> list[tuple[LineBundle, int]]:
     if not text.strip():
         raise ParseError("empty bundle list")
     terms = []
-    for chunk in text.split("+"):
+    pos = 0
+    while pos <= len(text):
+        chunk = _CHUNK_RE.match(text, pos).group()
+        pos += len(chunk) + 1  # past the "+" that ends the chunk
         m = _BUNDLE_RE.match(chunk)
         if not m:
-            raise ParseError(f"bad bundle term {chunk.strip()!r}")
+            raise ParseError(f"bad bundle term {chunk.strip()!r} in {text!r}")
         count = int(m.group(1)) if m.group(1) else 1
         if count < 1:
             raise ParseError(f"bundle count must be positive in {chunk.strip()!r}")

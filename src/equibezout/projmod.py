@@ -324,7 +324,7 @@ class ModuleElement:
                 chunks.append(mtext)
             elif ctext == "-1":
                 chunks.append(f"-{mtext}")
-            elif len(coeff.terms) > 1:
+            elif coeff.c and coeff.g:
                 chunks.append(f"({ctext})*{mtext}")
             else:
                 chunks.append(f"{ctext}*{mtext}")

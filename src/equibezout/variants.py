@@ -6,19 +6,20 @@ classes:
 * constant-Z coefficients, obtained by killing kappa (so g = 2, the
   kappa family e^-m*kappa vanishes, and e becomes 2-torsion).  Only the
   normal form changes, so its scalar ``ZHElement`` is ``HElement`` with a
-  different ``__init__``: same monomials, same monomial product, same module
-  engine.  ``ZHElement.from_burnside`` is the change of coefficients;
+  different ``__init__``: the same fields (u, v, c, g), the same product
+  law, the same module engine.  ``ZHElement.from_burnside`` is the change
+  of coefficients;
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single
   polynomial generator c with c^p * (c + e^2)^q = 0, and the fixed-point
-  information disappears entirely.  Its scalar ``BorelScalar`` is another
-  normal form on the shared core ``hscalar.Scalar``, whose monomials are
-  the signed exponent pairs (u, v) of e^u*xi^v.  A Burnside monomial keeps
-  its exponents: the plain ones map to themselves, a transfer tau(i^2v) to
-  2*xi^v, and the kappa family to 0.
+  information disappears entirely.  Its scalar ``BorelScalar`` is a dict
+  of integer coefficients keyed by the exponent pairs (u, v) of
+  e^u*xi^v, as its elements need not be homogeneous.  A Burnside scalar
+  keeps its exponents: the plain monomials map to themselves, a transfer
+  tau(i^2v) to 2*xi^v, and the kappa family to 0.
 
-All three scalar rings share one arithmetic and one printer, and refuse
-to mix with each other.
+The three scalar rings share the operators ``hscalar.Scalar`` derives from
+each ring's own arithmetic, and refuse to mix with each other.
 
 Each theory has its own closed Bezout formula, evaluated here directly
 from the ranks and degrees; the comparison report puts the three theories
@@ -33,16 +34,7 @@ from math import comb
 
 from . import euler as _euler
 from .grading import join_signed
-from .hscalar import (
-    KAPPA,
-    MONO_ONE,
-    PLAIN,
-    TRANSFER,
-    HElement,
-    HMonomial,
-    Scalar,
-    monomial_text,
-)
+from .hscalar import HElement, Scalar, monomial_text, signed_term
 from .projmod import (
     ModuleElement,
     NoneqPoly,
@@ -63,18 +55,14 @@ class ZHElement(HElement):
 
     __slots__ = ()
 
-    def __init__(self, terms: dict[HMonomial, int]):
-        folded: dict[HMonomial, int] = {}
-        for mono, coeff in terms.items():
-            family, u, v = mono
-            if family == KAPPA:
-                continue
-            if family == TRANSFER and not v:  # g
-                mono, coeff = MONO_ONE, 2 * coeff
-            elif u:
-                coeff %= 2  # e^u*xi^v with u >= 1: nothing else folds onto it
-            folded[mono] = folded.get(mono, 0) + coeff
-        super().__init__(folded)
+    def __init__(self, u: int, v: int, c: int, g: int = 0):
+        if u < 0 and not v:  # the kappa family
+            c = 0
+        elif u > 0 and v >= 0:  # e^u*xi^v: nothing else folds onto it
+            c %= 2
+        if not (u or v):  # g = 2
+            c, g = c + 2 * g, 0
+        super().__init__(u, v, c, g)
 
     def __mul__(self, other) -> "ZHElement":
         # own binding: bench/tracer.py counts constant-Z products through
@@ -102,7 +90,7 @@ def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
         return pn.scale(dd.delta)
     result = pn.scale(ZHElement.from_burnside(car.tau_n)).scale(dd.delta // 2)
     if dd.delta0 % 2 or dd.delta1 % 2:
-        e_pow = ZHElement({HMonomial(PLAIN, 2 * (n - n0 - n1), 0): 1})
+        e_pow = ZHElement(2 * (n - n0 - n1), 0, 1)
         pkm1 = raw_monomial(F.sp, 0, 0, n0, n1, ZHElement)
         result = result + pkm1.scale(e_pow)
     return result
@@ -123,20 +111,12 @@ def z_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
 class BorelScalar(Scalar):
     """An element of Z[e, xi, xi^-1]/(2e): monomials e^u * xi^v, u >= 0.
 
-    A normal form on the shared scalar core (``hscalar.Scalar``): the
-    monomial is the exponent pair (u, v), the product adds exponents, and
-    coefficients are integers for u = 0 and live in Z/2 for u >= 1.
+    A dict of coefficients keyed by the exponent pair (u, v); the product
+    adds exponents, and coefficients are integers for u = 0 and live in
+    Z/2 for u >= 1.  The terms print in the order of their exponents.
     """
 
-    __slots__ = ()
-
-    _UNIT = (0, 0)
-
-    @staticmethod
-    def _mono_mul(x: tuple[int, int], y: tuple[int, int]):
-        return (((x[0] + y[0], x[1] + y[1]), 1),)
-
-    _mono_text = staticmethod(monomial_text)
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int]):
         clean = {}
@@ -152,6 +132,58 @@ class BorelScalar(Scalar):
     @classmethod
     def monomial(cls, m: int, n: int, coeff: int = 1) -> "BorelScalar":
         return cls({(m, n): coeff})
+
+    @classmethod
+    def from_int(cls, c: int) -> "BorelScalar":
+        return cls({(0, 0): c})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.from_int(other)
+        elif type(other) is not BorelScalar:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.from_int(other)
+        elif type(other) is not BorelScalar:
+            return NotImplemented
+        merged = dict(self.terms)
+        for uv, coeff in other.terms.items():
+            merged[uv] = merged.get(uv, 0) + coeff
+        return BorelScalar(merged)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return BorelScalar({uv: -c for uv, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return BorelScalar({uv: other * c for uv, c in self.terms.items()})
+        if type(other) is not BorelScalar:
+            return NotImplemented
+        out: dict[tuple[int, int], int] = {}
+        for (ux, vx), cx in self.terms.items():
+            for (uy, vy), cy in other.terms.items():
+                uv = (ux + uy, vx + vy)
+                out[uv] = out.get(uv, 0) + cx * cy
+        return BorelScalar(out)
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        return join_signed([signed_term(self.terms[uv], monomial_text(uv))
+                            for uv in sorted(self.terms)])
+
+    __repr__ = __str__
 
 
 class BorelElement:
@@ -247,18 +279,17 @@ def borel_map(x: ModuleElement, n1: int) -> BorelElement:
     The multiplicative map sends z0 to 1, z1 to xi, cw to c and cxw to
     xi^-1 * (c + e^2); the result is multiplied by xi^n1 so that every
     line bundle is counted with rank 2s, matching the Borel closed forms.
-    On the point ring it kills the kappa family and keeps e^u*xi^v, a
-    transfer tau(i^2v) going to 2*xi^v.
+    On the point ring it kills the kappa family (u < 0) and keeps
+    e^u*xi^v, a transfer tau(i^2v) or g going to 2*xi^v.
     """
     out: dict[int, BorelScalar] = {}
     for mono, coeff in x.terms.items():
+        if coeff.u < 0:  # the kappa family maps to 0
+            continue
         shift = mono.t - mono.b + n1  # the power of xi beside c^a * (c + e^2)^b
-        image: dict[tuple[int, int], int] = {}
-        for hm, c in coeff.terms.items():
-            if hm.family != KAPPA:
-                uv = (hm.u, hm.v + shift)
-                image[uv] = image.get(uv, 0) + (2 * c if hm.family == TRANSFER else c)
-        _accumulate(out, _c_binomial(BorelScalar(image), mono.a, mono.b))
+        image = (2 * coeff.c if coeff.v < 0 else coeff.c) + 2 * coeff.g
+        scalar = BorelScalar.monomial(coeff.u, coeff.v + shift, image)
+        _accumulate(out, _c_binomial(scalar, mono.a, mono.b))
     return BorelElement(x.sp, out)
 
 

@@ -193,9 +193,12 @@ def test_closed_pipe_exits_without_traceback():
 
 
 def test_chart_empty_range(capsys):
-    code, out, _ = run(capsys, "chart", "1..0")
-    assert code == EXIT_OK
-    assert out == ""
+    # LO > HI is a usage error with one message line, in text and JSON mode
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "chart", "1..0", *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: empty range '1..0'; expected LO <= HI\n"
 
 
 def test_chart_cells_match_figure():
@@ -301,6 +304,11 @@ def test_entry_point_subprocess():
         # argparse's own usage errors are one line as well
         (["euler"], EXIT_USAGE, "required: p, q, bundles"),
         (["basis", "1", "1"], EXIT_USAGE, "required: m"),
+        # a reversed range is refused, never drawn as an empty chart
+        (["chart", "5..-5"], EXIT_USAGE, "empty range '5..-5'"),
+        (["chart", "0..2", "--brange", "3..1", "--json"], EXIT_USAGE, "empty range '3..1'"),
+        # a "+" inside the parentheses stays in its term
+        (["euler", "3", "3", "O(+1)"], EXIT_USAGE, "bad bundle term 'O(+1)' in 'O(+1)'"),
     ],
 )
 def test_degenerate_inputs_exit_cleanly(argv, code, message):

@@ -1,6 +1,8 @@
 """Arithmetic in the point ring: the monomial product and its consequences."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -83,8 +85,8 @@ def test_monomial_hash_contract():
         assert {mono: "v"}[twin] == "v" and twin in {mono}
         assert str(twin) == str(mono)
         assert repr(twin) == f"HMonomial(family={mono.family}, u={mono.u}, v={mono.v})"
-        assert HElement({twin: 3}) == HElement({mono: 3})
-        assert hash(HElement({twin: 3})) == hash(HElement({mono: 3}))
+        assert HElement.monomial(twin, 3) == HElement.monomial(mono, 3)
+        assert hash(HElement.monomial(twin, 3)) == hash(HElement.monomial(mono, 3))
     # ordering is that of the fields alone, plain first
     assert sorted(MONOS) == sorted(MONOS, key=lambda x: (x.family, x.u, x.v))
     assert all((x < y) == ((x.family, x.u, x.v) < (y.family, y.u, y.v))
@@ -187,12 +189,14 @@ def test_ring_maps_match_the_per_kind_tables():
             assert h_fixed(x) == FIXED[kind] * c, x
             borel = {uv: k * c for uv, k in BOREL_SCALAR[kind](m, n).items()}
             assert borel_image(x) == BorelScalar(borel), x
-            fold = {}
+            fold = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
             if Z_FOLD[kind]:
                 target, factor, modulus = Z_FOLD[kind]
                 coeff = factor * c % modulus if modulus else factor * c
-                fold = {KINDS[target](m, n): coeff} if coeff else {}
-            assert ZHElement.from_burnside(x).terms == fold, x
+                if coeff:
+                    fold = (*KINDS[target](m, n)[1:], coeff, 0)
+            z = ZHElement.from_burnside(x)
+            assert (z.u, z.v, z.c, z.g) == fold, x
             assert in_T(x) == IN_T[kind](c), x
             assert in_Ie(x) == (IN_T[kind](c) and IN_IE[kind](c)), x
     # degree 0 holds both 1 and g, and each map adds their rows
@@ -208,7 +212,7 @@ def test_ring_maps_match_the_per_kind_tables():
 
 def test_degree_zero_prints_1_before_g():
     # natural order of the monomials, whatever order the terms came in
-    assert str(kappa()) == str(HElement({MONO_G: -1, MONO_ONE: 2})) == "2 - g"
+    assert str(kappa()) == str(HElement(0, 0, 2, -1)) == "2 - g"
     assert str(3 * g() - 5) == "-5 + 3*g"
     # constant-Z folds g to 2; the Borel image sends g to 2 as well
     assert str(ZHElement.from_burnside(2 - g())) == "0"
@@ -282,7 +286,7 @@ KIND_PAIR_PRODUCTS = [
 
 def test_product_of_every_pair_of_kinds():
     def kind(x):
-        (mono,) = x.terms
+        (mono,) = [m for m in MONOS if HElement.monomial(m) == x]
         return kind_of(mono)
 
     pairs = {frozenset((kind(x), kind(y))) for x, y, _ in KIND_PAIR_PRODUCTS}
@@ -324,7 +328,7 @@ def test_distributivity():
     for combo in mixed:
         for z in ELEMS:
             expected = sum(
-                (HElement.monomial(m, c) * z for m, c in combo.terms.items()),
+                (HElement.monomial(m, c) * z for m, c in ((MONO_ONE, combo.c), (MONO_G, combo.g))),
                 HElement.zero(),
             )
             assert combo * z == expected
@@ -451,3 +455,143 @@ def test_str_forms():
     assert str(e(1)) == "e"
     assert str(16 * xi(2)) == "16*xi^2"
     assert str(HElement.zero()) == "0"
+
+
+# The product as it was before an element became its fields: a dict of
+# monomials, each pair multiplied by the three laws into (monomial,
+# coefficient) pairs, the families' members written out by ``_member``.
+def _member(family, w):
+    uv = (w, 0) if family == KAPPA else (0, w)
+    if w > 0:  # e^w*kappa = 2e^w, tau(i^2w) = 2*xi^w
+        return [(HMonomial(PLAIN, *uv), 2)]
+    if w == 0 and family == KAPPA:
+        return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
+    return [(HMonomial(family, *uv), 1)]
+
+
+def _mono_mul(x, y):
+    if x[0] > y[0]:
+        x, y = y, x
+    fx, ux, vx = x
+    fy, uy, vy = y
+    u, v = ux + uy, vx + vy
+    if fy == PLAIN:
+        return [(HMonomial(PLAIN, u, v), 1)]
+    along, across = (u, v) if fy == KAPPA else (v, u)
+    if across:
+        return []
+    if fx == PLAIN:
+        return _member(fy, along)
+    return [(mono, 2 * c) for mono, c in _member(fy, along)]
+
+
+def dict_product(x, y):
+    out = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            for mono, c in _mono_mul(mx, my):
+                out[mono] = out.get(mono, 0) + cx * cy * c
+    return out
+
+
+def from_terms(ring, terms):
+    return sum((ring.monomial(m, c) for m, c in terms.items()), ring.zero())
+
+
+ORACLE_MONOS = [HMonomial(f, u, v) for f in (PLAIN, KAPPA, TRANSFER)
+                for u in range(-8, 9) for v in range(-8, 9) if hs._exists(f, u, v)]
+# the a + b*g elements of degree 0, as dicts of terms
+ORIGIN_TERMS = [{MONO_ONE: a, MONO_G: b} for a, b in [(1, 1), (2, -1), (-3, 1), (0, 2), (-1, 3)]]
+
+
+def oracle_mismatches(ring):
+    """The products on which ``ring``'s law and the dict product disagree:
+    every pair of monomials with |u|, |v| <= 8 under coefficients 1 and -3,
+    and each a + b*g element times every monomial and every a + b*g."""
+    cases = [({mx: cx}, {my: cy}) for mx in ORACLE_MONOS for my in ORACLE_MONOS
+             for cx, cy in ((1, 1), (1, -3), (-3, -3))]
+    cases += [(x, {m: c}) for x in ORIGIN_TERMS for m in ORACLE_MONOS for c in (1, -3)]
+    cases += [(x, y) for x in ORIGIN_TERMS for y in ORIGIN_TERMS]
+    return [(x, y) for x, y in cases
+            if from_terms(ring, x) * from_terms(ring, y) != from_terms(ring, dict_product(x, y))]
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement], ids=lambda r: r.__name__)
+def test_product_law_matches_the_dict_product(ring):
+    assert len(ORACLE_MONOS) == 81 + 8 + 9
+    assert oracle_mismatches(ring) == []
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement], ids=lambda r: r.__name__)
+def test_dict_product_catches_tau_of_one_as_one(ring, monkeypatch):
+    # a wrong law that writes 1 where tau(i^0) = g is due
+    law = hs._family_product
+
+    def tau1_as_one(fx, fy, u, v):
+        c, g = law(fx, fy, u, v)
+        return (c + g, 0) if max(fx, fy) == TRANSFER else (c, g)
+
+    monkeypatch.setattr(hs, "_family_product", tau1_as_one)
+    assert oracle_mismatches(ring)
+
+
+def test_an_element_is_four_integers():
+    assert HElement.__slots__ == ("u", "v", "c", "g")
+    for x in (g(), kappa(), exi(2, 3), ZHElement.ring_u()):
+        assert not hasattr(x, "__dict__")
+    x = 3 - g()
+    assert (x.u, x.v, x.c, x.g) == (0, 0, 3, -1)
+    x = tau_iota(-2)
+    assert (x.u, x.v, x.c, x.g) == (0, -2, 1, 0) and str(x) == "tau(i^-4)"
+
+
+REJECTED = [
+    ((-1, 1, 1), "no point-ring group at u=-1, v=1"),
+    ((1, -1, 2), "no point-ring group at u=1, v=-1"),
+    ((-2, -3, 1), "no point-ring group at u=-2, v=-3"),
+    ((1, 0, 0, 1), "a g term at u=1, v=0"),
+    ((0, -2, 1, 1), "a g term at u=0, v=-2"),
+    ((-1, 0, 0, 1), "a g term at u=-1, v=0"),
+]
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement], ids=lambda r: r.__name__)
+def test_constructor_rejects_terms_where_the_ring_has_no_group(ring):
+    for fields, message in REJECTED:
+        with pytest.raises(ValueError, match=message):
+            ring(*fields)
+    # a zero coefficient is zero in every grading
+    assert ring(-1, 1, 0) == ring(1, -1, 0, 0) == ring.zero()
+
+
+def test_constructor_rejects_under_python_O():
+    script = (
+        "from equibezout.hscalar import HElement\n"
+        "from equibezout.variants import ZHElement\n"
+        f"for fields, _ in {REJECTED!r}:\n"
+        "    for ring in (HElement, ZHElement):\n"
+        "        try:\n"
+        "            ring(*fields)\n"
+        "        except ValueError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'{ring.__name__}{fields} was accepted')\n"
+        "print('rejected')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
+
+
+def test_zero_is_equal_and_hashes_alike_in_every_grading():
+    zeros = [e(1) * g(), xi(1) * einvkappa(1), tauinv(2) * e(3), 2 * exi(1, 1),
+             kappa() - kappa(), xi(4) * 0, HElement(-3, 2, 0), HElement.zero()]
+    assert all(z == HElement.zero() and not z for z in zeros)
+    assert len({hash(z) for z in zeros}) == 1 and len(set(zeros)) == 1
+    assert all(z.grading is None and str(z) == "0" for z in zeros)
+    # zero adds to an element of any grading
+    assert zeros[0] + exi(1, 2) == exi(1, 2) == exi(1, 2) + zeros[1]
+    z_zeros = [ZHElement.from_burnside(einvkappa(2)), ZHElement(3, 0, 2), ZHElement.zero(),
+               ZHElement.from_burnside(2 - g())]
+    assert all(z == ZHElement.zero() for z in z_zeros)
+    assert len({hash(z) for z in z_zeros}) == 1

@@ -220,6 +220,14 @@ def test_parse_bundles_errors():
             parse_bundles(bad)
 
 
+def test_bad_bundle_term_is_quoted_whole_with_the_text():
+    for text, term in [("O(+1)", "O(+1)"), ("O(1) + xO(+2)", "xO(+2)"),
+                       ("O(1+xO(2)", "O(1+xO(2)"), ("O(3)++xO(1)", ""), ("O(1)+", "")]:
+        with pytest.raises(ParseError) as info:
+            parse_bundles(text)
+        assert str(info.value) == f"bad bundle term {term!r} in {text!r}"
+
+
 def test_parse_grading():
     assert parse_grading("8*s") == PiBDegree(0, 0, 8)
     assert parse_grading("0") == PiBDegree(0, 0, 0)
