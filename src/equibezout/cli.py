@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
+# a chart draws one cell per grading; a wider one is no picture, and its
+# work would follow the range values rather than the input's length
+CHART_MAX_CELLS = 100_000
+
 
 def format_t_scalar(x) -> str:
     """Scalar text preferring the transfer form for even xi multiples.
@@ -121,7 +125,31 @@ def _bundle_sum(p: int, q: int, text: str) -> _euler.BundleSum:
     n = sum(count for _, count in parse_bundle_terms(text))
     if n > p + q:  # a count such as 10^10 would exhaust memory if expanded
         raise _TooManyBundles(f"n = {n} must be < p + q = {p + q}")
-    return _euler.BundleSum.make(sp, parse_bundles(text))
+    F = _euler.BundleSum.make(sp, parse_bundles(text))
+    _require_printable(F)
+    return F
+
+
+def _require_printable(F: _euler.BundleSum) -> None:
+    """Refuse degrees whose product the interpreter could not print.
+
+    Every integer the commands print (the degrees, the class coefficients)
+    is at most a few times the product of the |d|, a zero counted as 1.
+    CPython refuses ``str`` of an integer beyond
+    ``sys.get_int_max_str_digits()`` digits, so the bound 8 * prod(|d|)
+    must stay below that; the loop stops as soon as it is crossed, so its
+    work is bounded by the input too.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound, cap = 8, 10 ** limit
+    for L in F.lines:
+        bound *= max(abs(L.d), 1)
+        if bound >= cap:
+            raise ValueError(
+                f"degrees too large: their product would print with more than {limit} digits"
+            )
 
 
 def cmd_euler(args) -> int:
@@ -273,6 +301,10 @@ def cmd_chart(args) -> int:
         b_lo, b_hi = _parse_range(args.brange) if args.brange else (-8, 8)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if (a_hi - a_lo + 1) * (b_hi - b_lo + 1) > CHART_MAX_CELLS:
+        print(f"error: the chart would have more than {CHART_MAX_CELLS} cells; "
+              "narrow the ranges", file=sys.stderr)
         return EXIT_USAGE
     lines = chart_lines(a_lo, a_hi, b_lo, b_hi)
     payload = _envelope(

@@ -216,6 +216,9 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
 def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:
     """Euler class as the product of the single-bundle classes.
 
+    A line class has at most two monomials, each of degree at most 3, so
+    ``mod_mul`` takes every term of the running product times every monomial
+    of the next factor to normal form in one rewrite step (``gen_mul``).
     Each distinct line class is built once per call and dropped on return.
     Neither the line classes nor the generator steps are kept across calls,
     because a cache that outlives the call costs more memory than it saves
@@ -437,6 +440,22 @@ def _congruent_mod_Je(r: EulerReport) -> bool:
     return all(in_Ie(c) for c in x.terms.values())
 
 
+def _zeta_squared(r: EulerReport) -> bool:
+    """z0^2*z1^2 = xi^2 on e(F), walked one generator at a time both ways:
+    z0 over z1^2*e(F), where zeta cancel meets z0*z1^2, and z1 over
+    z0^2*e(F), where it meets the mirror z0^2*z1; no other row reaches
+    either."""
+    x = r.product_class
+    target = x.scale(hscalar.xi(2))
+    for order in (("z1", "z1", "z0", "z0"), ("z0", "z0", "z1", "z1")):
+        y = x
+        for gen in order:
+            y = apply_gen(gen, y)
+        if y != target:
+            return False
+    return True
+
+
 # The Burnside rows of the one check table as (name, reported, predicate),
 # reported ones in the order ``euler`` prints them; ``variants.CHECKS``
 # appends the coarser theories.  ``r.split and ...`` is None (the check does
@@ -469,6 +488,7 @@ BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
     # z1*cxw rule, which no line class reaches, fires under ``verify`` too
     ("zeta_relation", False, lambda r: apply_gen("z0", apply_gen("z1", r.product_class))
      == r.product_class.scale(hscalar.xi(1))),
+    ("zeta_squared", False, _zeta_squared),
 ))
 
 

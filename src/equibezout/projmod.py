@@ -18,28 +18,52 @@ back by the zeta power).  Every basis element is a monomial
 tuple, with tuple's C slots, and its space ``.sp`` is rebuilt from
 ``(p, q)`` on each read.
 
-Products are computed by a terminating rewrite system: multiplication by
-one generator at a time, normalizing after each step.  One step is
-``gen_mul(gen, x, ring, coeff, out)``: it starts from the term's coefficient,
-so a walk does one scalar product per rewrite rule that fires, not one per
-image, and it adds its images into ``out``, the walk's dict for the next
-generator, so a step builds no dict or element of its own.  Each image is
-built by ``_basis(p, q, s, t, a, b)``, which checks its family (a
-``ValueError``, not an assert) and builds no ``ProjSpace``.  The rules, one
-branch of ``_normalize`` each, with u = 1-kappa:
+Products are computed by a terminating rewrite system.  One step multiplies
+a basis monomial by a generator monomial z0^s z1^t cw^a cxw^b of total
+degree at most ``STEP_DEGREE`` = 3 and normalises the result in one call:
+``gen_mul(step, x, ring, coeff, out)``, where ``step`` is the exponent tuple
+``(s, t, a, b)``.  ``_steps`` cuts a longer monomial into such steps, so a
+line class, whose monomials have degree at most 3, multiplies each term of
+a product in one call.  A step starts from the term's coefficient, so a walk
+does one scalar product per rewrite rule that fires, not one per image, and
+it adds its images into ``out``, the walk's dict for the next step, so a
+step builds no dict or element of its own.  Each image is built by
+``_basis(p, q, s, t, a, b)``, which checks its family (a ``ValueError``, not
+an assert) and builds no ``ProjSpace``.  The rules, one branch of
+``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
     zeta cancel         z0*z1 = xi, and z0 * z1^-k = xi * z1^-(k+1) on a tower
     z1*cxw              z1*cxw = u*z0*cw + e^2
     z1 cw^p division    z1^t * cw^p = xi^t * z0^-t * cw^p
     z0 cxw^q division   z0^s * cxw^q = xi^s * z1^-s * cxw^q
-    cxw tower           z1^t * cxw^(q+1) = xi * z1^(t-2) * cw * cxw^q
-                                         + e^2 * z1^(t-1) * cxw^q    (t <= 0)
+    cxw tower           z1^t * cxw^b = xi * z1^(t-2) * cw * cxw^(b-1)
+                                     + e^2 * z1^(t-1) * cxw^(b-1)   (t <= 0, b > q)
     z0^2*cw             z0^2 * cw = xi*cxw + e^2*z0, also for cw^(p+1)
 
 The last two follow from z1*cxw by u*xi = xi and u*e^2 = -e^2, which hold
-in both engine rings, so only the z1*cxw rule multiplies by u.  The
-operator identities in the test suite exercise every rule.
+in both engine rings, so only the z1*cxw rule multiplies by u.  The cxw
+tower rule is z1*cxw = u*z0*cw + e^2 applied once, from the left:
+z1^t*cxw^b = z1^(t-1) * (u*z0*cw + e^2) * cxw^(b-1), with z0*z1^(t-1) =
+xi*z1^(t-2) on the tower.  It holds for every b > q, and each image keeps
+b - 1 powers of cxw, which the rule lowers again until b = q.  A
+one-generator step reaches the tower with b = q + 1 at most, but a step
+with cxw^2 or more goes higher, so the images must keep b - 1, not q.
+
+Every rule is an identity of the ring, so whatever basis monomials a
+rewrite ends in represent the product; a rewrite that stopped at a pattern
+outside the six families would raise in ``_basis``, not return a wrong
+class.  That the rules reach a basis monomial from x times any step of
+degree at most 3, for every basis monomial x, is checked against the walk
+of one generator at a time: exhaustively in the test suite for X(p, q) with
+p, q <= 3, and by a wider run over p, q <= 6 in both rings (404,740 cases,
+every degree class with |m| <= p + q + 2).  The cap on a step's degree is
+for speed (steps of degree up to 5 agree as well, for p, q <= 3): the
+two-image rules recurse, so normalising a whole summed exponent of degree k
+branches up to 2^k ways, while a walk merges equal images in its dict after
+each step.  Over X(24, 24), cw^20 * cw^20 made 314 ``_normalize`` calls in
+steps of degree 3 and 131,071 in one step of degree 20.  The operator
+identities in the test suite exercise every rule.
 
 The engine is generic over the coefficient ring through the
 ``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
@@ -66,6 +90,9 @@ GAMMA = "gamma"  # cw^a * cxw^b           a <= p, b <= q, (a,b) != (p,q)
 DELTA = "delta"  # z0 * cw^a * cxw^b      1 <= a <= p, b <= q-1
 EPS = "eps"  # z0^s * cw^p * cxw^b        s <= -1, b <= q-1 (divided)
 ZETAF = "zetaf"  # z1^t * cw^a * cxw^q    t <= -1, a <= p-1 (divided)
+
+# the largest total degree of one rewrite step; see the module docstring
+STEP_DEGREE = 3
 
 
 class UnsupportedProductError(ValueError):
@@ -339,9 +366,12 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
 
     One branch per rule of the module docstring, named in its comment: a
     rule with one image rewrites the exponents in place, a rule with two
-    recurses.  The final ``_basis`` rejects any pattern outside the six
+    recurses.  A zero coefficient (a torsion product) ends the rewrite at
+    once.  The final ``_basis`` rejects any pattern outside the six
     families.
     """
+    if not coeff:
+        return
     if a >= p and b >= q:  # vanish: cw^p * cxw^q = 0
         return
     if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
@@ -355,9 +385,9 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
         coeff, s, t = coeff * ring.ring_xi(t), -t, 0
     if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
         coeff, s, t = coeff * ring.ring_xi(s), 0, -s
-    if b > q:  # cxw tower: z1^t*cxw^(q+1) for every t <= 0
-        _normalize(p, q, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, q, out)
-        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, q, out)
+    if b > q:  # cxw tower: z1^t*cxw^b for every t <= 0 and b > q
+        _normalize(p, q, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, b - 1, out)
+        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
         return
     if (s >= 2 and a) or a > p:  # z0^2*cw = xi*cxw + e^2*z0, and cw^(p+1)
         _normalize(p, q, ring, coeff * ring.ring_xi(1), s - 2, t, a - 1, b + 1, out)
@@ -371,55 +401,78 @@ def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
     out[mono] = coeff if prev is None else prev + coeff
 
 
-def gen_mul(gen: str, x: BasisMonomial, ring, coeff, out: dict) -> None:
-    """Normalise ``coeff * gen * x`` into ``out``, one generator step.
+def gen_mul(step: tuple, x: BasisMonomial, ring, coeff, out: dict) -> None:
+    """Normalise ``coeff * step * x`` into ``out``, one rewrite step.
 
-    ``coeff`` is the rewrite's starting coefficient, so the images come out
-    already scaled: a rewrite rule multiplies it by its ring constant once,
-    and an image that is a bare monomial costs no product at all.  ``out``
-    maps basis monomials to coefficients; each image is added to the
-    coefficient already there, so a sum may leave a zero.
+    ``step`` is the exponent tuple ``(s, t, a, b)`` of the generator
+    monomial z0^s z1^t cw^a cxw^b, of total degree at most ``STEP_DEGREE``
+    (see the module docstring); ``_steps`` cuts a longer monomial into such
+    steps.  ``coeff`` is the rewrite's starting coefficient, so the images
+    come out already scaled: a rewrite rule multiplies it by its ring
+    constant once, and an image that is a bare monomial costs no product at
+    all.  ``out`` maps basis monomials to coefficients; each image is added
+    to the coefficient already there, so a sum may leave a zero.
 
     >>> sp, out = ProjSpace(2, 2), {}
-    >>> gen_mul("cw", BasisMonomial(sp, 0, 0, 0, 1), HElement, HElement.ring_one(), out)
+    >>> gen_mul((0, 0, 1, 0), BasisMonomial(sp, 0, 0, 0, 1), HElement, HElement.ring_one(), out)
     >>> [str(mono) for mono in out]
     ['cw*cxw']
     """
     p, q, s, t, a, b = x
-    if gen == "z0":
-        s += 1
-    elif gen == "z1":
-        t += 1
-    elif gen == "cw":
-        a += 1
-    elif gen == "cxw":
-        b += 1
-    else:
-        raise ValueError(f"unknown generator {gen!r}")
-    _normalize(p, q, ring, coeff, s, t, a, b, out)
+    ds, dt, da, db = step
+    _normalize(p, q, ring, coeff, s + ds, t + dt, a + da, b + db, out)
+
+
+def _steps(s: int, t: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Cut z0^s z1^t cw^a cxw^b (exponents >= 0) into generator monomials of
+    degree at most ``STEP_DEGREE``, filled in the order z0, z1, cw, cxw.
+    The unit is the one step ``(0, 0, 0, 0)``, so the list is never empty.
+
+    >>> _steps(2, 1, 4, 0)
+    [(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 1, 0)]
+    """
+    steps, step, room = [], [0, 0, 0, 0], STEP_DEGREE
+    for i, exp in enumerate((s, t, a, b)):
+        while exp:
+            k = min(exp, room)
+            step[i] += k
+            exp -= k
+            room -= k
+            if not room:
+                steps.append(tuple(step))
+                step, room = [0, 0, 0, 0], STEP_DEGREE
+    if room < STEP_DEGREE or not steps:
+        steps.append(tuple(step))
+    return steps
 
 
 def _walk(terms: dict, steps, ring) -> dict:
-    """Apply ``count`` times each generator of ``steps`` to ``terms``; every
-    step normalises the images of all terms, each started from its term's
-    coefficient, into one new dict.  The result may hold zero coefficients."""
-    for gen, count in steps:
-        for _ in range(count):
-            out: dict = {}
-            for mono, coeff in terms.items():
-                if coeff:
-                    gen_mul(gen, mono, ring, coeff, out)
-            terms = out
+    """Multiply ``terms`` by each generator monomial of ``steps`` in turn;
+    every step normalises the images of all terms, each started from its
+    term's coefficient, into one new dict.  The result may hold zero
+    coefficients."""
+    for step in steps:
+        out: dict = {}
+        for mono, coeff in terms.items():
+            gen_mul(step, mono, ring, coeff, out)
+        terms = out
     return terms
 
 
+GENERATORS = {"z0": (1, 0, 0, 0), "z1": (0, 1, 0, 0), "cw": (0, 0, 1, 0), "cxw": (0, 0, 0, 1)}
+
+
 def apply_gen(gen: str, x: ModuleElement) -> ModuleElement:
-    """Multiply ``x`` by one generator, in normal form.
+    """Multiply ``x`` by one generator, named as in ``GENERATORS``, in
+    normal form.
 
     >>> print(apply_gen("z1", raw_monomial(ProjSpace(2, 2), 0, 0, 0, 1)))
     e^2 + (-1 + g)*z0*cw
     """
-    return ModuleElement._trusted(x.sp, _walk(x.terms, ((gen, 1),), x.ring), x.ring)
+    step = GENERATORS.get(gen)
+    if step is None:
+        raise ValueError(f"unknown generator {gen!r}")
+    return ModuleElement._trusted(x.sp, _walk(x.terms, (step,), x.ring), x.ring)
 
 
 def is_divided(x: BasisMonomial) -> bool:
@@ -438,32 +491,34 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         raise ValueError("z0 and z1 exponents cannot both be negative")
     p, q = sp.p, sp.q
     if _family(p, q, s, t, a, b) is not None:
-        start, steps = BasisMonomial(sp, s, t, a, b), []  # its own normal form
+        start, rest = BasisMonomial(sp, s, t, a, b), (0, 0, 0, 0)  # its own normal form
     elif s < 0:
         if a < p:
             raise ValueError(f"z0^{s} requires a cw^{p} factor over {sp}")
         if q == 0:
             return ModuleElement.zero(sp, ring)  # cw^p = 0 when q = 0
-        start = BasisMonomial(sp, s, 0, p, 0)
-        steps = [("cw", a - p), ("cxw", b), ("z1", t)]
+        start, rest = BasisMonomial(sp, s, 0, p, 0), (0, t, a - p, b)
     elif t < 0:
         if b < q:
             raise ValueError(f"z1^{t} requires a cxw^{q} factor over {sp}")
         if p == 0:
             return ModuleElement.zero(sp, ring)  # cxw^q = 0 when p = 0
-        start = BasisMonomial(sp, 0, t, 0, q)
-        steps = [("cw", a), ("cxw", b - q), ("z0", s)]
+        start, rest = BasisMonomial(sp, 0, t, 0, q), (s, 0, a, b - q)
     else:
-        start = BasisMonomial(sp, 0, 0, 0, 0)
-        steps = [("z0", s), ("z1", t), ("cw", a), ("cxw", b)]
-    return ModuleElement._trusted(sp, _walk({start: ring.ring_one()}, steps, ring), ring)
+        start, rest = BasisMonomial(sp, 0, 0, 0, 0), (s, t, a, b)
+    terms = _walk({start: ring.ring_one()}, _steps(*rest), ring)
+    return ModuleElement._trusted(sp, terms, ring)
 
 
 def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
     """Product of module elements.
 
-    One factor must be free of divided monomials; it is split into
-    generators which act one at a time on the other factor.
+    One factor must be free of divided monomials.  Each of its monomials is
+    cut into generator monomials by ``_steps``: the leading steps are walked
+    over the other factor (a line class has none, its monomials having
+    degree at most 3), and the last one takes each walked term, scaled by
+    the monomial's coefficient, straight into the product in one
+    ``gen_mul``.
     """
     if x.sp != y.sp:
         raise ValueError("elements over different spaces")
@@ -473,14 +528,13 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
                 "both factors contain divided monomials; no generator factorization"
             )
         x, y = y, x
-    out: dict = {}
+    ring, out = x.ring, {}
     for mono, coeff in y.terms.items():
-        _, _, s, t, a, b = mono
-        steps = (("z0", s), ("z1", t), ("cw", a), ("cxw", b))
-        for image, c in _walk(x.terms, steps, x.ring).items():
+        *lead, last = _steps(*mono[2:])
+        for term, c in _walk(x.terms, lead, ring).items():
             if c:  # a walk may leave a zero; scaling it is wasted work
-                _emit(out, image, c * coeff)
-    return ModuleElement._trusted(x.sp, out, x.ring)
+                gen_mul(last, term, ring, c * coeff, out)
+    return ModuleElement._trusted(x.sp, out, ring)
 
 
 def coeff_vector(x: ModuleElement, m: int) -> list:

@@ -353,6 +353,60 @@ def test_huge_bundle_count_is_never_expanded(argv):
     assert f"{message} must be < p + q = 6" in proc.stdout + proc.stderr
 
 
+NINES = "9" * 2200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "3", "3", f"O({NINES})+O({NINES})"],
+        ["euler", "3", "3", f"O({NINES})+O({NINES})", "--json"],
+        ["euler", "3", "3", f"O({NINES})+xO({NINES})", "--coeffs", "borel"],
+        ["compare", "3", "3", f"O({NINES})+O({NINES})", "O(1)+O(1)"],
+        ["compare", "3", "3", "O(1)+O(1)", f"O({NINES})+O({NINES})", "--json"],
+    ],
+    ids=["euler", "euler-json", "euler-borel", "compare", "compare-json"],
+)
+def test_degrees_whose_product_cannot_be_printed_are_refused(argv):
+    # each degree parses, but their 4,400-digit product is beyond CPython's
+    # 4,300-digit limit on str(int): one error line, never a traceback
+    proc = subprocess.run([sys.executable, "-m", "equibezout.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "degrees too large" in proc.stderr
+
+
+def test_degrees_just_inside_the_printing_limit_are_computed():
+    # a 4,200-digit degree product prints, as text and in JSON
+    nines = "9" * 2100
+    proc = subprocess.run(
+        [sys.executable, "-m", "equibezout.cli", "euler", "3", "3",
+         f"O({nines})+O({nines})", "--json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["degrees"][0] == int(nines) ** 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chart", "0..10000000000"], ["chart", "0..400", "--brange=0..400", "--json"],
+     ["chart", "-5..5", "--brange", f"0..{NINES}"]],
+)
+def test_chart_work_is_bounded_by_a_cell_count(argv):
+    # the work of a chart follows its ranges, so a range beyond the cell cap
+    # is refused at once instead of drawn (10^10 cells would run out of memory)
+    proc = subprocess.run([sys.executable, "-m", "equibezout.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the chart would have more than 100000 cells; narrow the ranges"]
+
+
 @pytest.mark.parametrize(
     "theory, line",
     [("burnside", "e(F) = (1 + g)*P2 + e^-2*kappa*P3"), ("zconst", "e_Z(F) = 3*P2")],

@@ -42,16 +42,18 @@ from equibezout.projmod import (
 from equibezout.variants import ZHElement
 
 U = HElement.ring_u()
+Z1, CXW = projmod.GENERATORS["z1"], projmod.GENERATORS["cxw"]
 
 
 def elem(sp, mono, coeff=None):
     return ModuleElement(sp, {mono: hs.one() if coeff is None else coeff})
 
 
-def step(gen, x, ring=HElement, coeff=None):
-    """The images of ``coeff * gen * x`` (coeff defaults to one) as an element."""
+def step(gens, x, ring=HElement, coeff=None):
+    """The images of ``coeff * gens * x`` (coeff defaults to one) as an
+    element; ``gens`` is the exponent tuple of a generator monomial."""
     out = {}
-    gen_mul(gen, x, ring, ring.ring_one() if coeff is None else coeff, out)
+    gen_mul(gens, x, ring, ring.ring_one() if coeff is None else coeff, out)
     return ModuleElement(x.sp, out, ring)
 
 
@@ -166,18 +168,18 @@ def test_gen_mul_defining_relations():
     # z0 * z1 = xi
     assert apply_gen("z0", apply_gen("z1", elem(sp, unit))) == elem(sp, unit, hs.xi(1))
     # z1 * cxw = (1 - kappa) z0 cw + e^2
-    got = step("z1", cxw)
+    got = step(Z1, cxw)
     expected = elem(sp, BasisMonomial(sp, 1, 0, 1, 0), U) + elem(sp, unit, hs.e(2))
     assert got == expected
     # cxw * (cw^p cxw^(q-1)) = 0
     top = BasisMonomial(sp, 0, 0, 3, 2)
-    assert not step("cxw", top)
+    assert not step(CXW, top)
 
 
 def test_gen_mul_divided_production():
     sp = ProjSpace(1, 1)
     cw = BasisMonomial(sp, 0, 0, 1, 0)
-    got = step("z1", cw)
+    got = step(Z1, cw)
     assert got == elem(sp, BasisMonomial(sp, -1, 0, 1, 0), hs.xi(1))
     # multiplying back by z0 recovers xi * cw
     assert apply_gen("z0", got) == elem(sp, cw, hs.xi(1))
@@ -202,7 +204,7 @@ def test_gen_mul_with_coefficient_matches_scaled_step(ring):
             sp = ProjSpace(p, q)
             for m in range(-3, 4):
                 for x in basis(sp, m):
-                    for gen in ("z0", "z1", "cw", "cxw"):
+                    for gen in projmod.GENERATORS.values():
                         one = step(gen, x, ring)
                         for c in coeffs:
                             assert step(gen, x, ring, c) == one.scale(c)
@@ -220,7 +222,7 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
     for sp in all_spaces(3):
         for m in range(-3, 4):
             for x in basis(sp, m):
-                for gen in ("z0", "z1", "cw", "cxw"):
+                for gen in projmod.GENERATORS.values():
                     for c in coeffs:
                         images = step(gen, x, ring, c).terms
                         kept = object()
@@ -261,6 +263,64 @@ def test_tower_walks_cost_one_product_per_rewrite(ring, monkeypatch):
     assert all(products <= steps for products, steps in work.values()), work
     assert work["cw^30"][0] == work["cxw^30"][0], work
     assert work["z0^-1*cw^30"][0] == work["z1^-1*cxw^30"][0], work
+
+
+STEPS_TO_DEGREE_3 = [st for st in itertools.product(range(4), repeat=4) if sum(st) <= 3]
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_monomial_step_matches_the_one_generator_walk(ring):
+    # one _normalize call takes x times any generator monomial of degree <= 3
+    # to normal form: every such step agrees with apply_gen one generator at
+    # a time, for every basis monomial of the classes |m| <= p + q + 2
+    one = ring.ring_one()
+    checked = 0
+    for sp in all_spaces(3):
+        for m in range(-(sp.p + sp.q) - 2, sp.p + sp.q + 3):
+            for x in basis(sp, m):
+                start = ModuleElement(sp, {x: one}, ring)
+                for gens in STEPS_TO_DEGREE_3:
+                    walked = start
+                    for name, exp in zip(("z0", "z1", "cw", "cxw"), gens):
+                        for _ in range(exp):
+                            walked = apply_gen(name, walked)
+                    assert step(gens, x, ring) == walked, (sp, x, gens)
+                    checked += 1
+    assert len(STEPS_TO_DEGREE_3) == 35
+    assert checked == 35 * sum((sp.p + sp.q) * (2 * (sp.p + sp.q) + 5) for sp in all_spaces(3))
+
+
+def test_steps_cut_a_monomial_into_steps_of_degree_at_most_3():
+    for exps in itertools.product(range(5), range(5), range(8), range(8)):
+        steps = projmod._steps(*exps)
+        assert tuple(map(sum, zip(*steps))) == exps
+        assert all(sum(st) == projmod.STEP_DEGREE for st in steps[:-1])
+        assert 0 < sum(steps[-1]) <= projmod.STEP_DEGREE or steps == [(0, 0, 0, 0)]
+    assert projmod._steps(0, 0, 0, 0) == [(0, 0, 0, 0)]
+
+
+def test_apply_gen_refuses_an_unknown_generator():
+    with pytest.raises(ValueError, match="unknown generator 'z2'"):
+        apply_gen("z2", ModuleElement.unit(ProjSpace(1, 1)))
+
+
+def test_mod_mul_of_long_powers_is_walked_in_short_steps(monkeypatch):
+    # cw^20 * cw^20 over X(24, 24) walks steps of degree <= 3: 314 _normalize
+    # calls; normalising the summed exponent in one step made 131,071
+    calls = {"normalize": 0}
+    normalize = projmod._normalize
+
+    def counted(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    sp = ProjSpace(24, 24)
+    x = raw_monomial(sp, 0, 0, 20, 0)
+    monkeypatch.setattr(projmod, "_normalize", counted)
+    got = mod_mul(x, x)
+    assert calls["normalize"] <= 400, calls
+    monkeypatch.undo()
+    assert got == raw_monomial(sp, 0, 0, 40, 0)
 
 
 def test_basis_monomial_hash_contract():

@@ -1,12 +1,14 @@
 """The seeded differential runner: determinism, fault detection, shrinking."""
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
 import equibezout.euler as euler_mod
 import equibezout.variants as variants_mod
-from equibezout import cli
+from equibezout import cli, projmod
 from equibezout.euler import BundleSum, context_check, ranks
 from equibezout.grading import euler_grading
 from equibezout.hscalar import HElement
@@ -70,12 +72,29 @@ def test_fault_injection_is_caught_and_shrunk(monkeypatch):
 
 def test_dropped_unit_in_z1_cxw_rule_is_caught(monkeypatch):
     # no line class carries z1, so no Euler product walks the z1*cxw rule;
-    # only the zeta_relation row (z0*z1 = xi on e(F)) sees it lose its u
+    # only the rows that walk z1 over e(F) (zeta_relation: z0*z1 = xi, and
+    # zeta_squared: z0^2*z1^2 = xi^2) see it lose its u
     monkeypatch.setattr(HElement, "ring_u", vars(HElement)["ring_one"])
     summary = run_verify(seed=1, count=200)
     assert not summary.ok
-    assert summary.failure.failed == ["zeta_relation"]
+    assert summary.failure.failed == ["zeta_relation", "zeta_squared"]
     assert summary.shrunk.failed == ["zeta_relation"]
+
+
+@pytest.mark.parametrize("mutant", ["s > 1 and t > 0", "s > 0 and t > 1"])
+def test_zeta_squared_row_kills_the_zeta_cancel_survivors(mutant, monkeypatch):
+    # the two mutants of zeta cancel's k that every other row lets through:
+    # each is wrong only on z0*z1^t (t >= 2) or on z0^s*z1 (s >= 2), which
+    # only the zeta_squared row walks
+    source = textwrap.dedent(inspect.getsource(projmod._normalize))
+    assert source.count("s > 0 and t > 0") == 1
+    namespace = dict(vars(projmod))
+    exec(source.replace("s > 0 and t > 0", mutant), namespace)
+    monkeypatch.setattr(projmod, "_normalize", namespace["_normalize"])
+    summary = run_verify(seed=1, count=200)
+    assert not summary.ok
+    assert summary.failure.failed == ["zeta_squared"]
+    assert summary.shrunk.failed == ["zeta_squared"]
 
 
 def test_a_check_that_raises_counts_as_failed(monkeypatch, capsys):
