@@ -34,9 +34,10 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
-# a chart draws one cell per grading; a wider one is no picture, and its
-# work would follow the range values rather than the input's length
-CHART_MAX_CELLS = 100_000
+# a chart draws one cell per grading and a basis one line per monomial;
+# a longer listing is no answer, and its work would follow the argument
+# values rather than the input's length
+MAX_LISTED = 100_000
 
 
 def format_t_scalar(x) -> str:
@@ -92,6 +93,10 @@ def cmd_basis(args) -> int:
         sp = ProjSpace(args.p, args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if sp.p + sp.q > MAX_LISTED:
+        print(f"error: the basis would have more than {MAX_LISTED} monomials (p+q); "
+              "take a smaller space", file=sys.stderr)
         return EXIT_USAGE
     monos = basis(sp, args.m)
     rows = []
@@ -302,8 +307,8 @@ def cmd_chart(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if (a_hi - a_lo + 1) * (b_hi - b_lo + 1) > CHART_MAX_CELLS:
-        print(f"error: the chart would have more than {CHART_MAX_CELLS} cells; "
+    if (a_hi - a_lo + 1) * (b_hi - b_lo + 1) > MAX_LISTED:
+        print(f"error: the chart would have more than {MAX_LISTED} cells; "
               "narrow the ranges", file=sys.stderr)
         return EXIT_USAGE
     lines = chart_lines(a_lo, a_hi, b_lo, b_hi)

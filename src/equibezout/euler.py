@@ -270,7 +270,8 @@ def closed_carriers(F: BundleSum) -> ClosedCarriers:
 
 
 def _closed_terms(F: BundleSum):
-    """The three (numerator, scalar, raw monomial) closed-form terms.
+    """The (numerator, scalar, raw monomial) closed-form terms: three, and
+    two when Delta is odd and Delta0 = 0 (no P_k term).
 
     Each term means numerator * scalar * monomial / 2; the division is
     performed after normalization of the carrier and must come out exact
@@ -295,7 +296,6 @@ def _closed_terms(F: BundleSum):
         ]
     return [
         (dd.delta - dd.delta1, tau_iota(0), car.pn),
-        (0, HElement.from_int(1), car.pk),
         (2 * dd.delta1, HElement.from_int(1), car.pkm1),
     ]
 

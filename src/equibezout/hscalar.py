@@ -150,24 +150,7 @@ def _family_product(fx: int, fy: int, u: int, v: int) -> tuple[int, int]:
     return (2 * k, -k) if fy == KAPPA else (0, k)  # kappa = 2 - g, tau(1) = g
 
 
-class Scalar:
-    """The operators a scalar ring derives from its own ``+``, ``-x`` and
-    ``from_int``."""
-
-    __slots__ = ()
-
-    @classmethod
-    def zero(cls):
-        return cls.from_int(0)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-
-class HElement(Scalar):
+class HElement:
     """A homogeneous element of the point ring: the fields (u, v, c, g) of
     the module docstring.
 
@@ -176,8 +159,8 @@ class HElement(Scalar):
     nonzero g off the origin.  Zero is grading-agnostic: it is stored at the
     origin, so all zeros are equal and hash alike.  A subclass that only
     changes the normal form in ``__init__`` is a quotient ring with the same
-    product (see ``variants.ZHElement``).  Scalars of different classes
-    never mix.
+    product (see ``variants.ZHElement``); ``variants.BorelScalar`` replaces
+    the product as well.  Scalars of different classes never mix.
 
     >>> g = HElement.monomial(MONO_G)
     >>> print(g * g)
@@ -210,6 +193,10 @@ class HElement(Scalar):
     @classmethod
     def from_int(cls, c: int) -> "HElement":
         return cls(0, 0, c)
+
+    @classmethod
+    def zero(cls) -> "HElement":
+        return cls(0, 0, 0)
 
     @classmethod
     def from_burnside(cls, x: "HElement") -> "HElement":
@@ -254,6 +241,12 @@ class HElement(Scalar):
 
     def __neg__(self):
         return type(self)(self.u, self.v, -self.c, -self.g)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         cls = type(self)

@@ -12,14 +12,17 @@ classes:
 * Borel cohomology, obtained by further inverting xi; its point ring is
   Z[e, xi, xi^-1]/(2e), the projective-space ring collapses to a single
   polynomial generator c with c^p * (c + e^2)^q = 0, and the fixed-point
-  information disappears entirely.  Its scalar ``BorelScalar`` is a dict
-  of integer coefficients keyed by the exponent pairs (u, v) of
-  e^u*xi^v, as its elements need not be homogeneous.  A Burnside scalar
-  keeps its exponents: the plain monomials map to themselves, a transfer
-  tau(i^2v) to 2*xi^v, and the kappa family to 0.
+  information disappears entirely.  The Borel point ring has one monomial
+  e^u*xi^v in each grading, and the relation is homogeneous with c in the
+  grading of e^2, so in a homogeneous class the coefficient of c^k is one
+  monomial c_k*e^(u0 - 2k)*xi^v.  Its scalar ``BorelScalar`` is therefore
+  ``HElement`` again, with g = 0, its own normal form and the plain product
+  law: exponents add and coefficients multiply.  A Burnside scalar keeps
+  its exponents: the plain monomials map to themselves, a transfer
+  tau(i^2v) to 2*xi^v, g to 2 and the kappa family to 0.
 
-The three scalar rings share the operators ``hscalar.Scalar`` derives from
-each ring's own arithmetic, and refuse to mix with each other.
+The three scalar rings share ``HElement``'s operators and refuse to mix
+with each other.
 
 Each theory has its own closed Bezout formula, evaluated here directly
 from the ranks and degrees; the comparison report puts the three theories
@@ -30,11 +33,10 @@ with equal Z and Borel images).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import euler as _euler
 from .grading import join_signed
-from .hscalar import HElement, Scalar, monomial_text, signed_term
+from .hscalar import HElement, monomial_text, signed_term
 from .projmod import (
     ModuleElement,
     NoneqPoly,
@@ -108,80 +110,49 @@ def z_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
     return fix0.reduce_mod(2), fix1.reduce_mod(2)
 
 
-class BorelScalar(Scalar):
-    """An element of Z[e, xi, xi^-1]/(2e): monomials e^u * xi^v, u >= 0.
+class BorelScalar(HElement):
+    """A homogeneous element c*e^u*xi^v of Z[e, xi, xi^-1]/(2e), u >= 0.
 
-    A dict of coefficients keyed by the exponent pair (u, v); the product
-    adds exponents, and coefficients are integers for u = 0 and live in
-    Z/2 for u >= 1.  The terms print in the order of their exponents.
+    ``HElement``'s fields with g = 0.  The constructor is the normal form:
+    it raises ValueError for u < 0 or a g term, reduces c mod 2 at u >= 1
+    and stores zero at the origin.  The product is the plain law, as xi is
+    invertible and no family doubles.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[int, int], int]):
-        clean = {}
-        for (u, v), coeff in terms.items():
-            if u < 0:
-                raise ValueError("negative e-exponent in Borel scalar")
-            if u >= 1:
-                coeff %= 2
-            if coeff:
-                clean[(u, v)] = coeff
-        self.terms = clean
+    def __init__(self, u: int, v: int, c: int, g: int = 0):
+        if u < 0:
+            raise ValueError(f"no Borel group at u={u}: e has no inverse")
+        if g:
+            raise ValueError("a g term in a Borel scalar: g maps to 2")
+        if u:
+            c %= 2
+        if not c:
+            u = v = 0
+        self.u = u
+        self.v = v
+        self.c = c
+        self.g = 0
 
     @classmethod
-    def monomial(cls, m: int, n: int, coeff: int = 1) -> "BorelScalar":
-        return cls({(m, n): coeff})
+    def from_burnside(cls, x: HElement) -> "BorelScalar":
+        """The kappa family goes to 0, tau(i^2v) to 2*xi^v and g to 2."""
+        if x.u < 0:
+            return cls.zero()
+        return cls(x.u, x.v, (2 * x.c if x.v < 0 else x.c) + 2 * x.g)
 
-    @classmethod
-    def from_int(cls, c: int) -> "BorelScalar":
-        return cls({(0, 0): c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not BorelScalar:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.from_int(other)
-        elif type(other) is not BorelScalar:
-            return NotImplemented
-        merged = dict(self.terms)
-        for uv, coeff in other.terms.items():
-            merged[uv] = merged.get(uv, 0) + coeff
-        return BorelScalar(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BorelScalar({uv: -c for uv, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BorelScalar({uv: other * c for uv, c in self.terms.items()})
+    def __mul__(self, other) -> "BorelScalar":
         if type(other) is not BorelScalar:
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (ux, vx), cx in self.terms.items():
-            for (uy, vy), cy in other.terms.items():
-                uv = (ux + uy, vx + vy)
-                out[uv] = out.get(uv, 0) + cx * cy
-        return BorelScalar(out)
+            if not isinstance(other, int):
+                return NotImplemented
+            return BorelScalar(self.u, self.v, self.c * other)
+        return BorelScalar(self.u + other.u, self.v + other.v, self.c * other.c)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return join_signed([signed_term(self.terms[uv], monomial_text(uv))
-                            for uv in sorted(self.terms)])
+        return signed_term(self.c, monomial_text((self.u, self.v)))
 
     __repr__ = __str__
 
@@ -246,7 +217,7 @@ class BorelElement:
                 chunks.append(text)
             elif text == "1":
                 chunks.append(body)
-            elif "+" in text or (" - " in text) or text.startswith("-"):
+            elif text.startswith("-"):
                 chunks.append(f"({text})*{body}")
             else:
                 chunks.append(f"{text}*{body}")
@@ -256,11 +227,20 @@ class BorelElement:
 
 
 def _c_binomial(scalar: BorelScalar, a: int, b: int) -> dict[int, BorelScalar]:
-    """scalar * c^a * (c + e^2)^b as a raw coefficient dict."""
-    return {
-        a + j: scalar * BorelScalar.monomial(2 * (b - j), 0, comb(b, j))
-        for j in range(b + 1)
-    }
+    """scalar * c^a * (c + e^2)^b as a raw coefficient dict.
+
+    The term of c^(a+j) carries e^(2(b-j)), so for j < b only the parity of
+    comb(b, j) counts, and by Lucas's theorem it is odd exactly when the bits
+    of j are bits of b: the terms are the submasks j of b.
+    """
+    u, v, c = scalar.u, scalar.v, scalar.c
+    terms = {}
+    j = b
+    while True:
+        terms[a + j] = BorelScalar(u + 2 * (b - j), v, c)
+        if not j:
+            return terms
+        j = (j - 1) & b
 
 
 def _accumulate(out: dict[int, BorelScalar], terms: dict[int, BorelScalar]) -> None:
@@ -279,17 +259,15 @@ def borel_map(x: ModuleElement, n1: int) -> BorelElement:
     The multiplicative map sends z0 to 1, z1 to xi, cw to c and cxw to
     xi^-1 * (c + e^2); the result is multiplied by xi^n1 so that every
     line bundle is counted with rank 2s, matching the Borel closed forms.
-    On the point ring it kills the kappa family (u < 0) and keeps
-    e^u*xi^v, a transfer tau(i^2v) or g going to 2*xi^v.
+    On the point ring it is ``BorelScalar.from_burnside``.
     """
     out: dict[int, BorelScalar] = {}
     for mono, coeff in x.terms.items():
-        if coeff.u < 0:  # the kappa family maps to 0
-            continue
-        shift = mono.t - mono.b + n1  # the power of xi beside c^a * (c + e^2)^b
-        image = (2 * coeff.c if coeff.v < 0 else coeff.c) + 2 * coeff.g
-        scalar = BorelScalar.monomial(coeff.u, coeff.v + shift, image)
-        _accumulate(out, _c_binomial(scalar, mono.a, mono.b))
+        scalar = BorelScalar.from_burnside(coeff)
+        if scalar:
+            shift = mono.t - mono.b + n1  # the power of xi beside c^a * (c + e^2)^b
+            scalar = BorelScalar(scalar.u, scalar.v + shift, scalar.c)
+            _accumulate(out, _c_binomial(scalar, mono.a, mono.b))
     return BorelElement(x.sp, out)
 
 
@@ -303,7 +281,7 @@ def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
     if dd.delta % 2:
         return BorelElement(sp, _c_binomial(BorelScalar.from_int(dd.delta), n0, n - n0))
     if dd.delta0 % 2 or dd.delta1 % 2:
-        tail = _c_binomial(BorelScalar.monomial(2 * (n - n0 - n1), 0), n0, n1)
+        tail = _c_binomial(BorelScalar(2 * (n - n0 - n1), 0, 1), n0, n1)
         return leading + BorelElement(sp, tail)
     return leading
 

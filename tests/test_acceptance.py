@@ -171,14 +171,11 @@ def test_criterion_7_coefficient_change_functoriality():
             assert borel_map(prod, ranks(F).n_fix1) == borel_euler_closed(F)
         for _ in range(100):
             sp = ProjSpace(rng.randint(1, 5), rng.randint(1, 5))
+            # a homogeneous class: c^k carries c_k*e^(u0 - 2k)*xi^v
+            top = rng.randint(1, 5)
+            u0, v = 2 * (top - 1) + rng.randint(0, 3), rng.randint(-2, 2)
             x = BorelElement(
-                sp,
-                {
-                    k: BorelScalar.monomial(
-                        rng.randint(0, 3), rng.randint(-2, 2), rng.randint(-4, 4)
-                    )
-                    for k in range(rng.randint(1, 5))
-                },
+                sp, {k: BorelScalar(u0 - 2 * k, v, rng.randint(-4, 4)) for k in range(top)}
             )
             raw = {}
             for k1, v1 in x.coeffs.items():

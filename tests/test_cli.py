@@ -408,6 +408,24 @@ def test_chart_work_is_bounded_by_a_cell_count(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["basis", "100000000", "1", "0"], ["basis", "50000", "50001", "0", "--json"],
+     # p + q has more digits than str(int) prints, and the message holds none
+     ["basis", "9" * 4300, "9" * 4300, "-3"]],
+)
+def test_basis_work_is_bounded_by_the_listing_cap(argv):
+    # a basis lists p + q monomials, so a space beyond the chart's cap is
+    # refused before any is built (10^8 of them would run out of memory)
+    proc = subprocess.run([sys.executable, "-m", "equibezout.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the basis would have more than 100000 monomials (p+q); take a smaller space"]
+
+
+@pytest.mark.parametrize(
     "theory, line",
     [("burnside", "e(F) = (1 + g)*P2 + e^-2*kappa*P3"), ("zconst", "e_Z(F) = 3*P2")],
 )

@@ -187,8 +187,13 @@ def test_ring_maps_match_the_per_kind_tables():
             rho = RHO[kind] * c
             assert h_rho(x) == ((rho, mono.grading.b) if rho else (0, 0)), x
             assert h_fixed(x) == FIXED[kind] * c, x
-            borel = {uv: k * c for uv, k in BOREL_SCALAR[kind](m, n).items()}
-            assert borel_image(x) == BorelScalar(borel), x
+            borel = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
+            for (u, v), k in BOREL_SCALAR[kind](m, n).items():
+                coeff = k * c % 2 if u else k * c
+                if coeff:
+                    borel = (u, v, coeff, 0)
+            b = borel_image(x)
+            assert type(b) is BorelScalar and (b.u, b.v, b.c, b.g) == borel, x
             fold = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
             if Z_FOLD[kind]:
                 target, factor, modulus = Z_FOLD[kind]
@@ -219,8 +224,11 @@ def test_degree_zero_prints_1_before_g():
     assert str(ZHElement.from_burnside(3 + g())) == "5"
     assert str(borel_image(2 - g())) == "0"
     assert str(borel_image(3 + g())) == "5"
-    # Borel scalars print by their exponent pairs
-    assert str(BorelScalar({(1, 0): 1, (0, 0): 2, (0, -1): -1})) == "-xi^-1 + 2 + e"
+    # a Borel scalar is one signed monomial e^u*xi^v
+    assert [str(BorelScalar(*fields)) for fields in
+            ((0, -1, -1), (0, 0, 2), (1, 0, 1), (3, -2, -1), (0, 2, -3), (2, 0, 2))] == [
+        "-xi^-1", "2", "e", "e^3*xi^-2", "-3*xi^2", "0"]
+    assert str(borel_image(-tauinv(1))) == "-2*xi^-1"
 
 
 def test_add_same_grading():

@@ -1,11 +1,14 @@
 """Constant-Z and Borel theories: maps, closed forms, information loss."""
 
+import itertools
 import operator
 import random
+from math import comb
 
 import pytest
 
 from equibezout import hscalar as hs
+from equibezout.grading import join_signed
 from equibezout.euler import BundleSum, O, euler_product, ranks, xO
 from equibezout.projmod import (
     BasisMonomial,
@@ -19,6 +22,7 @@ from equibezout.variants import (
     BorelElement,
     BorelScalar,
     ZHElement,
+    _c_binomial,
     borel_euler_closed,
     borel_map,
     borel_relation,
@@ -73,7 +77,7 @@ def test_burnside_and_constZ_scalars_never_mix():
     with pytest.raises(ArithmeticError):
         z.divide_by_two()  # an e coefficient is always odd
     # the Borel scalars share the arithmetic but mix with neither ring
-    b = BorelScalar.monomial(2, 0)
+    b = BorelScalar(2, 0, 1)
     for other in (h, z):
         assert b != other and other != b
         for op in (operator.add, operator.sub, operator.mul):
@@ -81,8 +85,16 @@ def test_burnside_and_constZ_scalars_never_mix():
                 op(b, other)
             with pytest.raises(TypeError):
                 op(other, b)
-    for result in (-b, b + 1, 1 + b, b * 3, 3 * b, b - 1, 1 - b, b * b):
+    five = BorelScalar.from_int(5)
+    for result in (-b, five + 1, 1 + five, b * 3, 3 * b, five - 1, 1 - five, b * b,
+                   b + b, b - b, b * five):
         assert type(result) is BorelScalar
+    # a Borel scalar is homogeneous: e^2 + 1 has no normal form
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="mixed gradings"):
+            op(b, 1)
+        with pytest.raises(ValueError, match="mixed gradings"):
+            op(1, b)
 
 
 def test_ring_constants_are_shared_per_ring_class():
@@ -190,10 +202,10 @@ def test_z_fixed_examples():
 
 
 def test_borel_scalar_torsion():
-    e2 = BorelScalar.monomial(2, 0)
+    e2 = BorelScalar(2, 0, 1)
     assert e2 + e2 == BorelScalar.from_int(0)
     # the integer-graded subring is the group cohomology pattern
-    gen = BorelScalar.monomial(2, -1)  # e^2 * xi^-1, degree 2
+    gen = BorelScalar(2, -1, 1)  # e^2 * xi^-1, degree 2
     power = BorelScalar.from_int(1)
     for _ in range(5):
         power = power * gen
@@ -215,19 +227,21 @@ def _times_relation_raw(x: BorelElement) -> dict:
     return raw
 
 
+def random_homogeneous(rng, sp, kmax, umax, vmax, cmax):
+    """A random homogeneous Borel class: c^k carries c_k*e^(u0 - 2k)*xi^v
+    for k below a random top, c_k in [-cmax, cmax]."""
+    top = rng.randint(1, kmax)
+    u0, v = 2 * (top - 1) + rng.randint(0, umax), rng.randint(-vmax, vmax)
+    return BorelElement(
+        sp, {k: BorelScalar(u0 - 2 * k, v, rng.randint(-cmax, cmax)) for k in range(top)}
+    )
+
+
 def test_borel_reduction_kills_relation_multiples():
     rng = random.Random(13579)
     for _ in range(100):
         sp = ProjSpace(rng.randint(1, 5), rng.randint(1, 5))
-        x = BorelElement(
-            sp,
-            {
-                k: BorelScalar.monomial(
-                    rng.randint(0, 4), rng.randint(-3, 3), rng.randint(-5, 5)
-                )
-                for k in range(rng.randint(1, 6))
-            },
-        )
+        x = random_homogeneous(rng, sp, kmax=6, umax=4, vmax=3, cmax=5)
         assert BorelElement(sp, _times_relation_raw(x)) == BorelElement.zero(sp)
         # reduction is idempotent
         assert BorelElement(sp, dict(x.coeffs)) == x
@@ -249,7 +263,7 @@ def test_borel_map_line_bundles():
     F = bundle_sum(3, 3, xO(2))
     got = borel_map(euler_product(F), ranks(F).n_fix1)
     assert got == BorelElement(
-        sp, {1: BorelScalar.from_int(2), 0: BorelScalar.monomial(2, 0)}
+        sp, {1: BorelScalar.from_int(2), 0: BorelScalar(2, 0, 1)}
     )
     for d in (-3, -2, 1, 4):
         F = bundle_sum(3, 3, O(d))
@@ -258,7 +272,7 @@ def test_borel_map_line_bundles():
         )
         F = bundle_sum(3, 3, xO(d))
         assert borel_map(euler_product(F), ranks(F).n_fix1) == BorelElement(
-            sp, {1: BorelScalar.from_int(d), 0: BorelScalar.monomial(2, 0)}
+            sp, {1: BorelScalar.from_int(d), 0: BorelScalar(2, 0, 1)}
         )
 
 
@@ -271,13 +285,13 @@ def test_borel_euler_closed_three_cases():
     sp = ProjSpace(2, 2)
     got = borel_euler_closed(bundle_sum(2, 2, O(3), xO(1)))
     assert got == BorelElement(
-        sp, {2: BorelScalar.from_int(3), 1: BorelScalar.monomial(2, 0)}
+        sp, {2: BorelScalar.from_int(3), 1: BorelScalar(2, 0, 1)}
     )
     # even Delta with odd fixed degree
     sp = ProjSpace(5, 5)
     got = borel_euler_closed(bundle_sum(5, 5, *[xO(2)] * 4))
     assert got == BorelElement(
-        sp, {4: BorelScalar.from_int(16), 0: BorelScalar.monomial(8, 0)}
+        sp, {4: BorelScalar.from_int(16), 0: BorelScalar(8, 0, 1)}
     )
 
 
@@ -320,3 +334,66 @@ def test_borel_elements_over_different_spaces_do_not_mix(op):
     y = BorelElement(ProjSpace(3, 3), {4: BorelScalar.from_int(1)})
     with pytest.raises(ValueError, match="elements over different spaces"):
         op(x, y)
+
+
+# The Borel scalar as it was before it became one monomial: a dict of
+# coefficients keyed by the exponent pair (u, v) of e^u*xi^v, reduced mod 2
+# at u >= 1, with the product adding exponents term by term.
+def dict_normal(terms):
+    return {uv: c % 2 if uv[0] else c for uv, c in terms.items() if (c % 2 if uv[0] else c)}
+
+
+def dict_product(x, y):
+    out = {}
+    for (ux, vx), cx in x.items():
+        for (uy, vy), cy in y.items():
+            uv = (ux + uy, vx + vy)
+            out[uv] = out.get(uv, 0) + cx * cy
+    return dict_normal(out)
+
+
+def dict_sum(x, y):
+    out = dict(x)
+    for uv, c in y.items():
+        out[uv] = out.get(uv, 0) + c
+    return dict_normal(out)
+
+
+def dict_str(x):
+    return join_signed([hs.signed_term(x[uv], hs.monomial_text(uv)) for uv in sorted(x)])
+
+
+def as_dict(x):
+    return {(x.u, x.v): x.c} if x else {}
+
+
+def test_borel_scalar_matches_the_dict_oracle():
+    pairs = [(u, v) for u in range(5) for v in range(-4, 5)]
+    elems = [BorelScalar(u, v, c) for (u, v), c in itertools.product(pairs, (0, 1, -3))]
+    for x in elems:
+        assert str(x) == dict_str(as_dict(x)), x
+        for y in elems:
+            assert as_dict(x * y) == dict_product(as_dict(x), as_dict(y)), (x, y)
+            assert str(x * y) == dict_str(dict_product(as_dict(x), as_dict(y))), (x, y)
+            if (x.u, x.v) == (y.u, y.v) or not (x and y):
+                assert as_dict(x + y) == dict_sum(as_dict(x), as_dict(y)), (x, y)
+
+
+def test_borel_scalar_constructor_rejects_negative_e_and_g():
+    with pytest.raises(ValueError, match="no Borel group at u=-1"):
+        BorelScalar(-1, 0, 1)
+    with pytest.raises(ValueError, match="a g term"):
+        BorelScalar(0, 0, 0, 1)
+    assert BorelScalar(3, -2, 4) == BorelScalar.zero() == BorelScalar(0, 5, 0)
+    assert BorelScalar.__slots__ == () and not hasattr(BorelScalar(1, 1, 1), "__dict__")
+
+
+def test_c_binomial_keeps_the_odd_binomials():
+    scalars = [BorelScalar.from_int(1), BorelScalar.from_int(-3), BorelScalar(1, -1, 1),
+               BorelScalar(0, 2, 5)]
+    for scalar, a, b in itertools.product(scalars, range(3), range(71)):
+        oracle = {a + j: scalar * BorelScalar(2 * (b - j), 0, comb(b, j))
+                  for j in range(b + 1)}
+        got = _c_binomial(scalar, a, b)
+        assert {k: v for k, v in got.items() if v} == {k: v for k, v in oracle.items() if v}
+    assert len(_c_binomial(BorelScalar.from_int(1), 0, 15000)) == 2 ** bin(15000).count("1") == 128
