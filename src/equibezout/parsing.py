@@ -10,6 +10,14 @@ Every canonical printed form round-trips through these parsers.
   and on the zeta generators (the divided classes), and the parser
   enforces exactly that.
 * Gradings:       ``"m*W1 + a + b*s"`` with zero terms omitted.
+
+A text is tokenized in one scan: one regex match finds the longest prefix
+made of tokens (trailing whitespace allowed), and one ``findall`` takes
+them.  A product of factors without parentheses or sums is a ``_Term``
+accumulator: the coefficient multiplies, and the exponents of e, xi, kappa
+and the module generators add, so ``xi^300`` is the exponent 300, not a
+chain of squarings.  The scalar ``coeff * e^j * xi^n`` is then one
+constructor, and a generator monomial is one ``raw_monomial``.
 """
 
 from __future__ import annotations
@@ -28,19 +36,19 @@ class ParseError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\^|\*|\+|\-|\(|\))")
+_TOKEN = r"\d+|[A-Za-z][A-Za-z0-9]*|[\^*+\-()]"
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest prefix that is a run of tokens, with trailing whitespace
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos} in {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    """The tokens of ``text``, scanned once; a character that starts no
+    token is named, with its position."""
+    end = _TOKENS_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r} at {end} in {text!r}")
+    return _TOKEN_RE.findall(text)
 
 
 GEN_NAMES = ("z0", "z1", "cw", "cxw")
@@ -71,30 +79,46 @@ def _power(base, k: int, one, mul=operator.mul, divided=lambda value: False):
     return out
 
 
+def _times(x, y):
+    """The product of two scalars, either of which may be None (the unit)."""
+    if x is None:
+        return y
+    return x if y is None else x * y
+
+
 def _has_divided(value: ModuleElement) -> bool:
     return any(is_divided(m) for m in value.terms)
 
 
 class _Term:
-    """Multiplicative accumulator: coeff * scalar * e^j * kappa^c * gens."""
+    """Multiplicative accumulator: coeff * scal * e^j * xi^n * kappa^c * gens.
 
-    __slots__ = ("coeff", "scal", "e_exp", "kappa", "gens")
+    ``scal`` is None for the unit, so only a real scalar (g, tau(...) or a
+    folded expression) is ever multiplied; the exponents of e, xi, kappa and
+    the generators add up as integers.  ``gens`` is never changed in place.
+    """
 
-    def __init__(self, coeff=1, scal=None, e_exp=0, kappa=0, gens=None):
+    __slots__ = ("coeff", "scal", "e_exp", "xi_exp", "kappa", "gens")
+
+    def __init__(self, coeff=1, scal=None, e_exp=0, xi_exp=0, kappa=0, gens=None):
         self.coeff = coeff
-        self.scal = hscalar.one() if scal is None else scal
+        self.scal = scal
         self.e_exp = e_exp
+        self.xi_exp = xi_exp
         self.kappa = kappa
-        self.gens = dict(gens) if gens else {}
+        self.gens = gens or {}
 
     def mul(self, other: "_Term") -> "_Term":
-        gens = dict(self.gens)
-        for k, v in other.gens.items():
-            gens[k] = gens.get(k, 0) + v
+        gens = self.gens
+        if other.gens:
+            gens = dict(gens)
+            for k, v in other.gens.items():
+                gens[k] = gens.get(k, 0) + v
         return _Term(
             self.coeff * other.coeff,
-            self.scal * other.scal,
+            _times(self.scal, other.scal),
             self.e_exp + other.e_exp,
+            self.xi_exp + other.xi_exp,
             self.kappa + other.kappa,
             gens,
         )
@@ -103,13 +127,15 @@ class _Term:
         if k >= 0:
             return _Term(
                 self.coeff**k,
-                _power(self.scal, k, hscalar.one()),
+                None if self.scal is None else _power(self.scal, k, hscalar.one()),
                 self.e_exp * k,
+                self.xi_exp * k,
                 self.kappa * k,
                 {name: exp * k for name, exp in self.gens.items()} if k else None,
             )
         # negative powers: only pure e or pure generator terms
-        if self.coeff == 1 and self.scal == 1 and self.kappa == 0:
+        if (self.coeff == 1 and self.xi_exp == 0 and self.kappa == 0
+                and (self.scal is None or self.scal == 1)):
             if not self.gens and self.e_exp:
                 return _Term(e_exp=self.e_exp * k)
             if not self.e_exp and len(self.gens) == 1:
@@ -118,15 +144,16 @@ class _Term:
         raise ParseError("negative exponent only allowed on e, z0 or z1")
 
     def scalar_value(self) -> HElement:
-        base = self.scal * self.coeff
         if self.kappa == 0:
             if self.e_exp < 0:
                 raise ParseError("e^-m is only an element together with kappa")
-            if self.e_exp > 0:
-                base = base * hscalar.e(self.e_exp)
-            return base
-        extra = 2 ** (self.kappa - 1)  # kappa^c = 2^(c-1) * kappa
-        return base * extra * hscalar.e_power_kappa(self.e_exp)
+            base = HElement(self.e_exp, self.xi_exp, self.coeff)  # coeff*e^j*xi^n
+        else:
+            extra = 2 ** (self.kappa - 1)  # kappa^c = 2^(c-1) * kappa
+            base = hscalar.e_power_kappa(self.e_exp) * (self.coeff * extra)
+            if self.xi_exp:
+                base = base * hscalar.xi(self.xi_exp)
+        return _times(self.scal, base)
 
     def module_value(self, sp: ProjSpace | None) -> ModuleElement:
         if sp is None:
@@ -141,8 +168,7 @@ class _Term:
             mono = raw_monomial(sp, s, t, a, b)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        scalar = _Term(self.coeff, self.scal, self.e_exp, self.kappa).scalar_value()
-        return mono.scale(scalar)
+        return mono.scale(self.scalar_value())
 
 
 def _materialize(value, sp):
@@ -163,15 +189,15 @@ def _as_module(value, sp) -> ModuleElement:
 
 class _ExprParser:
     def __init__(self, tokens: list[str], sp: ProjSpace | None):
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # the end sentinel, never taken
         self.pos = 0
         self.sp = sp
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self, expected=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError("unexpected end of expression")
         if expected is not None and tok != expected:
@@ -244,7 +270,7 @@ class _ExprParser:
         if tok == "e":
             return _Term(e_exp=1)
         if tok == "xi":
-            return _Term(scal=hscalar.xi(1))
+            return _Term(xi_exp=1)
         if tok == "tau":
             return _Term(scal=self.tau_call())
         if tok in GEN_NAMES:
@@ -277,9 +303,8 @@ class _ExprParser:
             term, other = (a, b) if isinstance(a, _Term) else (b, a)
             other_v = _materialize(other, self.sp)
             if isinstance(other_v, HElement):
-                return _Term(
-                    term.coeff, term.scal * other_v, term.e_exp, term.kappa, term.gens
-                )
+                return _Term(term.coeff, _times(term.scal, other_v), term.e_exp,
+                             term.xi_exp, term.kappa, term.gens)
             return mod_mul(other_v, _as_module(_materialize(term, self.sp), self.sp))
         av = _materialize(a, self.sp)
         bv = _materialize(b, self.sp)

@@ -27,7 +27,9 @@ line class, whose monomials have degree at most 3, multiplies each term of
 a product in one call.  A step starts from the term's coefficient, so a walk
 does one scalar product per rewrite rule that fires, not one per image, and
 it adds its images into ``out``, the walk's dict for the next step, so a
-step builds no dict or element of its own.  Each image is built by
+step builds no dict or element of its own.  A product scales each term
+before its last step, so a term that the scaling kills (2-torsion, as
+2*e*xi = 0) takes no step at all.  Each image is built by
 ``_basis(p, q, s, t, a, b)``, which checks its family (a ``ValueError``, not
 an assert) and builds no ``ProjSpace``.  The rules, one branch of
 ``_normalize`` each, with u = 1-kappa:
@@ -366,9 +368,9 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
 
     One branch per rule of the module docstring, named in its comment: a
     rule with one image rewrites the exponents in place, a rule with two
-    recurses.  A zero coefficient (a torsion product) ends the rewrite at
-    once.  The final ``_basis`` rejects any pattern outside the six
-    families.
+    recurses.  A zero coefficient (a rule's constant times a torsion
+    class) ends the rewrite at once.  The final ``_basis`` rejects any
+    pattern outside the six families.
     """
     if not coeff:
         return
@@ -483,13 +485,18 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     """Normal form of the formal monomial z0^s z1^t cw^a cxw^b.
 
     Negative ``s`` requires ``a >= p`` (the divided cw^p tower) and
-    negative ``t`` requires ``b >= q``; both negative is rejected.
+    negative ``t`` requires ``b >= q``; both negative is rejected.  For
+    s, t >= 0 the walk starts from the largest factor already in normal
+    form: with k = min(s, t), z0^k * z1^k is xi^k, and cw^min(a, p) *
+    cxw^min(b, q) is a basis monomial unless the whole monomial vanishes,
+    so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is walked.
     """
     if a < 0 or b < 0:
         raise ValueError("cw/cxw exponents must be nonnegative")
     if s < 0 and t < 0:
         raise ValueError("z0 and z1 exponents cannot both be negative")
     p, q = sp.p, sp.q
+    coeff = ring.ring_one()
     if _family(p, q, s, t, a, b) is not None:
         start, rest = BasisMonomial(sp, s, t, a, b), (0, 0, 0, 0)  # its own normal form
     elif s < 0:
@@ -504,9 +511,13 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         if p == 0:
             return ModuleElement.zero(sp, ring)  # cxw^q = 0 when p = 0
         start, rest = BasisMonomial(sp, 0, t, 0, q), (s, 0, a, b - q)
+    elif a >= p and b >= q:
+        return ModuleElement.zero(sp, ring)  # vanish: cw^p * cxw^q = 0
     else:
-        start, rest = BasisMonomial(sp, 0, 0, 0, 0), (s, t, a, b)
-    terms = _walk({start: ring.ring_one()}, _steps(*rest), ring)
+        k, a0, b0 = min(s, t), min(a, p), min(b, q)
+        coeff = ring.ring_xi(k)  # zeta cancel: z0^k * z1^k = xi^k
+        start, rest = _basis(p, q, 0, 0, a0, b0), (s - k, t - k, a - a0, b - b0)
+    terms = _walk({start: coeff}, _steps(*rest), ring)
     return ModuleElement._trusted(sp, terms, ring)
 
 
@@ -518,7 +529,8 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
     over the other factor (a line class has none, its monomials having
     degree at most 3), and the last one takes each walked term, scaled by
     the monomial's coefficient, straight into the product in one
-    ``gen_mul``.
+    ``gen_mul``.  A term whose scaled coefficient is zero, a torsion
+    product, is dropped before that step.
     """
     if x.sp != y.sp:
         raise ValueError("elements over different spaces")
@@ -533,7 +545,9 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
         *lead, last = _steps(*mono[2:])
         for term, c in _walk(x.terms, lead, ring).items():
             if c:  # a walk may leave a zero; scaling it is wasted work
-                gen_mul(last, term, ring, c * coeff, out)
+                c = c * coeff
+                if c:  # a torsion product: nothing to rewrite
+                    gen_mul(last, term, ring, c, out)
     return ModuleElement._trusted(x.sp, out, ring)
 
 

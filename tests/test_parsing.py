@@ -1,5 +1,6 @@
 """Round-trips and error behavior of the text grammars."""
 
+import pathlib
 import random
 
 import pytest
@@ -242,3 +243,99 @@ def test_parse_grading():
 def test_module_element_without_context_fails():
     with pytest.raises(ParseError):
         parse_scalar("z1*cxw")
+
+
+def test_trailing_whitespace_is_accepted():
+    assert parse_scalar("2 - g ") == 2 - hs.g()
+    assert parse_scalar(" xi^2\t\n") == hs.xi(2)
+    assert parse_grading("W1 + 2 ") == PiBDegree(1, 2, 0)
+
+
+@pytest.mark.parametrize("text, char, pos", [("e $", "$", 2), ("e$", "$", 1),
+                                             ("2 -  g  ;", ";", 8), ("#", "#", 0)])
+def test_a_bad_character_is_named_where_it_stands(text, char, pos):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == f"unexpected character {char!r} at {pos} in {text!r}"
+
+
+def test_negative_powers_stay_refused_where_they_were():
+    refused = "negative exponent only allowed on e, z0 or z1"
+    for text in ("xi^-1", "(xi*e)^-1", "(g*e)^-1"):
+        with pytest.raises(ParseError, match=refused):
+            parse_scalar(text)
+    with pytest.raises(ParseError, match=refused):
+        parse_module_element("(2*z0)^-1", ProjSpace(2, 2))
+    with pytest.raises(ParseError, match="e\\^-m is only an element together with kappa"):
+        parse_scalar("e^-2")
+    assert parse_scalar("e^-2*kappa*xi") == HElement.zero()
+    assert parse_scalar("(xi^0*e)^-2*kappa") == hs.einvkappa(2)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    product = HElement.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(HElement, "__mul__", counted)
+    monkeypatch.setattr(HElement, "__rmul__", counted)
+    return calls
+
+
+def test_powers_of_e_and_xi_cost_no_scalar_powers(monkeypatch):
+    # the accumulator adds up the exponents of e and xi and builds the scalar
+    # in one constructor (15 products, squaring xi, before); the module
+    # element scales its one basis monomial once (18 products before)
+    sp, scalar = ProjSpace(4, 4), 7 * hs.xi(300)
+    module = ModuleElement(sp, {BasisMonomial(sp, 0, 0, 2, 0): scalar})
+    calls = _count_products(monkeypatch)
+    assert parse_scalar("7*xi^300") == scalar
+    assert calls[0] == 0, calls
+    assert parse_module_element("7*xi^300*cw^2", sp) == module
+    assert calls[0] == 1, calls
+
+
+GOLDEN_ROUNDTRIP = pathlib.Path(__file__).parent / "golden" / "parse_module_element.out"
+
+
+def _roundtrip_cases(count=300, seed=2020):
+    """(p, q, text) in the three forms that the benchmark round-trips:
+    monomials with xi up to 300, divided classes (of both towers here), and
+    powers of e^2 + g*z0*cw."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p, q = rng.randint(1, 16), rng.randint(1, 16)
+        k = rng.randint(1, 9)
+        if i % 3 == 0:
+            exps = [("xi", rng.randint(0, 300)), ("z0", rng.randint(0, p)),
+                    ("z1", rng.randint(0, q)), ("cw", rng.randint(0, p)),
+                    ("cxw", rng.randint(0, q))]
+            text = "*".join([str(k)] + [f"{name}^{exp}" for name, exp in exps if exp])
+        elif i % 3 == 1:
+            if rng.random() < 0.5:
+                s, b = rng.randint(1, p), rng.randint(0, q - 1)
+                text = f"{k}*z0^-{s}*cw^{p}" + (f"*cxw^{b}" if b else "")
+            else:
+                t, a = rng.randint(1, q), rng.randint(0, p - 1)
+                text = f"{k}*z1^-{t}" + (f"*cw^{a}" if a else "") + f"*cxw^{q}"
+        else:
+            text = f"(e^2 + g*z0*cw)^{rng.randint(1, min(p + q, 12))}"
+        yield p, q, text
+
+
+def _roundtrip_lines():
+    return [f"X({p},{q}) {text} = {parse_module_element(text, ProjSpace(p, q))}"
+            for p, q, text in _roundtrip_cases()]
+
+
+def test_module_parse_matches_the_golden_file():
+    # regenerate, when the printed forms are meant to change, with
+    #     PYTHONPATH=src python tests/test_parsing.py
+    assert _roundtrip_lines() == GOLDEN_ROUNDTRIP.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    GOLDEN_ROUNDTRIP.write_text("".join(line + "\n" for line in _roundtrip_lines()))

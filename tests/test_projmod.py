@@ -538,6 +538,20 @@ def test_raw_monomial_matches_generator_walk(ring):
     assert checked > 10000
 
 
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_raw_monomial_matches_the_walk_from_the_unit(ring):
+    # the walk raw_monomial made before it started from the largest factor
+    # in normal form: every step of the monomial, from the unit
+    checked = 0
+    for sp in all_spaces(3):
+        unit = BasisMonomial(sp, 0, 0, 0, 0)
+        for s, t, a, b in itertools.product(range(5), repeat=4):
+            walked = projmod._walk({unit: ring.ring_one()}, projmod._steps(s, t, a, b), ring)
+            assert raw_monomial(sp, s, t, a, b, ring) == ModuleElement(sp, walked, ring)
+            checked += 1
+    assert checked == 15 * 5**4
+
+
 def test_add_and_constructor_reject_mixed_gradings():
     sp = ProjSpace(2, 2)
     x = elem(sp, BasisMonomial(sp, 0, 0, 1, 0))
