@@ -33,7 +33,6 @@ from .grading import (
 )
 from .hscalar import (
     HElement,
-    HMonomial,
     h_fixed,
     h_rho,
     in_Ie,

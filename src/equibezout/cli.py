@@ -25,7 +25,7 @@ import sys
 from . import euler as _euler
 from . import variants as _variants
 from .grading import join_signed
-from .hscalar import monomials_in_grading, signed_term
+from .hscalar import HElement, signed_term
 from .parsing import ParseError, parse_bundle_terms, parse_bundles
 from .projmod import ProjSpace, basis, coeff_vector
 from .verify import run_verify
@@ -273,16 +273,22 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def chart_cell(a: int, b: int) -> str:
-    """Symbol of the point-ring group in grading a + b*s."""
+    """Symbol of the point-ring group in grading a + b*s, read from the
+    normal form ``HElement(u, v, c)``: it raises where there is no group
+    and reduces c mod 2 where the group is Z/2."""
     marks = {(0, 1): "e", (-2, 2): "x", (2, -2): "t", (0, -1): "k"}
     if (a, b) in marks:
         return marks[(a, b)]
-    monos = monomials_in_grading(a, b)
-    if len(monos) == 2:
-        return "#"  # the Burnside ring itself
-    if not monos:
+    if a % 2:
+        return "."  # odd columns are out of scope
+    u, v = a + b, -a // 2  # e^u * xi^v has grading -2v + (u + 2v)*s
+    try:
+        HElement(u, v, 1)
+    except ValueError:
         return "."
-    return "o" if monos[0].u and monos[0].v else "*"  # e^u*xi^v is Z/2
+    if not (u or v):
+        return "#"  # the Burnside ring itself, on 1 and g
+    return "*" if HElement(u, v, 2) else "o"
 
 
 def chart_lines(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> list[str]:

@@ -18,10 +18,7 @@ grading holds one group: Z/2 at u, v >= 1, Z elsewhere on the axes and in
 the plain quadrant, and nothing off them.  Each of the two other families
 continues along its axis (u for kappa, v for the transfers) past the origin
 into the plain monomials: e^u*kappa is kappa = 2 - g at u = 0 and 2e^u for
-u > 0, and tau(i^2v) is 2*xi^v for v > 0.  A monomial is the tuple
-``(family, u, v)`` (:class:`HMonomial`), the form in which it prints and
-parses; it hashes, compares and orders as that bare tuple, with tuple's C
-slots.
+u > 0, and tau(i^2v) is 2*xi^v for v > 0.
 
 A homogeneous element is therefore four integers, :class:`HElement`
 ``(u, v, c, g)``: ``c`` is the coefficient of the one monomial at (u, v)
@@ -48,20 +45,10 @@ monomials with v = 0, 2 on the kappa family and 0 elsewhere.
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter
 
 from .grading import PiBDegree, join_signed
 
 PLAIN, KAPPA, TRANSFER = range(3)  # the families, plain first: 1 prints before g
-
-
-def _exists(family: int, u: int, v: int) -> bool:
-    """Whether the family has a monomial at signed exponents (u, v)."""
-    if family == PLAIN:
-        return u >= 0 and v >= 0
-    if family == KAPPA:
-        return u < 0 and v == 0
-    return family == TRANSFER and u == 0 and v <= 0
 
 
 def monomial_text(uv: tuple[int, int]) -> str:
@@ -89,46 +76,6 @@ def signed_term(coeff: int, body: str) -> str:
     else:
         chunk = f"{abs(coeff)}*{body}"
     return "-" + chunk if coeff < 0 else chunk
-
-
-class HMonomial(tuple):
-    """One monomial of the point ring: the tuple ``(family, u, v)``.
-
-    The constructor rejects exponents where the family has no group.  Being
-    a tuple, a monomial hashes, compares and orders as its bare exponent
-    tuple, with tuple's own C slots (so ``HMonomial(PLAIN, 1, 0) == (0, 1,
-    0)``); the fields and the grading (a ``PiBDegree`` with no ``W1`` part)
-    are read-only properties, the grading computed on each read.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, family: int, u: int, v: int):
-        if not _exists(family, u, v):
-            raise ValueError(f"no point-ring monomial HMonomial(family={family}, u={u}, v={v})")
-        return tuple.__new__(cls, (family, u, v))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    family = property(itemgetter(0))
-    u = property(itemgetter(1))
-    v = property(itemgetter(2))
-
-    @property
-    def grading(self) -> PiBDegree:
-        _, u, v = self
-        return PiBDegree(0, -2 * v, u + 2 * v)
-
-    def __repr__(self) -> str:
-        return "HMonomial(family={}, u={}, v={})".format(*self)
-
-    def __str__(self) -> str:
-        return "g" if self == MONO_G else _text_at(self[1], self[2])
-
-
-MONO_ONE = HMonomial(PLAIN, 0, 0)
-MONO_G = HMonomial(TRANSFER, 0, 0)
 
 
 def _family_product(fx: int, fy: int, u: int, v: int) -> tuple[int, int]:
@@ -162,11 +109,11 @@ class HElement:
     product (see ``variants.ZHElement``); ``variants.BorelScalar`` replaces
     the product as well.  Scalars of different classes never mix.
 
-    >>> g = HElement.monomial(MONO_G)
-    >>> print(g * g)
+    >>> print(g() * g())
     2*g
-    >>> print(kappa() * kappa() - 2 * kappa())
-    0
+    >>> kappa = e_power_kappa(0)
+    >>> print(kappa, "|", kappa * kappa - 2 * kappa)
+    2 - g | 0
     """
 
     __slots__ = ("u", "v", "c", "g")
@@ -185,10 +132,6 @@ class HElement:
         self.v = v
         self.c = c
         self.g = g
-
-    @classmethod
-    def monomial(cls, mono: HMonomial, coeff: int = 1) -> "HElement":
-        return cls(0, 0, 0, coeff) if mono == MONO_G else cls(mono[1], mono[2], coeff)
 
     @classmethod
     def from_int(cls, c: int) -> "HElement":
@@ -286,10 +229,11 @@ class HElement:
 
     __repr__ = __str__
 
-    # hooks used by the generic module rewrite engine.  Each is built on
-    # first use and then shared: one value per ring class (and per n for
-    # ring_xi), keyed by the class, so a subclass never gets its parent's.
-    # Sharing is safe because no scalar is changed in place.
+    # hooks used by the generic module rewrite engine.  The three constants
+    # are built on first use and then shared: one value per ring class,
+    # keyed by the class, so a subclass never gets its parent's.  Sharing
+    # is safe because no scalar is changed in place.  ring_xi is built on
+    # each call, as its exponent follows the input.
 
     @classmethod
     @cache
@@ -308,41 +252,20 @@ class HElement:
         return cls(2, 0, 1)
 
     @classmethod
-    @cache
     def ring_xi(cls, n: int) -> "HElement":
         return cls(0, n, 1)
-
-
-def one() -> HElement:
-    return HElement.from_int(1)
 
 
 def g() -> HElement:
     return HElement(0, 0, 0, 1)
 
 
-def kappa() -> HElement:
-    return e_power_kappa(0)
-
-
 def e(m: int = 1) -> HElement:
     return HElement(m, 0, 1)
 
 
-def einvkappa(m: int) -> HElement:
-    return HElement(-m, 0, 1)
-
-
 def xi(n: int = 1) -> HElement:
     return HElement(0, n, 1)
-
-
-def exi(m: int, n: int) -> HElement:
-    return HElement(m, n, 1)
-
-
-def tauinv(n: int) -> HElement:
-    return HElement(0, -n, 1)
 
 
 def tau_iota(k: int) -> HElement:
@@ -392,12 +315,3 @@ def in_Ie(x: HElement) -> bool:
     and all e^m coefficients to be even.
     """
     return in_T(x) and not (x.v == 0 and x.u >= 0 and x.c % 2)
-
-
-def monomials_in_grading(a: int, b: int) -> list[HMonomial]:
-    """Generators of the even-column point ring in grading ``a + b*s``."""
-    if a % 2:
-        return []
-    # e^u * xi^v has grading -2v + (u + 2v)*s
-    u, v = a + b, -a // 2
-    return [HMonomial(f, u, v) for f in (PLAIN, KAPPA, TRANSFER) if _exists(f, u, v)]

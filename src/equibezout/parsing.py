@@ -127,7 +127,7 @@ class _Term:
         if k >= 0:
             return _Term(
                 self.coeff**k,
-                None if self.scal is None else _power(self.scal, k, hscalar.one()),
+                None if self.scal is None else _power(self.scal, k, HElement.from_int(1)),
                 self.e_exp * k,
                 self.xi_exp * k,
                 self.kappa * k,

@@ -70,8 +70,9 @@ identities in the test suite exercise every rule.
 The engine is generic over the coefficient ring through the
 ``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
 the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
-normal form (kappa = 0, so the unit 1-kappa collapses to 1).  Each hook
-returns one shared value per ring class.  Engine results are homogeneous by
+normal form (kappa = 0, so the unit 1-kappa collapses to 1).  The constant
+hooks return one shared value per ring class, and ``ring_xi(n)`` builds
+xi^n.  Engine results are homogeneous by
 construction, so the engine builds them with the private
 ``ModuleElement._trusted``, which skips the per-term grading check that the
 public constructor makes: once per product, walk or ``apply_gen`` call, never
@@ -489,7 +490,10 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     s, t >= 0 the walk starts from the largest factor already in normal
     form: with k = min(s, t), z0^k * z1^k is xi^k, and cw^min(a, p) *
     cxw^min(b, q) is a basis monomial unless the whole monomial vanishes,
-    so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is walked.
+    so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is walked.  A z1 power
+    that the zeta cancel leaves beside cw^p is divided at the start (z1^t *
+    cw^p = xi^t * z0^-t * cw^p), and so is a z0 power beside cxw^q, so only
+    cw^(a-p) (cxw^(b-q)) is walked, whatever the zeta exponents.
     """
     if a < 0 or b < 0:
         raise ValueError("cw/cxw exponents must be nonnegative")
@@ -513,6 +517,12 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         start, rest = BasisMonomial(sp, 0, t, 0, q), (s, 0, a, b - q)
     elif a >= p and b >= q:
         return ModuleElement.zero(sp, ring)  # vanish: cw^p * cxw^q = 0
+    elif t > s and a >= p:  # z1 cw^p division after the zeta cancel
+        coeff = ring.ring_xi(t)
+        start, rest = _basis(p, q, s - t, 0, p, b), (0, 0, a - p, 0)
+    elif s > t and b >= q:  # z0 cxw^q division after the zeta cancel
+        coeff = ring.ring_xi(s)
+        start, rest = _basis(p, q, 0, t - s, a, q), (0, 0, 0, b - q)
     else:
         k, a0, b0 = min(s, t), min(a, p), min(b, q)
         coeff = ring.ring_xi(k)  # zeta cancel: z0^k * z1^k = xi^k

@@ -248,11 +248,6 @@ def _accumulate(out: dict[int, BorelScalar], terms: dict[int, BorelScalar]) -> N
         out[k] = out[k] + v if k in out else v
 
 
-def borel_relation(sp: ProjSpace) -> dict[int, BorelScalar]:
-    """The defining relation c^p (c+e^2)^q as a raw coefficient dict."""
-    return _c_binomial(BorelScalar.from_int(1), sp.p, sp.q)
-
-
 def borel_map(x: ModuleElement, n1: int) -> BorelElement:
     """Push a Burnside class into Borel cohomology.
 

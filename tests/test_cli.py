@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON schema, human output."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ from equibezout.grading import euler_grading
 from equibezout.hscalar import HElement
 from equibezout.projmod import ModuleElement, basis
 from equibezout.verify import run_verify
+from oracles import monomials_in_grading
 
 JSON_KEYS = {
     "command",
@@ -213,6 +215,23 @@ def test_chart_cells_match_figure():
     assert chart_cell(1, 1) == "."
     assert chart_cell(2, 2) == "."
     assert chart_cell(-2, 1) == "."
+
+
+def test_chart_cell_matches_the_existence_table():
+    # chart_cell reads the group from HElement's normal form; the test-side
+    # table says where each family has a monomial
+    marks = {"e", "x", "t", "k"}
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        monos = monomials_in_grading(a, b)
+        if len(monos) == 2:
+            expected = "#"  # 1 and g, the Burnside ring
+        elif not monos:
+            expected = "."
+        else:
+            ((_, u, v),) = monos
+            expected = "o" if u and v else "*"  # e^u*xi^v with u, v >= 1 is Z/2
+        cell = chart_cell(a, b)
+        assert cell == expected or (cell in marks and expected == "*"), (a, b)
 
 
 def test_verify_cli(capsys):

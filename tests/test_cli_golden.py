@@ -71,10 +71,11 @@ def test_golden_output(name):
 
 
 # Cases rerun under ``python -O``, which strips every ``assert``: one euler
-# input in all three theories, a context violation, a compare and a verify.
+# input in all three theories, a context violation, a compare, a verify and
+# a chart, whose cells come from the normal form of the point-ring scalar.
 OPTIMISED = [
     "euler_three_terms_burnside", "euler_three_terms_zconst", "euler_three_terms_borel",
-    "euler_context_violation", "compare_partial_loss", "verify_small_space_json",
+    "euler_context_violation", "compare_partial_loss", "verify_small_space_json", "chart",
 ]
 
 

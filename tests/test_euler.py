@@ -32,13 +32,14 @@ from equibezout.projmod import (
     raw_monomial,
 )
 from equibezout.variants import ZHElement, borel_euler_closed, z_euler_closed
+from oracles import einvkappa, one, tauinv
 
 U = hs.HElement.ring_u()
 
 
 def mono_elem(sp, s, t, a, b, coeff=None):
     return ModuleElement(
-        sp, {BasisMonomial(sp, s, t, a, b): hs.one() if coeff is None else coeff}
+        sp, {BasisMonomial(sp, s, t, a, b): one() if coeff is None else coeff}
     )
 
 
@@ -83,8 +84,8 @@ def test_euler_line_type_I():
     sp = ProjSpace(2, 2)
     assert euler_line(O(1), sp) == mono_elem(sp, 0, 0, 1, 0)
     got = euler_line(O(3), sp)
-    expected = mono_elem(sp, 0, 0, 1, 0, 3 * hs.one()) + mono_elem(
-        sp, 1, 0, 2, 0, -hs.einvkappa(2)
+    expected = mono_elem(sp, 0, 0, 1, 0, 3 * one()) + mono_elem(
+        sp, 1, 0, 2, 0, -einvkappa(2)
     )
     assert got == expected
     # oracle: restrictions of a degree-3 class of type I
@@ -95,8 +96,8 @@ def test_euler_line_type_I():
 def test_euler_line_type_II():
     sp = ProjSpace(2, 2)
     got = euler_line(O(2), sp)
-    expected = mono_elem(sp, 1, 0, 1, 0, hs.tauinv(1)) + mono_elem(
-        sp, 0, 0, 1, 1, hs.einvkappa(2)
+    expected = mono_elem(sp, 1, 0, 1, 0, tauinv(1)) + mono_elem(
+        sp, 0, 0, 1, 1, einvkappa(2)
     )
     assert got == expected
 
@@ -105,8 +106,8 @@ def test_euler_line_twisted_types():
     sp = ProjSpace(3, 3)
     assert euler_line(xO(1), sp) == mono_elem(sp, 0, 0, 0, 1)
     got = euler_line(xO(3), sp)
-    expected = mono_elem(sp, 0, 0, 0, 1, hs.one() + hs.g()) + mono_elem(
-        sp, 1, 0, 1, 1, hs.einvkappa(2)
+    expected = mono_elem(sp, 0, 0, 0, 1, one() + hs.g()) + mono_elem(
+        sp, 1, 0, 1, 1, einvkappa(2)
     )
     assert got == expected
     got = euler_line(xO(2), sp)
@@ -130,13 +131,13 @@ def engine_line(L, sp, ring):
 
     d, rem = divmod(L.d, 2)
     g = ring.from_burnside(hs.g())
-    eik2 = ring.from_burnside(hs.einvkappa(2))
+    eik2 = ring.from_burnside(einvkappa(2))
     if not L.twisted and rem:  # O(2d+1)
         return mono(0, 0, 1, 0) + (
             mono(0, 0, 1, 0).scale(g) + mono(0, 1, 1, 1).scale(eik2)
         ).scale(d)
     if not L.twisted:  # O(2d)
-        tl = ring.from_burnside(hs.tauinv(1))
+        tl = ring.from_burnside(tauinv(1))
         return (mono(1, 0, 1, 0).scale(tl) + mono(0, 0, 1, 1).scale(eik2)).scale(d)
     if rem:  # xO(2d+1)
         return mono(0, 0, 0, 1) + (
@@ -271,8 +272,8 @@ def test_euler_closed_type_II_generic():
     for p, q in [(2, 2), (3, 4)]:
         sp = ProjSpace(p, q)
         F = bundle_sum(p, q, O(2))
-        expected = mono_elem(sp, 1, 0, 1, 0, hs.tauinv(1)) + mono_elem(
-            sp, 0, 0, 1, 1, hs.einvkappa(2)
+        expected = mono_elem(sp, 1, 0, 1, 0, tauinv(1)) + mono_elem(
+            sp, 0, 0, 1, 1, einvkappa(2)
         )
         assert euler_closed(F) == expected
 
@@ -280,8 +281,8 @@ def test_euler_closed_type_II_generic():
 def test_euler_closed_mixed_example():
     sp = ProjSpace(2, 2)
     F = bundle_sum(2, 2, O(3), xO(1))
-    expected = mono_elem(sp, 0, 0, 1, 1, 3 * hs.one()) + mono_elem(
-        sp, 1, 0, 2, 1, -hs.einvkappa(2)
+    expected = mono_elem(sp, 0, 0, 1, 1, 3 * one()) + mono_elem(
+        sp, 1, 0, 2, 1, -einvkappa(2)
     )
     assert euler_closed(F) == expected
     assert euler_product(F) == expected
@@ -291,7 +292,7 @@ def test_euler_closed_on_tight_space():
     # O(2) on X(1,1): the kappa term dies since cw*cxw = 0 there
     sp = ProjSpace(1, 1)
     F = bundle_sum(1, 1, O(2))
-    expected = mono_elem(sp, 1, 0, 1, 0, hs.tauinv(1))
+    expected = mono_elem(sp, 1, 0, 1, 0, tauinv(1))
     assert euler_closed(F) == expected
     assert euler_product(F) == expected
 
@@ -302,8 +303,8 @@ def test_euler_closed_divided_carrier():
     sp = F.sp
     assert ranks(F) == RankTriple(4, 4, 3)
     assert degrees(F) == DegreeTriple(8, 0, 8)
-    expected = mono_elem(sp, -1, 0, 2, 2, 4 * hs.tauinv(1)) + mono_elem(
-        sp, -2, 0, 2, 3, 4 * hs.einvkappa(2)
+    expected = mono_elem(sp, -1, 0, 2, 2, 4 * tauinv(1)) + mono_elem(
+        sp, -2, 0, 2, 3, 4 * einvkappa(2)
     )
     assert euler_closed(F) == expected
     assert euler_product(F) == expected
@@ -345,8 +346,8 @@ def test_bezout_report_passes():
     assert [vector[i] for i in range(4)] == [
         hs.HElement.zero(),
         hs.HElement.zero(),
-        3 * hs.one(),
-        -hs.einvkappa(2),
+        3 * one(),
+        -einvkappa(2),
     ]
 
 

@@ -15,6 +15,7 @@ from equibezout.grading import (
 )
 from equibezout.parsing import parse_grading
 from equibezout.projmod import EPS, ZETAF, ModuleElement, ProjSpace, basis
+from oracles import G, scalar
 
 
 def test_degree_sum_identity():
@@ -129,18 +130,18 @@ def test_basis_grading_is_the_generator_degree_sum():
 def test_scalar_and_module_degrees_add_in_one_type():
     # point-ring degrees are the m = 0 slice of the extended grading, so
     # adding a scalar degree to a module degree commutes and keeps W1
-    monos = [hs.MONO_G]
+    monos = [G]
     for i in (1, 2):
-        monos += [hs.HMonomial(hs.KAPPA, -i, 0), hs.HMonomial(hs.TRANSFER, 0, -i)]
-    monos += [hs.HMonomial(hs.PLAIN, u, v) for u in range(3) for v in range(3)]
-    assert {mono.family for mono in monos} == {hs.PLAIN, hs.KAPPA, hs.TRANSFER}
+        monos += [(hs.KAPPA, -i, 0), (hs.TRANSFER, 0, -i)]
+    monos += [(hs.PLAIN, u, v) for u in range(3) for v in range(3)]
+    assert {family for family, _, _ in monos} == {hs.PLAIN, hs.KAPPA, hs.TRANSFER}
     sp = ProjSpace(2, 2)
     for mono in monos:
-        c = hs.HElement.monomial(mono)
+        c = scalar(mono)
         for m in range(-3, 4):
             for P in basis(sp, m):
                 total = c.grading + P.grading
                 assert total == P.grading + c.grading
                 assert total == ModuleElement(sp, {P: c}).grading
                 assert total.m == m
-        assert isinstance(mono.grading, PiBDegree) and mono.grading.m == 0
+        assert isinstance(c.grading, PiBDegree) and c.grading.m == 0

@@ -10,52 +10,58 @@ from equibezout import hscalar as hs
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import (
     KAPPA,
-    MONO_G,
-    MONO_ONE,
     PLAIN,
     TRANSFER,
     HElement,
-    HMonomial,
     e,
     e_power_kappa,
-    einvkappa,
-    exi,
     g,
     h_fixed,
     h_rho,
     in_Ie,
     in_T,
-    kappa,
-    monomials_in_grading,
-    one,
     tau_iota,
-    tauinv,
     xi,
 )
 from equibezout.projmod import ModuleElement, ProjSpace
 from equibezout.variants import BorelScalar, ZHElement, borel_map
+from oracles import (
+    FAMILIES,
+    G,
+    ONE,
+    einvkappa,
+    exi,
+    exists,
+    kappa,
+    one,
+    scalar,
+    scalars_in_grading,
+    tauinv,
+)
 
 # The seven kinds the monomials were once tagged with, by name: the monomial
-# of each kind with exponents (m, n), an unused slot being 0, as a family at
-# signed exponents.  The oracle tables below are keyed by these names.
+# of each kind with exponents (m, n), an unused slot being 0, as the tuple
+# (family, u, v) of signed exponents.  The oracle tables below are keyed by
+# these names.
 KINDS = {
-    "one": lambda m, n: HMonomial(PLAIN, 0, 0),
-    "g": lambda m, n: HMonomial(TRANSFER, 0, 0),
-    "e": lambda m, n: HMonomial(PLAIN, m, 0),
-    "eik": lambda m, n: HMonomial(KAPPA, -m, 0),
-    "xi": lambda m, n: HMonomial(PLAIN, 0, n),
-    "exi": lambda m, n: HMonomial(PLAIN, m, n),
-    "tauinv": lambda m, n: HMonomial(TRANSFER, 0, -n),
+    "one": lambda m, n: ONE,
+    "g": lambda m, n: G,
+    "e": lambda m, n: (PLAIN, m, 0),
+    "eik": lambda m, n: (KAPPA, -m, 0),
+    "xi": lambda m, n: (PLAIN, 0, n),
+    "exi": lambda m, n: (PLAIN, m, n),
+    "tauinv": lambda m, n: (TRANSFER, 0, -n),
 }
 
 
 def kind_of(mono):
     """The name in KINDS of a monomial's kind."""
-    if mono.family == KAPPA:
+    family, u, v = mono
+    if family == KAPPA:
         return "eik"
-    if mono.family == TRANSFER:
-        return "tauinv" if mono.v else "g"
-    return ("one", "xi", "e", "exi")[2 * bool(mono.u) + bool(mono.v)]
+    if family == TRANSFER:
+        return "tauinv" if v else "g"
+    return ("one", "xi", "e", "exi")[2 * bool(u) + bool(v)]
 
 
 def kinded(max_index=6):
@@ -75,59 +81,27 @@ def all_monomials(max_index=6):
 
 
 MONOS = all_monomials()
-ELEMS = [HElement.monomial(m) for m in MONOS]
+ELEMS = [scalar(m) for m in MONOS]
 
 
-def test_monomial_hash_contract():
-    for mono in MONOS:
-        twin = HMonomial(mono.family, mono.u, mono.v)
-        assert twin is not mono and twin == mono and hash(twin) == hash(mono)
-        assert {mono: "v"}[twin] == "v" and twin in {mono}
-        assert str(twin) == str(mono)
-        assert repr(twin) == f"HMonomial(family={mono.family}, u={mono.u}, v={mono.v})"
-        assert HElement.monomial(twin, 3) == HElement.monomial(mono, 3)
-        assert hash(HElement.monomial(twin, 3)) == hash(HElement.monomial(mono, 3))
-    # ordering is that of the fields alone, plain first
-    assert sorted(MONOS) == sorted(MONOS, key=lambda x: (x.family, x.u, x.v))
-    assert all((x < y) == ((x.family, x.u, x.v) < (y.family, y.u, y.v))
-               for x in MONOS[:20] for y in MONOS[:20])
-    assert PLAIN < KAPPA < TRANSFER and MONO_ONE < MONO_G
-
-
-def test_monomials_exist_only_where_their_family_has_a_group():
-    for family, u, v in [(PLAIN, -1, 0), (PLAIN, 0, -1), (KAPPA, 0, 0), (KAPPA, 1, 0),
-                         (KAPPA, -1, 1), (TRANSFER, 1, 0), (TRANSFER, 0, 1),
-                         (TRANSFER, -1, -1), (3, 0, 0)]:
-        with pytest.raises(ValueError, match="no point-ring monomial"):
-            HMonomial(family, u, v)
-
-
-def test_monomials_hash_and_compare_as_tuples():
-    # dict lookups in the point-ring product use tuple's own C slots
-    assert HMonomial.__hash__ is tuple.__hash__
-    assert HMonomial.__eq__ is tuple.__eq__
-    x = HMonomial(KAPPA, -2, 0)
-    assert x == (KAPPA, -2, 0) and hash(x) == hash((KAPPA, -2, 0))
-    assert (x.family, x.u, x.v, x.grading) == (KAPPA, -2, 0, PiBDegree(0, 0, -2))
-    with pytest.raises(AttributeError):
-        x.u = 0
-
-
-def test_monomial_constructor_matches_the_existence_oracle():
+def test_constructor_matches_the_existence_oracle():
+    # the existence law lives in the package only in HElement's normal form:
+    # a group where a family has a monomial, Z/2 at u, v >= 1, g at the origin
     built = 0
-    for family, u, v in itertools.product(range(-1, 4), range(-4, 5), range(-4, 5)):
-        if hs._exists(family, u, v):
-            assert HMonomial(family, u, v) == (family, u, v)
+    for u, v in itertools.product(range(-4, 5), repeat=2):
+        if any(exists(f, u, v) for f in FAMILIES):
+            x = HElement(u, v, 1)
+            assert (x.u, x.v, x.c, x.g) == (u, v, 1, 0)
+            assert (not HElement(u, v, 2)) == (u > 0 and v > 0)
             built += 1
         else:
-            with pytest.raises(ValueError, match="no point-ring monomial"):
-                HMonomial(family, u, v)
-    assert built == 25 + 4 + 5  # plain u, v >= 0; kappa u < 0; transfer v <= 0
-
-
-def test_monomials_of_different_families_never_compare_equal():
-    assert len(set(MONOS)) == len({(m.family, m.u, m.v) for m in MONOS}) == len(MONOS)
-    assert MONO_ONE != MONO_G and HMonomial(PLAIN, 0, 0) == MONO_ONE
+            with pytest.raises(ValueError, match="no point-ring group"):
+                HElement(u, v, 1)
+        if u or v:
+            with pytest.raises(ValueError, match="a g term"):
+                HElement(u, v, 0, 1)
+    assert built == 25 + 4 + 4  # plain u, v >= 0; kappa u < 0; transfer v < 0
+    assert HElement(0, 0, 0, 1).g == 1
 
 
 def test_monomial_grading_from_exponents():
@@ -143,8 +117,9 @@ def test_monomial_grading_from_exponents():
     assert {kind for kind, *_ in kinded()} == set(from_exponents) == set(KINDS)
     for kind, m, n, mono in kinded():
         assert kind_of(mono) == kind
-        assert mono.grading == PiBDegree(0, *from_exponents[kind](m, n))
-        assert mono.grading == PiBDegree(0, -2 * mono.v, mono.u + 2 * mono.v)
+        _, u, v = mono
+        assert scalar(mono).grading == PiBDegree(0, *from_exponents[kind](m, n))
+        assert scalar(mono).grading == PiBDegree(0, -2 * v, u + 2 * v)
 
 
 # The maps out of the ring as tables per kind, the form they had before
@@ -181,11 +156,11 @@ def borel_image(x):
 def test_ring_maps_match_the_per_kind_tables():
     for kind, m, n, mono in kinded():
         for c in (1, 2, 3, -1, -4):
-            x = HElement.monomial(mono, c)
+            x = scalar(mono, c)
             if not x:
                 continue  # an even multiple of e^m*xi^n
             rho = RHO[kind] * c
-            assert h_rho(x) == ((rho, mono.grading.b) if rho else (0, 0)), x
+            assert h_rho(x) == ((rho, x.grading.b) if rho else (0, 0)), x
             assert h_fixed(x) == FIXED[kind] * c, x
             borel = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
             for (u, v), k in BOREL_SCALAR[kind](m, n).items():
@@ -294,7 +269,7 @@ KIND_PAIR_PRODUCTS = [
 
 def test_product_of_every_pair_of_kinds():
     def kind(x):
-        (mono,) = [m for m in MONOS if HElement.monomial(m) == x]
+        (mono,) = [m for m in MONOS if scalar(m) == x]
         return kind_of(mono)
 
     pairs = {frozenset((kind(x), kind(y))) for x, y, _ in KIND_PAIR_PRODUCTS}
@@ -336,7 +311,7 @@ def test_distributivity():
     for combo in mixed:
         for z in ELEMS:
             expected = sum(
-                (HElement.monomial(m, c) * z for m, c in ((MONO_ONE, combo.c), (MONO_G, combo.g))),
+                (scalar(m, c) * z for m, c in ((ONE, combo.c), (G, combo.g))),
                 HElement.zero(),
             )
             assert combo * z == expected
@@ -428,23 +403,23 @@ def test_Ie_is_an_ideal():
             assert in_Ie(gen * elem)
 
 
-def test_monomials_in_grading():
-    assert monomials_in_grading(0, 0) == [MONO_ONE, MONO_G]
-    assert monomials_in_grading(0, 3) == [HMonomial(PLAIN, 3, 0)]
-    assert monomials_in_grading(0, -2) == [HMonomial(KAPPA, -2, 0)]
-    assert monomials_in_grading(-4, 4) == [HMonomial(PLAIN, 0, 2)]
-    assert monomials_in_grading(-4, 7) == [HMonomial(PLAIN, 3, 2)]
-    assert monomials_in_grading(6, -6) == [HMonomial(TRANSFER, 0, -3)]
-    assert monomials_in_grading(6, -4) == []
-    assert monomials_in_grading(3, -3) == []  # odd columns are out of scope
-    # consistency with the monomials' own gradings
-    for mono in MONOS:
-        grad = mono.grading
-        assert mono in monomials_in_grading(grad.a, grad.b)
-    # and the other way: every monomial returned has the grading asked for
+def test_scalars_in_grading():
+    # the test-side table of generators, against the scalars' own gradings
+    assert scalars_in_grading(0, 0) == [one(), g()]
+    assert scalars_in_grading(0, 3) == [e(3)]
+    assert scalars_in_grading(0, -2) == [einvkappa(2)]
+    assert scalars_in_grading(-4, 4) == [xi(2)]
+    assert scalars_in_grading(-4, 7) == [exi(3, 2)]
+    assert scalars_in_grading(6, -6) == [tauinv(3)]
+    assert scalars_in_grading(6, -4) == []
+    assert scalars_in_grading(3, -3) == []  # odd columns are out of scope
+    for x in ELEMS:
+        grad = x.grading
+        assert x in scalars_in_grading(grad.a, grad.b)
+    # and the other way: every scalar returned has the grading asked for
     for a, b in itertools.product(range(-12, 13), repeat=2):
-        for mono in monomials_in_grading(a, b):
-            assert mono.grading == PiBDegree(0, a, b)
+        for x in scalars_in_grading(a, b):
+            assert x.grading == PiBDegree(0, a, b)
 
 
 def test_divide_by_two():
@@ -466,15 +441,15 @@ def test_str_forms():
 
 
 # The product as it was before an element became its fields: a dict of
-# monomials, each pair multiplied by the three laws into (monomial,
+# monomial tuples, each pair multiplied by the three laws into (monomial,
 # coefficient) pairs, the families' members written out by ``_member``.
 def _member(family, w):
     uv = (w, 0) if family == KAPPA else (0, w)
     if w > 0:  # e^w*kappa = 2e^w, tau(i^2w) = 2*xi^w
-        return [(HMonomial(PLAIN, *uv), 2)]
+        return [((PLAIN, *uv), 2)]
     if w == 0 and family == KAPPA:
-        return [(MONO_ONE, 2), (MONO_G, -1)]  # kappa = 2 - g
-    return [(HMonomial(family, *uv), 1)]
+        return [(ONE, 2), (G, -1)]  # kappa = 2 - g
+    return [((family, *uv), 1)]
 
 
 def _mono_mul(x, y):
@@ -484,7 +459,7 @@ def _mono_mul(x, y):
     fy, uy, vy = y
     u, v = ux + uy, vx + vy
     if fy == PLAIN:
-        return [(HMonomial(PLAIN, u, v), 1)]
+        return [((PLAIN, u, v), 1)]
     along, across = (u, v) if fy == KAPPA else (v, u)
     if across:
         return []
@@ -503,13 +478,13 @@ def dict_product(x, y):
 
 
 def from_terms(ring, terms):
-    return sum((ring.monomial(m, c) for m, c in terms.items()), ring.zero())
+    return sum((scalar(m, c, ring) for m, c in terms.items()), ring.zero())
 
 
-ORACLE_MONOS = [HMonomial(f, u, v) for f in (PLAIN, KAPPA, TRANSFER)
-                for u in range(-8, 9) for v in range(-8, 9) if hs._exists(f, u, v)]
+ORACLE_MONOS = [(f, u, v) for f in FAMILIES
+                for u in range(-8, 9) for v in range(-8, 9) if exists(f, u, v)]
 # the a + b*g elements of degree 0, as dicts of terms
-ORIGIN_TERMS = [{MONO_ONE: a, MONO_G: b} for a, b in [(1, 1), (2, -1), (-3, 1), (0, 2), (-1, 3)]]
+ORIGIN_TERMS = [{ONE: a, G: b} for a, b in [(1, 1), (2, -1), (-3, 1), (0, 2), (-1, 3)]]
 
 
 def oracle_mismatches(ring):

@@ -1,0 +1,81 @@
+"""Every public function and class of ``hscalar`` and ``variants`` has a
+caller in the package.
+
+A convenience spelling that only the tests call belongs in the tests
+(``tests/oracles.py``).  Callers are read with ``ast``, so docstrings,
+doctests and comments do not count, and neither does an import alone (the
+re-exports of ``__init__`` among them): a name is called where it is read,
+as a bare name in its own module or where it was imported by name, or as an
+attribute of the imported module.
+"""
+
+import ast
+import pathlib
+
+import equibezout
+
+PACKAGE = pathlib.Path(equibezout.__file__).parent
+GUARDED = ("hscalar", "variants")
+
+
+def public_defs(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def bindings(tree: ast.Module, module: str) -> tuple[set[str], dict[str, str]]:
+    """The local names bound to ``module`` itself, and the local names of
+    the attributes imported from it (local name -> attribute name)."""
+    aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module is None or node.module == "equibezout":  # from . import hscalar
+            aliases |= {a.asname or a.name for a in node.names if a.name == module}
+        elif node.module in (module, f"equibezout.{module}"):
+            imported.update((a.asname or a.name, a.name) for a in node.names)
+    return aliases, imported
+
+
+def called_names(tree: ast.Module, module: str, own: bool) -> set[str]:
+    """The names of ``module`` that ``tree`` reads; ``own`` when ``tree``
+    is ``module`` itself, whose bare names are its own."""
+    aliases, imported = bindings(tree, module)
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if own:
+                called.add(node.id)
+            elif node.id in imported:
+                called.add(imported[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            called.add(node.attr)
+    return called
+
+
+def uncalled(module: str, package: pathlib.Path = PACKAGE) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    called = set()
+    for stem, tree in trees.items():
+        called |= called_names(tree, module, own=stem == module)
+    return [name for name in public_defs(trees[module]) if name not in called]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert {module: uncalled(module) for module in GUARDED} == {m: [] for m in GUARDED}
+
+
+def test_the_guard_sees_a_name_that_only_the_tests_call(tmp_path):
+    # a spelling added to hscalar and called only from a docstring and a
+    # re-export in __init__ is reported
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    hscalar = tmp_path / "hscalar.py"
+    hscalar.write_text(hscalar.read_text() + '\n\ndef spare() -> HElement:\n'
+                       '    """>>> spare()"""\n    return HElement(1, 1, 1)\n')
+    init = tmp_path / "__init__.py"
+    init.write_text(init.read_text() + "from .hscalar import spare\n")
+    assert uncalled("hscalar", tmp_path) == ["spare"]
+    assert uncalled("variants", tmp_path) == []

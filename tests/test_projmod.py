@@ -17,6 +17,7 @@ from equibezout import projmod
 from equibezout.euler import BundleSum, O, euler_product, xO
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement, h_fixed, h_rho
+from equibezout.parsing import parse_module_element
 from equibezout.projmod import (
     ALPHA,
     BETA,
@@ -40,13 +41,14 @@ from equibezout.projmod import (
     raw_monomial,
 )
 from equibezout.variants import ZHElement
+from oracles import einvkappa, kappa, one, scalars_in_grading, tauinv
 
 U = HElement.ring_u()
 Z1, CXW = projmod.GENERATORS["z1"], projmod.GENERATORS["cxw"]
 
 
 def elem(sp, mono, coeff=None):
-    return ModuleElement(sp, {mono: hs.one() if coeff is None else coeff})
+    return ModuleElement(sp, {mono: one() if coeff is None else coeff})
 
 
 def step(gens, x, ring=HElement, coeff=None):
@@ -188,10 +190,9 @@ def test_gen_mul_divided_production():
 def _step_coefficients(ring):
     """Scalars a walk can hand to ``gen_mul``: monomials in a few gradings
     and the multi-term u = g - 1 and kappa, carried into ``ring``."""
-    burnside = [HElement.monomial(mono)
-                for a, b in ((0, 0), (0, 2), (0, -1), (-2, 2), (-2, 3), (2, -2))
-                for mono in hs.monomials_in_grading(a, b)]
-    burnside += [hs.g() - 1, hs.kappa()]
+    burnside = [gen for a, b in ((0, 0), (0, 2), (0, -1), (-2, 2), (-2, 3), (2, -2))
+                for gen in scalars_in_grading(a, b)]
+    burnside += [hs.g() - 1, kappa()]
     return [ring.from_burnside(c) for c in burnside]
 
 
@@ -216,7 +217,7 @@ def test_gen_mul_with_coefficient_matches_scaled_step(ring):
 def test_gen_mul_into_a_dict_adds_the_step_images(ring):
     # the walk's form of a step: the images land in the caller's dict, added
     # to what is there, and everything else in the dict is left alone
-    coeffs = [ring.ring_one(), ring.ring_u(), ring.from_burnside(hs.kappa()),
+    coeffs = [ring.ring_one(), ring.ring_u(), ring.from_burnside(kappa()),
               ring.ring_xi(1), ring.ring_e2()]
     checked = 0
     for sp in all_spaces(3):
@@ -370,8 +371,7 @@ def test_basis_monomials_of_different_spaces_never_compare_equal():
     monos = [x for sp in all_spaces(3) for m in range(-3, 4) for x in basis(sp, m)]
     fields = {(x.sp, x.s, x.t, x.a, x.b) for x in monos}
     assert len(set(monos)) == len(fields)
-    point = [hs.HMonomial(f, u, v) for f, u, v in
-             ((hs.PLAIN, 0, 0), (hs.TRANSFER, 0, 0), (hs.KAPPA, -1, 0), (hs.PLAIN, 1, 1))]
+    point = [(hs.PLAIN, 0, 0), (hs.TRANSFER, 0, 0), (hs.KAPPA, -1, 0), (hs.PLAIN, 1, 1)]
     assert not set(monos) & set(point)
     assert all(x != y for x in monos[:40] for y in point)
 
@@ -535,7 +535,16 @@ def test_raw_monomial_matches_generator_walk(ring):
                         # the unchecked engine result passes the public check
                         assert ModuleElement(sp, dict(got.terms), ring) == got
                         checked += 1
-    assert checked > 10000
+        # zeta powers up to 3(p + q) beside a cw (cxw) power past its tower,
+        # where raw_monomial divides at the start (p, q <= 3 keeps it quick)
+        top = 3 * (sp.p + sp.q) if max(sp.p, sp.q) <= 3 else -1
+        for low, high in itertools.product(range(3), range(top + 1)):
+            for a, b in itertools.product(range(sp.p + 3), range(sp.q + 3)):
+                if (a >= sp.p) != (b >= sp.q):  # past one tower, not both
+                    for s, t in ((low, high), (high, low)):
+                        assert raw_monomial(sp, s, t, a, b, ring) == walk(s, t, a, b)
+                        checked += 1
+    assert checked > 25000  # 18,640 of them with |s|, |t| <= 3
 
 
 @pytest.mark.parametrize("ring", [HElement, ZHElement])
@@ -552,6 +561,26 @@ def test_raw_monomial_matches_the_walk_from_the_unit(ring):
     assert checked == 15 * 5**4
 
 
+def test_raw_monomial_past_a_tower_is_one_division(monkeypatch):
+    # z1^t * cw^p = xi^t * z0^-t * cw^p is applied at the start, so the
+    # work does not follow the zeta exponent
+    calls = {"normalize": 0}
+    normalize = projmod._normalize
+
+    def counted(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(projmod, "_normalize", counted)
+    sp = ProjSpace(4, 4)
+    x = parse_module_element("z1^1000000*cw^4", sp)
+    assert str(x) == "xi^1000000*z0^-1000000*cw^4"
+    y = parse_module_element("z0^1000000*cxw^5", sp)
+    assert str(y) == ("e^2*xi^1000000*z1^-1000001*cxw^4"
+                      " + xi^1000001*z1^-1000002*cw*cxw^4")
+    assert calls["normalize"] <= 4, calls
+
+
 def test_add_and_constructor_reject_mixed_gradings():
     sp = ProjSpace(2, 2)
     x = elem(sp, BasisMonomial(sp, 0, 0, 1, 0))
@@ -563,7 +592,7 @@ def test_add_and_constructor_reject_mixed_gradings():
     with pytest.raises(ValueError, match="mixed gradings"):
         ModuleElement(sp, {**x.terms, **y.terms})
     with pytest.raises(ValueError, match="mixed gradings"):
-        ModuleElement(sp, {BasisMonomial(sp, 0, 0, 1, 0): hs.one(),
+        ModuleElement(sp, {BasisMonomial(sp, 0, 0, 1, 0): one(),
                            BasisMonomial(sp, 1, 0, 1, 0): hs.e(2)})
     zero = ModuleElement.zero(sp)
     assert x + zero == x and zero + y == y
@@ -668,24 +697,24 @@ def test_mod_fixed_matches_the_family_table():
 def test_in_tildeT():
     sp = ProjSpace(2, 2)
     assert in_tildeT(ModuleElement.zero(sp))
-    assert in_tildeT(elem(sp, BasisMonomial(sp, 0, 0, 1, 1), hs.einvkappa(2)))
+    assert in_tildeT(elem(sp, BasisMonomial(sp, 0, 0, 1, 1), einvkappa(2)))
     assert not in_tildeT(
         elem(sp, BasisMonomial(sp, 0, 0, 0, 0), hs.e(1) * hs.xi(1))
     )
 
 
 SCALAR_POOL = [
-    hs.one(),
+    one(),
     hs.g(),
-    hs.kappa(),
+    kappa(),
     hs.e(1),
     hs.e(2),
     hs.xi(1),
-    hs.einvkappa(1),
-    hs.einvkappa(2),
-    hs.tauinv(1),
-    hs.tauinv(2),
-    3 * hs.one(),
+    einvkappa(1),
+    einvkappa(2),
+    tauinv(1),
+    tauinv(2),
+    3 * one(),
     2 * hs.xi(1),
 ]
 
@@ -726,13 +755,13 @@ def test_restrictions_multiplicative_on_random_products():
 def _t_generators(da: int, db: int):
     """Generators of T in the given coefficient grading."""
     if da == 0 and db == 0:
-        return [hs.one(), hs.g()]
+        return [one(), hs.g()]
     if da == 0:
-        return [hs.e(db)] if db > 0 else [hs.einvkappa(-db)]
+        return [hs.e(db)] if db > 0 else [einvkappa(-db)]
     if da < 0 and db == -da:
         return [hs.tau_iota(db // 2)]  # 2*xi^n
     if da > 0 and db == -da:
-        return [hs.tauinv(da // 2)]
+        return [tauinv(da // 2)]
     return []
 
 

@@ -1,6 +1,6 @@
 """Ring axioms of the three scalar rings, as hypothesis properties.
 
-Homogeneous scalars are drawn from ``monomials_in_grading``: a Burnside
+Homogeneous scalars are drawn from ``scalars_in_grading``: a Burnside
 element of one grading, carried into the constant-Z ring by its normal form
 and into the Borel ring by ``borel_map``.  The two coefficient changes are
 also checked as ring maps of the module ring: ``BorelElement`` multiplies
@@ -20,9 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from equibezout.hscalar import HElement, monomials_in_grading
+from equibezout.hscalar import HElement
 from equibezout.projmod import ModuleElement, ProjSpace, basis, is_divided
 from equibezout.variants import BorelScalar, ZHElement, borel_map, z_map
+from oracles import scalars_in_grading
 
 # Even without a database, hypothesis caches the constants it reads from
 # local source files under its home directory (./.hypothesis by default); its
@@ -32,7 +33,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "equibezout-hypothesis")
 AXIOMS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 GRADINGS = [
-    (a, b) for a in range(-6, 7) for b in range(-8, 9) if monomials_in_grading(a, b)
+    (a, b) for a in range(-6, 7) for b in range(-8, 9) if scalars_in_grading(a, b)
 ]
 _POINT = ProjSpace(1, 1)
 
@@ -51,10 +52,10 @@ RINGS = {
 
 def homogeneous(grading):
     """A Burnside element with small coefficients in ``grading``."""
-    monos = monomials_in_grading(*grading)
-    coeffs = st.lists(st.integers(-4, 4), min_size=len(monos), max_size=len(monos))
+    gens = scalars_in_grading(*grading)
+    coeffs = st.lists(st.integers(-4, 4), min_size=len(gens), max_size=len(gens))
     return coeffs.map(lambda cs: sum(
-        (HElement.monomial(m, c) for m, c in zip(monos, cs)), HElement.zero()))
+        (c * x for x, c in zip(gens, cs)), HElement.zero()))
 
 
 scalars = st.sampled_from(GRADINGS).flatmap(homogeneous)
@@ -116,19 +117,19 @@ SPACES = [ProjSpace(p, q) for p in range(1, 5) for q in range(1, 5)]
 
 def module_terms(sp):
     """A basis monomial of ``sp`` in a class |m| <= 3, times an odd
-    multiple of a scalar monomial from ``monomials_in_grading`` (the
+    multiple of a scalar generator from ``scalars_in_grading`` (the
     e-monomials are 2-torsion, so an odd multiple is never zero)."""
     monos = st.integers(-3, 3).flatmap(lambda m: st.sampled_from(basis(sp, m)))
     # half the scalars in grading (0, 0), where 1 and g keep nonzero images
     # that are not 2-torsion, so a wrong integer factor in a rule shows
     gradings = st.one_of(st.just((0, 0)), st.sampled_from(GRADINGS))
-    scalar_monos = gradings.flatmap(
-        lambda grading: st.sampled_from(monomials_in_grading(*grading))
+    gens = gradings.flatmap(
+        lambda grading: st.sampled_from(scalars_in_grading(*grading))
     )
     coeffs = st.sampled_from((1, -1, 3))
     return st.builds(
-        lambda mono, smono, c: ModuleElement(sp, {mono: HElement.monomial(smono, c)}),
-        monos, scalar_monos, coeffs,
+        lambda mono, gen, c: ModuleElement(sp, {mono: c * gen}),
+        monos, gens, coeffs,
     )
 
 
