@@ -39,6 +39,7 @@ from .projmod import (
     BasisMonomial,
     ModuleElement,
     ProjSpace,
+    _mul_into,
     apply_gen,
     coeff_vector,
     in_tildeT,
@@ -216,22 +217,30 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
 def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:
     """Euler class as the product of the single-bundle classes.
 
-    A line class has at most two monomials, each of degree at most 3, so
-    ``mod_mul`` takes every term of the running product times every monomial
-    of the next factor to normal form in one rewrite step (``gen_mul``).
-    Each distinct line class is built once per call and dropped on return.
-    Neither the line classes nor the generator steps are kept across calls,
-    because a cache that outlives the call costs more memory than it saves
-    time: memoising every step by (generator, monomial, ring) raised the
-    peak RSS of ``bench/run.py``'s ``euler_large`` workload from 21.4 to
-    60.3 MB, with slower requests, and that of ``verify_small`` by 2.2 MB,
-    more than the benchmark's 10 % bound on memory.
+    A line class has at most two monomials, each of degree at most 3, so it
+    is one rewrite step per monomial: a tuple of ``(step, coeff)`` pairs,
+    built once per distinct line class in a call.  The running product is
+    one plain dict across all the lines.  For each line,
+    ``projmod._mul_into`` takes every term of it times every pair to normal
+    form in one ``gen_mul`` and adds the images into the next dict, and the
+    result is wrapped as a ``ModuleElement`` once, at the end.  Neither the line
+    classes nor the generator steps are kept across calls, because a cache
+    that outlives the call costs more memory than it saves time: memoising
+    every step by (generator, monomial, ring) raised the peak RSS of
+    ``bench/run.py``'s ``euler_large`` workload from 21.4 to 60.3 MB, with
+    slower requests, and that of ``verify_small`` by 2.2 MB, more than the
+    benchmark's 10 % bound on memory.
     """
-    lines = {L: euler_line(L, F.sp, ring) for L in set(F.lines)}
-    out = ModuleElement.unit(F.sp, ring)
+    factors = {
+        L: tuple((mono[2:], c) for mono, c in euler_line(L, F.sp, ring).terms.items())
+        for L in set(F.lines)
+    }
+    terms = ModuleElement.unit(F.sp, ring).terms
     for L in F.lines:
-        out = mod_mul(out, lines[L])
-    return out
+        out: dict = {}
+        _mul_into(terms, factors[L], ring, out)
+        terms = out
+    return ModuleElement._trusted(F.sp, terms, ring)
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,20 @@ Products are computed by a terminating rewrite system.  One step multiplies
 a basis monomial by a generator monomial z0^s z1^t cw^a cxw^b of total
 degree at most ``STEP_DEGREE`` = 3 and normalises the result in one call:
 ``gen_mul(step, x, ring, coeff, out)``, where ``step`` is the exponent tuple
-``(s, t, a, b)``.  ``_steps`` cuts a longer monomial into such steps, so a
-line class, whose monomials have degree at most 3, multiplies each term of
-a product in one call.  A step starts from the term's coefficient, so a walk
-does one scalar product per rewrite rule that fires, not one per image, and
-it adds its images into ``out``, the walk's dict for the next step, so a
-step builds no dict or element of its own.  A product scales each term
-before its last step, so a term that the scaling kills (2-torsion, as
-2*e*xi = 0) takes no step at all.  Each image is built by
-``_basis(p, q, s, t, a, b)``, which checks its family (a ``ValueError``, not
-an assert) and builds no ``ProjSpace``.  The rules, one branch of
-``_normalize`` each, with u = 1-kappa:
+``(s, t, a, b)``.  ``_steps`` cuts a longer monomial into such steps.  A
+line class, whose monomials have degree at most 3, is one step per
+monomial, and ``_mul_into`` adds the terms of a product times a tuple of
+``(step, coeff)`` pairs into one dict, one ``gen_mul`` per term and pair:
+``mod_mul`` multiplies through it, and so does ``euler.euler_product``,
+which keeps one dict across all its line classes.  A step starts from the
+term's coefficient, so a walk does one scalar product per rewrite rule that
+fires, not one per image, and it adds its images into ``out``, the walk's
+dict for the next step, so a step builds no dict or element of its own.
+``_mul_into`` scales each term before its step, so a term that the
+scaling kills (2-torsion, as 2*e*xi = 0) takes no step at all.  Each image
+is built by ``_basis(p, q, s, t, a, b)``, which checks its family (a
+``ValueError``, not an assert) and builds no ``ProjSpace``.  The rules, one
+branch of ``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
     zeta cancel         z0*z1 = xi, and z0 * z1^-k = xi * z1^-(k+1) on a tower
@@ -531,33 +534,55 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     return ModuleElement._trusted(sp, terms, ring)
 
 
+def _mul_into(terms: dict, factor, ring, out: dict) -> None:
+    """Add ``terms`` times the sum of ``coeff * step`` over ``factor``, a
+    tuple of ``(step, coeff)`` pairs, into ``out``: one ``gen_mul`` per term
+    and pair.  Each term is scaled by the pair's coefficient before its
+    step, so a term that is zero, or that the scaling kills (a torsion
+    product), takes no step.  ``terms`` may hold zero coefficients, and
+    ``out`` may be left with some."""
+    for step, coeff in factor:
+        for term, c in terms.items():
+            if c:  # a walk may leave a zero; scaling it is wasted work
+                c = c * coeff
+                if c:  # a torsion product: nothing to rewrite
+                    gen_mul(step, term, ring, c, out)
+
+
+def _degree(x: ModuleElement) -> int:
+    """The total degrees of ``x``'s monomials, summed; for an element free
+    of divided monomials."""
+    return sum(s + t + a + b for _, _, s, t, a, b in x.terms)
+
+
 def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
     """Product of module elements.
 
-    One factor must be free of divided monomials.  Each of its monomials is
-    cut into generator monomials by ``_steps``: the leading steps are walked
-    over the other factor (a line class has none, its monomials having
-    degree at most 3), and the last one takes each walked term, scaled by
-    the monomial's coefficient, straight into the product in one
-    ``gen_mul``.  A term whose scaled coefficient is zero, a torsion
-    product, is dropped before that step.
+    One factor must be free of divided monomials, and that factor is cut
+    into steps.  When neither has any, the one whose monomials have the
+    smaller summed degree is cut, so a long monomial times a short sum
+    takes a few steps, not a walk along the long one.  Each monomial of the
+    cut factor is cut into generator monomials by ``_steps``: the leading
+    steps are walked over the other factor (a line class has none, its
+    monomials having degree at most 3), and ``_mul_into`` takes the last
+    one, scaled by the monomial's coefficient, from each walked term
+    straight into the product.
     """
     if x.sp != y.sp:
         raise ValueError("elements over different spaces")
+    x_divided = any(is_divided(m) for m in x.terms)
     if any(is_divided(m) for m in y.terms):
-        if any(is_divided(m) for m in x.terms):
+        if x_divided:
             raise UnsupportedProductError(
                 "both factors contain divided monomials; no generator factorization"
             )
         x, y = y, x
+    elif not x_divided and _degree(y) > _degree(x):
+        x, y = y, x
     ring, out = x.ring, {}
     for mono, coeff in y.terms.items():
         *lead, last = _steps(*mono[2:])
-        for term, c in _walk(x.terms, lead, ring).items():
-            if c:  # a walk may leave a zero; scaling it is wasted work
-                c = c * coeff
-                if c:  # a torsion product: nothing to rewrite
-                    gen_mul(last, term, ring, c, out)
+        _mul_into(_walk(x.terms, lead, ring), ((last, coeff),), ring, out)
     return ModuleElement._trusted(x.sp, out, ring)
 
 

@@ -5,9 +5,13 @@ constructors ``g``, ``e``, ``xi``, ``tau_iota`` and ``e_power_kappa``.  The
 tests keep an older vocabulary as independent oracles: a monomial is the
 plain tuple ``(family, u, v)``, and ``exists`` is the table of where each
 family has a group, written here apart from the constructor it checks.
+``euler_product_fold`` is the Euler class as one ``mod_mul`` per line,
+the product that ``euler.euler_product`` folds into one dict.
 """
 
+from equibezout.euler import euler_line
 from equibezout.hscalar import KAPPA, PLAIN, TRANSFER, HElement, e_power_kappa
+from equibezout.projmod import ModuleElement, mod_mul
 from equibezout.variants import BorelScalar, _c_binomial
 
 FAMILIES = (PLAIN, KAPPA, TRANSFER)
@@ -66,3 +70,12 @@ def borel_relation(sp) -> dict[int, BorelScalar]:
     """The defining relation c^p (c+e^2)^q of Borel cohomology over
     ``sp``, as a raw coefficient dict keyed by the power of c."""
     return _c_binomial(BorelScalar.from_int(1), sp.p, sp.q)
+
+
+def euler_product_fold(F, ring=HElement) -> ModuleElement:
+    """The Euler class of the bundle sum ``F`` as the unit times each line
+    class in turn, one ``mod_mul`` and one ``ModuleElement`` per line."""
+    out = ModuleElement.unit(F.sp, ring)
+    for L in F.lines:
+        out = mod_mul(out, euler_line(L, F.sp, ring))
+    return out

@@ -1,5 +1,7 @@
 """Line-bundle classification, both Euler-class paths, degree recovery."""
 
+import random
+
 import pytest
 
 from equibezout import euler, projmod
@@ -8,6 +10,7 @@ from equibezout.euler import (
     BundleSum,
     DegreeTriple,
     EulerReport,
+    LineBundle,
     O,
     bezout_report,
     classify_line,
@@ -32,7 +35,8 @@ from equibezout.projmod import (
     raw_monomial,
 )
 from equibezout.variants import ZHElement, borel_euler_closed, z_euler_closed
-from oracles import einvkappa, one, tauinv
+from equibezout.verify import random_bundle_sum
+from oracles import einvkappa, euler_product_fold, one, tauinv
 
 U = hs.HElement.ring_u()
 
@@ -219,9 +223,10 @@ def test_euler_product_work_is_bounded(monkeypatch):
 
 
 def test_euler_product_builds_nothing_per_step(monkeypatch):
-    # each distinct line class is built once per call, and a generator step
-    # normalises into the walk's dict: the engine wraps a result once per
-    # product (10,480 wrappers in 20 calls when every step made its own)
+    # each distinct line class is built once per call, and the running
+    # product is one dict across all the lines: no mod_mul, and one wrapper
+    # per line class plus one for the result (63 wrappers when every line
+    # took one mod_mul, 10,480 in 20 calls when every step made its own)
     F = long_sum()
     calls = {"line": 0, "mod_mul": 0, "trusted": 0}
 
@@ -232,15 +237,45 @@ def test_euler_product_builds_nothing_per_step(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(euler, "euler_line", counted("line", euler.euler_line))
-    monkeypatch.setattr(euler, "mod_mul", counted("mod_mul", euler.mod_mul))
+    for mod in (euler, projmod):
+        monkeypatch.setattr(mod, "mod_mul", counted("mod_mul", mod.mod_mul))
     monkeypatch.setattr(ModuleElement, "_trusted",
                         classmethod(counted("trusted", ModuleElement._trusted.__func__)))
     got = euler_product(F)
     assert calls["line"] == len(set(F.lines)) == 4
-    assert calls["mod_mul"] == F.n
-    assert calls["trusted"] == calls["mod_mul"] + calls["line"]
+    assert calls["mod_mul"] == 0
+    assert calls["trusted"] == calls["line"] + 1 == 5
     calls.update(line=0, mod_mul=0, trusted=0)
     assert euler_product(F) == got and calls["line"] == 4  # nothing kept
+
+
+def large_sum(rng):
+    """A context-valid sum of (p + q) // 2 to p + q - 1 lines of nonzero
+    degree |d| <= 9 over X(p, q), p, q in [40, 120], the size of the
+    benchmark's large euler requests."""
+    degrees = [d for d in range(-9, 10) if d]
+    while True:
+        p, q = rng.randint(40, 120), rng.randint(40, 120)
+        n = rng.randint((p + q) // 2, p + q - 1)
+        lines = [LineBundle(rng.random() < 0.5, rng.choice(degrees)) for _ in range(n)]
+        F = BundleSum.make(ProjSpace(p, q), lines)
+        if not context_check(F):
+            return F
+
+
+@pytest.mark.parametrize("ring", [hs.HElement, ZHElement], ids=lambda r: r.__name__)
+def test_euler_product_matches_mod_mul_fold(ring):
+    # the one-dict product against one mod_mul per line, on verify's
+    # instances and on three sums of the benchmark's large size
+    rng = random.Random(1)
+    for _ in range(500):
+        F = random_bundle_sum(rng, 6, 6, 5)
+        assert euler_product(F, ring) == euler_product_fold(F, ring), F
+    large = random.Random(1)
+    for _ in range(3):
+        F = large_sum(large)
+        got = euler_product(F, ring)
+        assert got and got == euler_product_fold(F, ring), F
 
 
 def test_euler_product_four_fold_twisted_class():

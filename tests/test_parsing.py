@@ -6,6 +6,7 @@ import random
 import pytest
 
 from equibezout import hscalar as hs
+from equibezout import projmod
 from equibezout.euler import BundleSum, LineBundle
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement
@@ -297,6 +298,25 @@ def test_powers_of_e_and_xi_cost_no_scalar_powers(monkeypatch):
     assert calls[0] == 0, calls
     assert parse_module_element("7*xi^300*cw^2", sp) == module
     assert calls[0] == 1, calls
+
+
+def test_a_long_monomial_times_a_short_sum_takes_a_few_steps(monkeypatch):
+    # mod_mul cuts the factor of smaller degree into steps, in either order
+    # of the factors: cw once over z1^4000*cw^3 (1,338 _normalize calls when
+    # the long monomial was walked over cw)
+    sp = ProjSpace(4, 4)
+    calls = [0]
+    normalize = projmod._normalize
+
+    def counted(*args):
+        calls[0] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(projmod, "_normalize", counted)
+    for text in ("(z1^4000*cw^3)*(cw + cw)", "(cw + cw)*(z1^4000*cw^3)"):
+        calls[0] = 0
+        assert str(parse_module_element(text, sp)) == "2*xi^4000*z0^-4000*cw^4"
+        assert calls[0] <= 8, (text, calls)
 
 
 GOLDEN_ROUNDTRIP = pathlib.Path(__file__).parent / "golden" / "parse_module_element.out"
