@@ -60,7 +60,6 @@ from .projmod import (
 )
 from .variants import (
     BorelElement,
-    BorelScalar,
     ZHElement,
     borel_euler_closed,
     borel_map,

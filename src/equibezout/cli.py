@@ -184,7 +184,7 @@ def cmd_euler(args) -> int:
     checks = report.reported(_variants.CHECKS, args.coeffs)
     if args.coeffs == "borel":
         closed = _variants.closed_class(report, "borel")
-        vec = sorted(closed.coeffs.items())
+        vec = [(k, closed.coeff_text(k)) for k in sorted(closed.coeffs)]
         class_lines = [f"e_BH(F) = {closed}"]
     else:
         name, cls = (("e(F)", report.product_class) if args.coeffs == "burnside"
@@ -453,6 +453,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
+        if [] in vars(args).values():
+            # CPython 3.11's argparse fills the last positional with [] when
+            # its only word is a second "--"
+            parser.error("a second '--' is not an argument value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -106,8 +106,8 @@ class HElement:
     nonzero g off the origin.  Zero is grading-agnostic: it is stored at the
     origin, so all zeros are equal and hash alike.  A subclass that only
     changes the normal form in ``__init__`` is a quotient ring with the same
-    product (see ``variants.ZHElement``); ``variants.BorelScalar`` replaces
-    the product as well.  Scalars of different classes never mix.
+    product (see ``variants.ZHElement``).  Scalars of different classes
+    never mix.
 
     >>> print(g() * g())
     2*g

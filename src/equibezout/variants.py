@@ -15,14 +15,14 @@ classes:
   information disappears entirely.  The Borel point ring has one monomial
   e^u*xi^v in each grading, and the relation is homogeneous with c in the
   grading of e^2, so in a homogeneous class the coefficient of c^k is one
-  monomial c_k*e^(u0 - 2k)*xi^v.  Its scalar ``BorelScalar`` is therefore
-  ``HElement`` again, with g = 0, its own normal form and the plain product
-  law: exponents add and coefficients multiply.  A Burnside scalar keeps
-  its exponents: the plain monomials map to themselves, a transfer
-  tau(i^2v) to 2*xi^v, g to 2 and the kappa family to 0.
+  monomial c_k*e^(u - 2k)*xi^v.  A class ``BorelElement`` is therefore its
+  grading (u, v) and one integer c_k per power of c, with no scalar type:
+  a Burnside scalar keeps its exponents, and its integer is c for the
+  plain monomials, 2c for a transfer tau(i^2v) = 2*xi^v, 2 for g and 0 for
+  the kappa family.
 
-The three scalar rings share ``HElement``'s operators and refuse to mix
-with each other.
+The two point rings ``HElement`` and ``ZHElement`` share their operators
+and refuse to mix with each other or with Borel classes.
 
 Each theory has its own closed Bezout formula, evaluated here directly
 from the ranks and degrees; the comparison report puts the three theories
@@ -110,79 +110,40 @@ def z_fixed(x: ModuleElement) -> tuple[NoneqPoly, NoneqPoly]:
     return fix0.reduce_mod(2), fix1.reduce_mod(2)
 
 
-class BorelScalar(HElement):
-    """A homogeneous element c*e^u*xi^v of Z[e, xi, xi^-1]/(2e), u >= 0.
-
-    ``HElement``'s fields with g = 0.  The constructor is the normal form:
-    it raises ValueError for u < 0 or a g term, reduces c mod 2 at u >= 1
-    and stores zero at the origin.  The product is the plain law, as xi is
-    invertible and no family doubles.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, u: int, v: int, c: int, g: int = 0):
-        if u < 0:
-            raise ValueError(f"no Borel group at u={u}: e has no inverse")
-        if g:
-            raise ValueError("a g term in a Borel scalar: g maps to 2")
-        if u:
-            c %= 2
-        if not c:
-            u = v = 0
-        self.u = u
-        self.v = v
-        self.c = c
-        self.g = 0
-
-    @classmethod
-    def from_burnside(cls, x: HElement) -> "BorelScalar":
-        """The kappa family goes to 0, tau(i^2v) to 2*xi^v and g to 2."""
-        if x.u < 0:
-            return cls.zero()
-        return cls(x.u, x.v, (2 * x.c if x.v < 0 else x.c) + 2 * x.g)
-
-    def __mul__(self, other) -> "BorelScalar":
-        if type(other) is not BorelScalar:
-            if not isinstance(other, int):
-                return NotImplemented
-            return BorelScalar(self.u, self.v, self.c * other)
-        return BorelScalar(self.u + other.u, self.v + other.v, self.c * other.c)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return signed_term(self.c, monomial_text((self.u, self.v)))
-
-    __repr__ = __str__
-
-
 class BorelElement:
-    """A Borel cohomology class of X(p, q) in normal form.
+    """A homogeneous Borel cohomology class of X(p, q) in normal form.
 
-    A polynomial in the degree-2s generator c with BorelScalar
-    coefficients, reduced modulo the monic relation c^p * (c + e^2)^q.
+    The class sum_k c_k*e^(u - 2k)*xi^v*c^k: its grading, the exponents
+    (u, v) of e^u*xi^v with c in the grading of e^2, and ``coeffs``
+    mapping k to the integer c_k.  The constructor is the normal form per
+    power: c_k is an integer where u - 2k = 0, lives in Z/2 where
+    u - 2k >= 1 (2e = 0) and must vanish where u - 2k < 0 (e has no
+    inverse); the powers of c are reduced modulo the monic relation
+    c^p * (c + e^2)^q, and zero is stored at (0, 0), so all zeros are equal.
     """
 
-    __slots__ = ("sp", "coeffs")
+    __slots__ = ("sp", "u", "v", "coeffs")
 
-    def __init__(self, sp: ProjSpace, coeffs: dict[int, BorelScalar]):
-        work = {k: v for k, v in coeffs.items() if v}
+    def __init__(self, sp: ProjSpace, u: int, v: int, coeffs: dict[int, int]):
+        work = {k: c for k, c in coeffs.items() if c}
         if any(k < 0 for k in work):
             raise ValueError("negative c-exponent")
         N = sp.p + sp.q
         for top in range(max(work, default=0), N - 1, -1):
             # subtract lead * c^(top-N) * relation: it clears c^top and changes
             # only lower degrees, so one pass from the top degree down is enough
-            lead = work.get(top)
+            lead = _in_group(u, top, work.get(top, 0))
             if lead:
-                _accumulate(work, _c_binomial(-lead, top - N + sp.p, sp.q))
+                for k in _c_binomial(top - N + sp.p, sp.q):
+                    work[k] = work.get(k, 0) - lead
+        work = {k: _in_group(u, k, c) for k, c in work.items()}
+        self.coeffs = {k: c for k, c in work.items() if c}
         self.sp = sp
-        self.coeffs = {k: v for k, v in work.items() if v}
+        self.u, self.v = (u, v) if self.coeffs else (0, 0)
 
     @classmethod
     def zero(cls, sp: ProjSpace) -> "BorelElement":
-        return cls(sp, {})
+        return cls(sp, 0, 0, {})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -190,29 +151,44 @@ class BorelElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BorelElement):
             return NotImplemented
-        return self.sp == other.sp and self.coeffs == other.coeffs
+        return (self.sp == other.sp and self.coeffs == other.coeffs
+                and self.u == other.u and self.v == other.v)
 
     def __add__(self, other: "BorelElement") -> "BorelElement":
+        if not isinstance(other, BorelElement):
+            return NotImplemented
         if self.sp != other.sp:
             raise ValueError("elements over different spaces")
+        if not (self and other):
+            return self if self else other
+        if (self.u, self.v) != (other.u, other.v):
+            raise ValueError(f"mixed gradings: e^{other.u}*xi^{other.v} vs "
+                             f"e^{self.u}*xi^{self.v}")
         merged = dict(self.coeffs)
-        _accumulate(merged, other.coeffs)
-        return BorelElement(self.sp, merged)
+        for k, c in other.coeffs.items():
+            merged[k] = merged.get(k, 0) + c
+        return BorelElement(self.sp, self.u, self.v, merged)
 
     def __mul__(self, other: "BorelElement") -> "BorelElement":
+        if not isinstance(other, BorelElement):
+            return NotImplemented
         if self.sp != other.sp:
             raise ValueError("elements over different spaces")
-        out: dict[int, BorelScalar] = {}
-        for k1, v1 in self.coeffs.items():
-            _accumulate(out, {k1 + k2: v1 * v2 for k2, v2 in other.coeffs.items()})
-        return BorelElement(self.sp, out)
+        out: dict[int, int] = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+        return BorelElement(self.sp, self.u + other.u, self.v + other.v, out)
+
+    def coeff_text(self, k: int) -> str:
+        """The coefficient of c^k, c_k*e^(u - 2k)*xi^v, as text."""
+        return signed_term(self.coeffs[k], monomial_text((self.u - 2 * k, self.v)))
 
     def __str__(self) -> str:
         chunks = []
         for k in sorted(self.coeffs):
-            scal = self.coeffs[k]
-            body = "1" if k == 0 else ("c" if k == 1 else f"c^{k}")
-            text = str(scal)
+            body = "c" if k == 1 else f"c^{k}"
+            text = self.coeff_text(k)
             if k == 0:
                 chunks.append(text)
             elif text == "1":
@@ -226,26 +202,30 @@ class BorelElement:
     __repr__ = __str__
 
 
-def _c_binomial(scalar: BorelScalar, a: int, b: int) -> dict[int, BorelScalar]:
-    """scalar * c^a * (c + e^2)^b as a raw coefficient dict.
+def _in_group(u: int, k: int, c: int) -> int:
+    """c as the coefficient of e^(u - 2k) in Z[e]/(2e): c itself at e^0,
+    c mod 2 above it, and no group below it (ValueError for c != 0)."""
+    if u > 2 * k:
+        return c % 2
+    if u < 2 * k and c:
+        raise ValueError(f"no Borel group at e^{u - 2 * k}: e has no inverse")
+    return c
 
-    The term of c^(a+j) carries e^(2(b-j)), so for j < b only the parity of
-    comb(b, j) counts, and by Lucas's theorem it is odd exactly when the bits
-    of j are bits of b: the terms are the submasks j of b.
+
+def _c_binomial(a: int, b: int):
+    """The powers of c whose coefficient in c^a * (c + e^2)^b is odd.
+
+    The term of c^(a+j) is comb(b, j)*e^(2(b-j)), so for j < b only the
+    parity of comb(b, j) counts, and by Lucas's theorem it is odd exactly
+    when the bits of j are bits of b: the powers are a + j for the submasks
+    j of b, from a + b (coefficient 1) down.
     """
-    u, v, c = scalar.u, scalar.v, scalar.c
-    terms = {}
     j = b
     while True:
-        terms[a + j] = BorelScalar(u + 2 * (b - j), v, c)
+        yield a + j
         if not j:
-            return terms
+            return
         j = (j - 1) & b
-
-
-def _accumulate(out: dict[int, BorelScalar], terms: dict[int, BorelScalar]) -> None:
-    for k, v in terms.items():
-        out[k] = out[k] + v if k in out else v
 
 
 def borel_map(x: ModuleElement, n1: int) -> BorelElement:
@@ -254,16 +234,21 @@ def borel_map(x: ModuleElement, n1: int) -> BorelElement:
     The multiplicative map sends z0 to 1, z1 to xi, cw to c and cxw to
     xi^-1 * (c + e^2); the result is multiplied by xi^n1 so that every
     line bundle is counted with rank 2s, matching the Borel closed forms.
-    On the point ring it is ``BorelScalar.from_burnside``.
+    On the point ring the kappa family goes to 0, tau(i^2v) to 2*xi^v, g
+    to 2, and the plain monomials to themselves.
     """
-    out: dict[int, BorelScalar] = {}
+    out: dict[int, int] = {}
+    grading = (0, 0)
     for mono, coeff in x.terms.items():
-        scalar = BorelScalar.from_burnside(coeff)
-        if scalar:
-            shift = mono.t - mono.b + n1  # the power of xi beside c^a * (c + e^2)^b
-            scalar = BorelScalar(scalar.u, scalar.v + shift, scalar.c)
-            _accumulate(out, _c_binomial(scalar, mono.a, mono.b))
-    return BorelElement(x.sp, out)
+        if coeff.u < 0:  # the kappa family
+            continue
+        c = (2 * coeff.c if coeff.v < 0 else coeff.c) + 2 * coeff.g
+        # c*e^u*xi^v * xi^(t - b + n1) * c^a * (c + e^2)^b; as x is homogeneous,
+        # every term lands in the same grading
+        grading = (coeff.u + 2 * (mono.a + mono.b), coeff.v + mono.t - mono.b + n1)
+        for k in _c_binomial(mono.a, mono.b):
+            out[k] = out.get(k, 0) + c
+    return BorelElement(x.sp, *grading, out)
 
 
 def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
@@ -272,12 +257,12 @@ def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
     _, (n, n0, n1), dd = F.classified
     sp = F.sp
 
-    leading = BorelElement(sp, {n: BorelScalar.from_int(dd.delta)})
+    # every case lies in the grading of c^n, that of e^(2n)
     if dd.delta % 2:
-        return BorelElement(sp, _c_binomial(BorelScalar.from_int(dd.delta), n0, n - n0))
+        return BorelElement(sp, 2 * n, 0, dict.fromkeys(_c_binomial(n0, n - n0), dd.delta))
+    leading = BorelElement(sp, 2 * n, 0, {n: dd.delta})
     if dd.delta0 % 2 or dd.delta1 % 2:
-        tail = _c_binomial(BorelScalar(2 * (n - n0 - n1), 0, 1), n0, n1)
-        return leading + BorelElement(sp, tail)
+        return leading + BorelElement(sp, 2 * n, 0, dict.fromkeys(_c_binomial(n0, n1), 1))
     return leading
 
 

@@ -9,10 +9,11 @@ family has a group, written here apart from the constructor it checks.
 the product that ``euler.euler_product`` folds into one dict.
 """
 
+from math import comb
+
 from equibezout.euler import euler_line
 from equibezout.hscalar import KAPPA, PLAIN, TRANSFER, HElement, e_power_kappa
 from equibezout.projmod import ModuleElement, mod_mul
-from equibezout.variants import BorelScalar, _c_binomial
 
 FAMILIES = (PLAIN, KAPPA, TRANSFER)
 ONE, G = (PLAIN, 0, 0), (TRANSFER, 0, 0)  # 1 and g = tau(1), the origin's two
@@ -66,10 +67,12 @@ def tauinv(n: int) -> HElement:
     return HElement(0, -n, 1)
 
 
-def borel_relation(sp) -> dict[int, BorelScalar]:
+def borel_relation(sp) -> dict[int, int]:
     """The defining relation c^p (c+e^2)^q of Borel cohomology over
-    ``sp``, as a raw coefficient dict keyed by the power of c."""
-    return _c_binomial(BorelScalar.from_int(1), sp.p, sp.q)
+    ``sp``, as a raw coefficient dict keyed by the power of c: the integer
+    comb(q, j) of comb(q, j)*e^(2(q-j))*c^(p+j), in the grading of
+    e^(2(p+q))."""
+    return {sp.p + j: comb(sp.q, j) for j in range(sp.q + 1)}
 
 
 def euler_product_fold(F, ring=HElement) -> ModuleElement:

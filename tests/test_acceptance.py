@@ -33,7 +33,6 @@ from equibezout.projmod import (
 )
 from equibezout.variants import (
     BorelElement,
-    BorelScalar,
     borel_euler_closed,
     borel_map,
     compare,
@@ -184,14 +183,13 @@ def test_criterion_7_coefficient_change_functoriality():
             # a homogeneous class: c^k carries c_k*e^(u0 - 2k)*xi^v
             top = rng.randint(1, 5)
             u0, v = 2 * (top - 1) + rng.randint(0, 3), rng.randint(-2, 2)
-            x = BorelElement(
-                sp, {k: BorelScalar(u0 - 2 * k, v, rng.randint(-4, 4)) for k in range(top)}
-            )
+            x = BorelElement(sp, u0, v, {k: rng.randint(-4, 4) for k in range(top)})
             raw = {}
             for k1, v1 in x.coeffs.items():
                 for k2, v2 in borel_relation(sp).items():
-                    raw[k1 + k2] = raw.get(k1 + k2, BorelScalar.from_int(0)) + v1 * v2
-            assert BorelElement(sp, raw) == BorelElement.zero(sp)
+                    raw[k1 + k2] = raw.get(k1 + k2, 0) + v1 * v2
+            N = sp.p + sp.q  # the relation lies in the grading of e^(2N)
+            assert BorelElement(sp, x.u + 2 * N, x.v, raw) == BorelElement.zero(sp)
 
 
 def test_criterion_8_information_loss():

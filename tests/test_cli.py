@@ -328,6 +328,11 @@ def test_entry_point_subprocess():
         (["chart", "0..2", "--brange", "3..1", "--json"], EXIT_USAGE, "empty range '3..1'"),
         # a "+" inside the parentheses stays in its term
         (["euler", "3", "3", "O(+1)"], EXIT_USAGE, "bad bundle term 'O(+1)' in 'O(+1)'"),
+        # a second "--" as the last positional's only word: argparse 3.11
+        # leaves the positional an empty list, later versions pass "--" on
+        (["basis", "2", "3", "--", "--"], EXIT_USAGE, "error:"),
+        (["euler", "2", "2", "--", "--"], EXIT_USAGE, "error:"),
+        (["compare", "2", "2", "O(1)", "--", "--"], EXIT_USAGE, "error:"),
     ],
 )
 def test_degenerate_inputs_exit_cleanly(argv, code, message):

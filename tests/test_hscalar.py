@@ -24,7 +24,7 @@ from equibezout.hscalar import (
     xi,
 )
 from equibezout.projmod import ModuleElement, ProjSpace
-from equibezout.variants import BorelScalar, ZHElement, borel_map
+from equibezout.variants import BorelElement, ZHElement, borel_map
 from oracles import (
     FAMILIES,
     G,
@@ -147,10 +147,13 @@ IN_IE = {"one": EVEN, "g": ALL, "e": EVEN, "eik": ALL, "xi": EVEN, "exi": NONE,
          "tauinv": ALL}
 
 
+POINT = ProjSpace(1, 1)
+
+
 def borel_image(x):
-    """The Borel image of the scalar x, read off its class times 1."""
-    sp = ProjSpace(1, 1)
-    return borel_map(ModuleElement.unit(sp).scale(x), 0).coeffs.get(0, BorelScalar.zero())
+    """The Borel image of the scalar x: the image of its class times 1, a
+    c^0 class."""
+    return borel_map(ModuleElement.unit(POINT).scale(x), 0)
 
 
 def test_ring_maps_match_the_per_kind_tables():
@@ -162,13 +165,13 @@ def test_ring_maps_match_the_per_kind_tables():
             rho = RHO[kind] * c
             assert h_rho(x) == ((rho, x.grading.b) if rho else (0, 0)), x
             assert h_fixed(x) == FIXED[kind] * c, x
-            borel = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
+            borel = (0, 0, {})  # the fields (u, v, coeffs) of the image
             for (u, v), k in BOREL_SCALAR[kind](m, n).items():
                 coeff = k * c % 2 if u else k * c
                 if coeff:
-                    borel = (u, v, coeff, 0)
+                    borel = (u, v, {0: coeff})
             b = borel_image(x)
-            assert type(b) is BorelScalar and (b.u, b.v, b.c, b.g) == borel, x
+            assert type(b) is BorelElement and (b.u, b.v, b.coeffs) == borel, x
             fold = (0, 0, 0, 0)  # the fields (u, v, c, g) of the image
             if Z_FOLD[kind]:
                 target, factor, modulus = Z_FOLD[kind]
@@ -185,7 +188,7 @@ def test_ring_maps_match_the_per_kind_tables():
         rho = a * RHO["one"] + b * RHO["g"]
         assert h_rho(x) == (rho, 0)
         assert h_fixed(x) == a * FIXED["one"] + b * FIXED["g"]
-        assert borel_image(x) == BorelScalar.from_int(a + 2 * b)
+        assert borel_image(x) == BorelElement(POINT, 0, 0, {0: a + 2 * b})
         assert ZHElement.from_burnside(x) == ZHElement.from_int(a + 2 * b)
         assert in_T(x) and in_Ie(x) == (a % 2 == 0)
 
@@ -199,8 +202,8 @@ def test_degree_zero_prints_1_before_g():
     assert str(ZHElement.from_burnside(3 + g())) == "5"
     assert str(borel_image(2 - g())) == "0"
     assert str(borel_image(3 + g())) == "5"
-    # a Borel scalar is one signed monomial e^u*xi^v
-    assert [str(BorelScalar(*fields)) for fields in
+    # the Borel image of a scalar is one signed monomial e^u*xi^v
+    assert [str(BorelElement(POINT, u, v, {0: c})) for u, v, c in
             ((0, -1, -1), (0, 0, 2), (1, 0, 1), (3, -2, -1), (0, 2, -3), (2, 0, 2))] == [
         "-xi^-1", "2", "e", "e^3*xi^-2", "-3*xi^2", "0"]
     assert str(borel_image(-tauinv(1))) == "-2*xi^-1"

@@ -20,7 +20,6 @@ from equibezout.projmod import (
 )
 from equibezout.variants import (
     BorelElement,
-    BorelScalar,
     ZHElement,
     _c_binomial,
     borel_euler_closed,
@@ -31,6 +30,9 @@ from equibezout.variants import (
     z_map,
 )
 from oracles import borel_relation, einvkappa, kappa, one, tauinv
+
+
+POINT = ProjSpace(1, 1)  # a c^0 class over it is the image of a point-ring scalar
 
 
 def bundle_sum(p, q, *lines):
@@ -76,25 +78,24 @@ def test_burnside_and_constZ_scalars_never_mix():
     assert (two * 3).divide_by_two() == 3
     with pytest.raises(ArithmeticError):
         z.divide_by_two()  # an e coefficient is always odd
-    # the Borel scalars share the arithmetic but mix with neither ring
-    b = BorelScalar(2, 0, 1)
-    for other in (h, z):
+    # the Borel classes mix with neither ring, nor with integers
+    b = BorelElement(POINT, 2, 0, {0: 1})
+    for other in (h, z, 1):
         assert b != other and other != b
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(b, other)
             with pytest.raises(TypeError):
                 op(other, b)
-    five = BorelScalar.from_int(5)
-    for result in (-b, five + 1, 1 + five, b * 3, 3 * b, five - 1, 1 - five, b * b,
-                   b + b, b - b, b * five):
-        assert type(result) is BorelScalar
-    # a Borel scalar is homogeneous: e^2 + 1 has no normal form
-    for op in (operator.add, operator.sub):
-        with pytest.raises(ValueError, match="mixed gradings"):
-            op(b, 1)
-        with pytest.raises(ValueError, match="mixed gradings"):
-            op(1, b)
+    five = BorelElement(POINT, 0, 0, {0: 5})
+    for result in (b * b, b + b, b * five, five + five):
+        assert type(result) is BorelElement
+    # a Borel class is homogeneous: e^2 + 1 has no normal form
+    one = BorelElement(POINT, 0, 0, {0: 1})
+    with pytest.raises(ValueError, match="mixed gradings"):
+        b + one
+    with pytest.raises(ValueError, match="mixed gradings"):
+        one + b
 
 
 def test_ring_constants_are_shared_per_ring_class():
@@ -210,29 +211,31 @@ def test_z_fixed_examples():
 
 
 def test_borel_scalar_torsion():
-    e2 = BorelScalar(2, 0, 1)
-    assert e2 + e2 == BorelScalar.from_int(0)
+    e2 = BorelElement(POINT, 2, 0, {0: 1})
+    assert e2 + e2 == BorelElement.zero(POINT)
     # the integer-graded subring is the group cohomology pattern
-    gen = BorelScalar(2, -1, 1)  # e^2 * xi^-1, degree 2
-    power = BorelScalar.from_int(1)
+    gen = BorelElement(POINT, 2, -1, {0: 1})  # e^2 * xi^-1, degree 2
+    power = BorelElement(POINT, 0, 0, {0: 1})
     for _ in range(5):
         power = power * gen
         assert power
-        assert power + power == BorelScalar.from_int(0)
+        assert power + power == BorelElement.zero(POINT)
 
 
 def test_borel_relation_reduces_to_zero():
     for p, q in [(1, 1), (2, 2), (2, 3), (5, 5)]:
         sp = ProjSpace(p, q)
-        assert BorelElement(sp, borel_relation(sp)) == BorelElement.zero(sp)
+        N = p + q
+        assert BorelElement(sp, 2 * N, 0, borel_relation(sp)) == BorelElement.zero(sp)
 
 
-def _times_relation_raw(x: BorelElement) -> dict:
+def _times_relation(x: BorelElement) -> BorelElement:
+    """x times the relation, multiplied out by hand and then reduced."""
     raw = {}
     for k1, v1 in x.coeffs.items():
         for k2, v2 in borel_relation(x.sp).items():
-            raw[k1 + k2] = raw.get(k1 + k2, BorelScalar.from_int(0)) + v1 * v2
-    return raw
+            raw[k1 + k2] = raw.get(k1 + k2, 0) + v1 * v2
+    return BorelElement(x.sp, x.u + 2 * (x.sp.p + x.sp.q), x.v, raw)
 
 
 def random_homogeneous(rng, sp, kmax, umax, vmax, cmax):
@@ -240,9 +243,7 @@ def random_homogeneous(rng, sp, kmax, umax, vmax, cmax):
     for k below a random top, c_k in [-cmax, cmax]."""
     top = rng.randint(1, kmax)
     u0, v = 2 * (top - 1) + rng.randint(0, umax), rng.randint(-vmax, vmax)
-    return BorelElement(
-        sp, {k: BorelScalar(u0 - 2 * k, v, rng.randint(-cmax, cmax)) for k in range(top)}
-    )
+    return BorelElement(sp, u0, v, {k: rng.randint(-cmax, cmax) for k in range(top)})
 
 
 def test_borel_reduction_kills_relation_multiples():
@@ -250,37 +251,35 @@ def test_borel_reduction_kills_relation_multiples():
     for _ in range(100):
         sp = ProjSpace(rng.randint(1, 5), rng.randint(1, 5))
         x = random_homogeneous(rng, sp, kmax=6, umax=4, vmax=3, cmax=5)
-        assert BorelElement(sp, _times_relation_raw(x)) == BorelElement.zero(sp)
+        assert _times_relation(x) == BorelElement.zero(sp)
         # reduction is idempotent
-        assert BorelElement(sp, dict(x.coeffs)) == x
+        assert BorelElement(sp, x.u, x.v, dict(x.coeffs)) == x
 
 
 def test_borel_reduction_cascading_overflow():
     # reducing the top degree can push coefficients back above the cutoff;
     # a high single term over a small space exercises the cascade
     sp = ProjSpace(1, 3)
-    x = BorelElement(sp, {9: BorelScalar.from_int(1)})
-    assert BorelElement(sp, _times_relation_raw(x)) == BorelElement.zero(sp)
+    x = BorelElement(sp, 18, 0, {9: 1})
+    assert _times_relation(x) == BorelElement.zero(sp)
 
 
 def test_borel_map_line_bundles():
     sp = ProjSpace(3, 3)
     F = bundle_sum(3, 3, O(2))
     got = borel_map(euler_product(F), ranks(F).n_fix1)
-    assert got == BorelElement(sp, {1: BorelScalar.from_int(2)})
+    assert got == BorelElement(sp, 2, 0, {1: 2})
     F = bundle_sum(3, 3, xO(2))
     got = borel_map(euler_product(F), ranks(F).n_fix1)
-    assert got == BorelElement(
-        sp, {1: BorelScalar.from_int(2), 0: BorelScalar(2, 0, 1)}
-    )
+    assert got == BorelElement(sp, 2, 0, {1: 2, 0: 1})
     for d in (-3, -2, 1, 4):
         F = bundle_sum(3, 3, O(d))
         assert borel_map(euler_product(F), ranks(F).n_fix1) == BorelElement(
-            sp, {1: BorelScalar.from_int(d)}
+            sp, 2, 0, {1: d}
         )
         F = bundle_sum(3, 3, xO(d))
         assert borel_map(euler_product(F), ranks(F).n_fix1) == BorelElement(
-            sp, {1: BorelScalar.from_int(d), 0: BorelScalar(2, 0, 1)}
+            sp, 2, 0, {1: d, 0: 1}
         )
 
 
@@ -288,19 +287,15 @@ def test_borel_euler_closed_three_cases():
     # even degrees only: Delta * c^n
     sp = ProjSpace(3, 3)
     got = borel_euler_closed(bundle_sum(3, 3, O(2), xO(2)))
-    assert got == BorelElement(sp, {2: BorelScalar.from_int(4)})
+    assert got == BorelElement(sp, 4, 0, {2: 4})
     # odd Delta: Delta * c^n0 * (c + e^2)^n1
     sp = ProjSpace(2, 2)
     got = borel_euler_closed(bundle_sum(2, 2, O(3), xO(1)))
-    assert got == BorelElement(
-        sp, {2: BorelScalar.from_int(3), 1: BorelScalar(2, 0, 1)}
-    )
+    assert got == BorelElement(sp, 4, 0, {2: 3, 1: 1})
     # even Delta with odd fixed degree
     sp = ProjSpace(5, 5)
     got = borel_euler_closed(bundle_sum(5, 5, *[xO(2)] * 4))
-    assert got == BorelElement(
-        sp, {4: BorelScalar.from_int(16), 0: BorelScalar(8, 0, 1)}
-    )
+    assert got == BorelElement(sp, 8, 0, {4: 16, 0: 1})
 
 
 def test_borel_functoriality_on_examples():
@@ -338,8 +333,8 @@ def test_compare_rejects_bad_context():
 
 @pytest.mark.parametrize("op", [operator.add, operator.mul])
 def test_borel_elements_over_different_spaces_do_not_mix(op):
-    x = BorelElement(ProjSpace(1, 1), {1: BorelScalar.from_int(1)})
-    y = BorelElement(ProjSpace(3, 3), {4: BorelScalar.from_int(1)})
+    x = BorelElement(ProjSpace(1, 1), 2, 0, {1: 1})
+    y = BorelElement(ProjSpace(3, 3), 8, 0, {4: 1})
     with pytest.raises(ValueError, match="elements over different spaces"):
         op(x, y)
 
@@ -372,12 +367,14 @@ def dict_str(x):
 
 
 def as_dict(x):
-    return {(x.u, x.v): x.c} if x else {}
+    return {(x.u, x.v): x.coeffs[0]} if x else {}
 
 
 def test_borel_scalar_matches_the_dict_oracle():
+    # the Borel images of point-ring scalars are the c^0 classes
     pairs = [(u, v) for u in range(5) for v in range(-4, 5)]
-    elems = [BorelScalar(u, v, c) for (u, v), c in itertools.product(pairs, (0, 1, -3))]
+    elems = [BorelElement(POINT, u, v, {0: c})
+             for (u, v), c in itertools.product(pairs, (0, 1, -3))]
     for x in elems:
         assert str(x) == dict_str(as_dict(x)), x
         for y in elems:
@@ -388,20 +385,86 @@ def test_borel_scalar_matches_the_dict_oracle():
 
 
 def test_borel_scalar_constructor_rejects_negative_e_and_g():
-    with pytest.raises(ValueError, match="no Borel group at u=-1"):
-        BorelScalar(-1, 0, 1)
-    with pytest.raises(ValueError, match="a g term"):
-        BorelScalar(0, 0, 0, 1)
-    assert BorelScalar(3, -2, 4) == BorelScalar.zero() == BorelScalar(0, 5, 0)
-    assert BorelScalar.__slots__ == () and not hasattr(BorelScalar(1, 1, 1), "__dict__")
+    with pytest.raises(ValueError, match="no Borel group at e\\^-1"):
+        BorelElement(POINT, -1, 0, {0: 1})
+    # the fields are the grading and the integers: no g term to reject
+    assert BorelElement.__slots__ == ("sp", "u", "v", "coeffs")
+    assert not hasattr(BorelElement(POINT, 1, 1, {0: 1}), "__dict__")
+    assert (BorelElement(POINT, 3, -2, {0: 4}) == BorelElement.zero(POINT)
+            == BorelElement(POINT, 0, 5, {0: 0}))
+
+
+def test_borel_coefficients_reduce_mod_2_above_e0():
+    sp = ProjSpace(4, 4)
+    # c_k lives in Z at e^0 (k = 2) and in Z/2 at e^2 (k = 1) and e^4 (k = 0)
+    x = BorelElement(sp, 4, 1, {0: 3, 1: -4, 2: -6})
+    assert x.coeffs == {0: 1, 2: -6}
+    assert str(x) == "e^4*xi + (-6*xi)*c^2"
+    # and in Z/2 at e^5, e^3 and e^1
+    assert BorelElement(sp, 5, -2, {0: -7, 1: 5, 2: 2}).coeffs == {0: 1, 1: 1}
+
+
+def test_borel_coefficient_below_e0_is_refused():
+    sp = ProjSpace(2, 3)
+    for u, k in ((0, 1), (3, 2), (1, 4), (-2, 0)):
+        with pytest.raises(ValueError, match=f"no Borel group at e\\^{u - 2 * k}:"):
+            BorelElement(sp, u, 0, {k: 1})
+        assert BorelElement(sp, u, 0, {k: 0}) == BorelElement.zero(sp)
+    # above the relation's degree too, before it is reduced away
+    with pytest.raises(ValueError, match="no Borel group"):
+        BorelElement(sp, 9, 0, {5: 1})
+    with pytest.raises(ValueError, match="negative c-exponent"):
+        BorelElement(sp, 0, 0, {-1: 1})
+
+
+def test_every_borel_zero_is_the_zero():
+    sp = ProjSpace(2, 2)
+    zero = BorelElement.zero(sp)
+    assert (zero.u, zero.v, zero.coeffs) == (0, 0, {}) and not zero
+    zeros = [
+        BorelElement(sp, 5, 3, {}),
+        BorelElement(sp, 6, -1, {0: 2, 1: 4, 2: 0}),  # even multiples of e^6, e^4
+        BorelElement(sp, 8, 0, borel_relation(sp)),  # the relation
+        BorelElement(sp, 2, 0, {1: 3}) + BorelElement(sp, 2, 0, {1: -3}),
+        BorelElement(sp, 3, 1, {0: 1}) * BorelElement(sp, 0, 0, {0: 2}),
+        # (c^2 - e^4) * c^2, as c^4 = e^4*c^2 over X(2, 2)
+        BorelElement(sp, 4, 0, {0: -1, 2: 1}) * BorelElement(sp, 4, 0, {2: 1}),
+    ]
+    for x in zeros:
+        assert x == zero and (x.u, x.v) == (0, 0) and not x, x
+        assert str(x) == "0"
+    # a zero adds to a class of any grading
+    x = BorelElement(sp, 3, -1, {1: 1})
+    assert x + zeros[0] == x == zeros[1] + x
+
+
+def test_borel_sum_of_two_gradings_is_refused():
+    sp = ProjSpace(3, 3)
+    # 1 + c is not homogeneous: c lies in the grading of e^2
+    with pytest.raises(ValueError, match="mixed gradings"):
+        BorelElement(sp, 0, 0, {0: 1}) + BorelElement(sp, 2, 0, {1: 1})
+    with pytest.raises(ValueError, match="mixed gradings"):
+        BorelElement(sp, 2, 0, {1: 1}) + BorelElement(sp, 2, 1, {1: 1})
+    assert BorelElement(sp, 2, 0, {1: 1}) + BorelElement(sp, 2, 0, {0: 1}) == BorelElement(
+        sp, 2, 0, {0: 1, 1: 1})
+
+
+def test_borel_product_adds_the_gradings():
+    sp = ProjSpace(3, 3)
+    x = BorelElement(sp, 3, -1, {1: 1, 0: 1})  # e*xi^-1*c + e^3*xi^-1
+    y = BorelElement(sp, 2, 4, {1: -5})  # -5*xi^4*c
+    xy = x * y
+    assert (xy.u, xy.v) == (5, 3) == (x.u + y.u, x.v + y.v)
+    assert xy == BorelElement(sp, 5, 3, {2: 1, 1: 1}) == y * x
+    one = BorelElement(sp, 0, 0, {0: 1})
+    assert x * one == x == one * x
+    square = BorelElement(sp, 4, 0, {2: 2})
+    assert square * square == BorelElement(sp, 8, 0, {4: 4})
 
 
 def test_c_binomial_keeps_the_odd_binomials():
-    scalars = [BorelScalar.from_int(1), BorelScalar.from_int(-3), BorelScalar(1, -1, 1),
-               BorelScalar(0, 2, 5)]
-    for scalar, a, b in itertools.product(scalars, range(3), range(71)):
-        oracle = {a + j: scalar * BorelScalar(2 * (b - j), 0, comb(b, j))
-                  for j in range(b + 1)}
-        got = _c_binomial(scalar, a, b)
-        assert {k: v for k, v in got.items() if v} == {k: v for k, v in oracle.items() if v}
-    assert len(_c_binomial(BorelScalar.from_int(1), 0, 15000)) == 2 ** bin(15000).count("1") == 128
+    for a, b in itertools.product(range(3), range(71)):
+        got = list(_c_binomial(a, b))
+        assert got[0] == a + b and len(set(got)) == len(got)
+        assert set(got) == {a + j for j in range(b + 1) if comb(b, j) % 2}
+    assert len(list(_c_binomial(0, 15000))) == 2 ** bin(15000).count("1") == 128
