@@ -28,7 +28,6 @@ from .grading import (
     PiBDegree,
     RankTriple,
     euler_grading,
-    rank_triple,
     recover_ranks,
 )
 from .hscalar import (

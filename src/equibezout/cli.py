@@ -236,23 +236,23 @@ def cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = _variants.compare(FA, FB)
+        flags = _variants.compare(FA, FB)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    da, db = report.degrees_a, report.degrees_b
+    da, db = _euler.degrees(FA), _euler.degrees(FB)
     lines = [
         f"A = {FA}   degrees ({da.delta}, {da.delta0}, {da.delta1})",
         f"B = {FB}   degrees ({db.delta}, {db.delta0}, {db.delta1})",
     ]
-    for theory, equal in report.flags.items():
+    for theory, equal in flags.items():
         lines.append(f"{theory}: {'equal' if equal else 'differ'}")
     lines.append(f"note: {_variants.COMPARE_NOTE}")
     payload = _envelope(
         "compare",
         {"p": args.p, "q": args.q, "A": str(FA), "B": str(FB)},
         degrees={"A": list(da), "B": list(db)},
-        checks=report.flags,
+        checks=flags,
         result={"note": _variants.COMPARE_NOTE},
     )
     _emit(payload, args.json, lines)

@@ -243,39 +243,20 @@ def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:
     return ModuleElement._trusted(F.sp, terms, ring)
 
 
-@dataclass(frozen=True)
-class ClosedCarriers:
-    """Raw basis carriers of the closed formula and the diagonal scalar.
-
-    The carrier monomials are (s, t, a, b) exponent tuples; they are fed
-    through the rewrite engine before use because at the edges of the
-    rank range they may reduce further or vanish.
-    """
-
-    pn: tuple[int, int, int, int]
-    tau_n: HElement
-    pk: tuple[int, int, int, int]
-    pkm1: tuple[int, int, int, int]
-
-
-def closed_carriers(F: BundleSum) -> ClosedCarriers:
+def closed_carriers(F: BundleSum) -> tuple[tuple[int, int, int, int], HElement]:
+    """The diagonal carrier of the closed formula: the raw monomial P_n as
+    an (s, t, a, b) exponent tuple, and its scalar tau_n.  A carrier goes
+    through the rewrite engine before use, because at the edges of the rank
+    range it may reduce further or vanish."""
     p, q = F.sp.p, F.sp.q
     n, n0, n1 = ranks(F)
-    eps = (n + n0 + n1) % 2
-
     if n + n0 - n1 > 2 * p:
-        pn = (-(n + n0 - n1 - 2 * p), 0, p, n - p)
-        tau_n = tau_iota(n - n1 - p)
-    elif n - n0 + n1 > 2 * q:
-        pn = (0, -(n - n0 + n1 - 2 * q), n - q, q)
-        tau_n = tau_iota(n - n0 - q)
-    else:
-        pn = (eps, 0, (n + n0 - n1 + eps) // 2, (n - n0 + n1 - eps) // 2)
-        tau_n = tau_iota((n - n0 - n1 - eps) // 2)
-
-    pk = (1, 0, n0 + 1, n1) if n0 < p else (-(n0 - p), 0, p, n1)
-    pkm1 = (0, 0, n0, n1) if n1 < q else (0, -(n1 - q), n0, q)
-    return ClosedCarriers(pn, tau_n, pk, pkm1)
+        return (-(n + n0 - n1 - 2 * p), 0, p, n - p), tau_iota(n - n1 - p)
+    if n - n0 + n1 > 2 * q:
+        return (0, -(n - n0 + n1 - 2 * q), n - q, q), tau_iota(n - n0 - q)
+    eps = (n + n0 + n1) % 2
+    return ((eps, 0, (n + n0 - n1 + eps) // 2, (n - n0 + n1 - eps) // 2),
+            tau_iota((n - n0 - n1 - eps) // 2))
 
 
 def _closed_terms(F: BundleSum):
@@ -287,25 +268,28 @@ def _closed_terms(F: BundleSum):
     (or the carrier must vanish).
     """
     (n, n0, n1), dd = ranks(F), degrees(F)
-    car = closed_carriers(F)
+    p, q = F.sp.p, F.sp.q
+    pn, tau_n = closed_carriers(F)
+    pk = (1, 0, n0 + 1, n1) if n0 < p else (-(n0 - p), 0, p, n1)
+    pkm1 = (0, 0, n0, n1) if n1 < q else (0, -(n1 - q), n0, q)
 
-    nb0 = min(n0, F.sp.p - 1)
-    nb1 = min(n1, F.sp.q)
+    nb0 = min(n0, p - 1)
+    nb1 = min(n1, q)
     if dd.delta % 2 == 0:
         return [
-            (dd.delta, car.tau_n, car.pn),
-            (dd.delta1 - dd.delta0, e_power_kappa(2 * (n - nb0 - nb1 - 1)), car.pk),
-            (dd.delta0, e_power_kappa(2 * (n - nb0 - nb1)), car.pkm1),
+            (dd.delta, tau_n, pn),
+            (dd.delta1 - dd.delta0, e_power_kappa(2 * (n - nb0 - nb1 - 1)), pk),
+            (dd.delta0, e_power_kappa(2 * (n - nb0 - nb1)), pkm1),
         ]
     if dd.delta0 != 0:
         return [
-            (dd.delta - dd.delta0, tau_iota(0), car.pn),
-            (dd.delta1 - dd.delta0, e_power_kappa(-2), car.pk),
-            (2 * dd.delta0, HElement.from_int(1), car.pkm1),
+            (dd.delta - dd.delta0, tau_iota(0), pn),
+            (dd.delta1 - dd.delta0, e_power_kappa(-2), pk),
+            (2 * dd.delta0, HElement.from_int(1), pkm1),
         ]
     return [
-        (dd.delta - dd.delta1, tau_iota(0), car.pn),
-        (2 * dd.delta1, HElement.from_int(1), car.pkm1),
+        (dd.delta - dd.delta1, tau_iota(0), pn),
+        (2 * dd.delta1, HElement.from_int(1), pkm1),
     ]
 
 
@@ -366,20 +350,16 @@ class Check:
 
 
 class EulerReport:
-    """A bundle sum and the classes its checks compare.  Each class is
-    computed on first use and kept, so all checks share one product and one
-    split; ``checks`` is what ``bezout_report`` found."""
+    """A bundle sum and the classes its checks compare.  Each class, and
+    each check's result, is computed on first use and kept, so all checks
+    share one product and one split; ``evaluate`` and ``reported`` give the
+    results of the rows they are handed."""
 
     def __init__(self, F: BundleSum):
         self.F = F
         _, self.ranks, self.degrees = F.classified
         self.grading = euler_grading(*self.ranks)
-        self.checks: dict[str, bool] = {}
         self._kept: dict = {}
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
 
     @cached_property
     def product_class(self) -> ModuleElement:
@@ -502,9 +482,7 @@ BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
 
 
 def bezout_report(F: BundleSum) -> EulerReport:
-    """Compute both Euler-class paths and evaluate the Burnside checks that
-    ``euler`` reports; raises ValueError outside the Bezout context."""
+    """The report on F, whose checks evaluate on demand; raises ValueError
+    outside the Bezout context."""
     require_context(F)
-    report = EulerReport(F)
-    report.checks = report.reported(BURNSIDE_CHECKS, "burnside")
-    return report
+    return EulerReport(F)

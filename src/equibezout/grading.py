@@ -3,7 +3,8 @@
 The extended grading group is free abelian on the trivial representation
 1, the sign representation ``s`` (sigma) and two further generators ``W0``
 and ``W1`` subject to ``W0 + W1 = 2s - 2``, so we eliminate ``W0`` and
-store a degree ``m*W1 + a + b*s`` as the integer triple ``(m, a, b)``.
+store a degree ``m*W1 + a + b*s`` as the integer triple ``(m, a, b)``:
+``W1`` is ``(1, 0, 0)`` and ``W0 = 2s - 2 - W1`` is ``(-1, -2, 2)``.
 With this encoding the parity constraint relating the fixed-point ranks of
 a degree holds automatically.  ``RO(C2)``, where the point ring is graded,
 is the slice ``m = 0``: a point-ring degree ``a + b*s`` is ``(0, a, b)``,
@@ -42,9 +43,7 @@ class RankTriple:
     """Ranks (whole space, fixed over B0, fixed over B1).
 
     Complex ranks in ``BundleSum.classified`` and ``recover_ranks`` (the
-    inverse of ``euler_grading``, which takes complex ranks too); only
-    ``rank_triple`` returns real ranks, twice the complex ones on an Euler
-    grading.
+    inverse of ``euler_grading``, which takes complex ranks too).
     """
 
     n_total: int
@@ -53,25 +52,6 @@ class RankTriple:
 
     def __iter__(self):
         return iter((self.n_total, self.n_fix0, self.n_fix1))
-
-
-# W0 = 2s - 2 - W1, so it is (-1, -2, 2) in the (m, a, b) encoding.
-W0 = PiBDegree(-1, -2, 2)
-W1 = PiBDegree(1, 0, 0)
-
-# Gradings of the multiplicative generators of the cohomology of
-# projective space: the two Euler classes sit in the bundle degrees
-# omega = 2 + W1 and chi(omega) = 2 + W0, and the zeta classes in the
-# degrees shifted down by 2.
-DEG_CW = PiBDegree(1, 2, 0)
-DEG_CXW = PiBDegree(-1, 0, 2)
-DEG_Z1 = W1
-DEG_Z0 = W0
-
-
-def rank_triple(x: PiBDegree) -> RankTriple:
-    """Real rank triple of a degree: (a+b, a, a-2m)."""
-    return RankTriple(x.a + x.b, x.a, x.a - 2 * x.m)
 
 
 def euler_grading(n: int, n0: int, n1: int) -> PiBDegree:

@@ -165,6 +165,9 @@ class HElement:
                 and self.u == other.u and self.v == other.v)
 
     def __hash__(self):
+        # an integer-valued scalar equals its int, so it hashes as one
+        if not (self.u or self.v or self.g):
+            return hash(self.c)
         return hash((self.u, self.v, self.c, self.g))
 
     def __add__(self, other):

@@ -22,7 +22,6 @@ constructor, and a generator monomial is one ``raw_monomial``.
 
 from __future__ import annotations
 
-import operator
 import re
 
 from . import hscalar
@@ -54,26 +53,26 @@ def _tokenize(text: str) -> list[str]:
 GEN_NAMES = ("z0", "z1", "cw", "cxw")
 
 
-def _power(base, k: int, one, mul=operator.mul, divided=lambda value: False):
+def _power(base, k: int, one):
     """``base^k`` for k >= 0 by repeated squaring.
 
     Every product formed has ``base`` itself or a square of it as its right
-    factor, and such a factor is used only while it is not ``divided``; so
-    the result is defined exactly when the linear loop ``one * base * ... *
-    base`` is (a module product needs one factor free of divided monomials).
-    A divided base raises at its first square, as ``base * base`` does; once
-    a square comes out divided, the rest of the exponent is multiplied in one
-    copy of the last undivided square at a time."""
+    factor, and such a factor is used only while it has no divided monomial;
+    so the result is defined exactly when the linear loop ``one * base * ...
+    * base`` is (a module product needs one factor free of divided
+    monomials).  A divided base raises at its first square, as ``base *
+    base`` does; once a square comes out divided, the rest of the exponent
+    is multiplied in one copy of the last undivided square at a time."""
     out = one
     while k:
         if k & 1:
-            out = mul(out, base)
+            out = out * base
         k >>= 1
         if k:
-            square = mul(base, base)
-            if divided(square):
+            square = base * base
+            if isinstance(square, ModuleElement) and any(map(is_divided, square.terms)):
                 for _ in range(2 * k):
-                    out = mul(out, base)
+                    out = out * base
                 return out
             base = square
     return out
@@ -84,10 +83,6 @@ def _times(x, y):
     if x is None:
         return y
     return x if y is None else x * y
-
-
-def _has_divided(value: ModuleElement) -> bool:
-    return any(is_divided(m) for m in value.terms)
 
 
 class _Term:
@@ -322,7 +317,7 @@ class _ExprParser:
         value = _materialize(a, self.sp)
         if isinstance(value, HElement):
             return _power(value, k, HElement.from_int(1))
-        return _power(value, k, ModuleElement.unit(value.sp), mod_mul, _has_divided)
+        return _power(value, k, ModuleElement.unit(value.sp))
 
     def _add(self, a, b, negate: bool):
         av = _materialize(a, self.sp)

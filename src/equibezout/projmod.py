@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .grading import PiBDegree, join_signed
-from .hscalar import HElement, h_fixed, h_rho, in_T
+from .hscalar import HElement, h_fixed, h_rho, in_T, signed_term
 
 ALPHA = "alpha"  # z1^t * cw^a            t >= 1, a <= p-1
 BETA = "beta"  # z0^s * cxw^b             s >= 1, b <= q-1
@@ -621,18 +621,8 @@ class NoneqPoly:
         return bool(self.coeffs)
 
     def __str__(self) -> str:
-        bits = []
-        for k, v in self.coeffs:
-            body = "1" if k == 0 else ("c" if k == 1 else f"c^{k}")
-            if k == 0:
-                bits.append(str(v))
-            elif v == 1:
-                bits.append(body)
-            elif v == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{v}*{body}")
-        return join_signed(bits)
+        return join_signed([signed_term(v, "1" if k == 0 else "c" if k == 1 else f"c^{k}")
+                            for k, v in self.coeffs])
 
 
 def mod_rho(x: ModuleElement) -> NoneqPoly:

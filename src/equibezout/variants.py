@@ -25,14 +25,12 @@ The two point rings ``HElement`` and ``ZHElement`` share their operators
 and refuse to mix with each other or with Borel classes.
 
 Each theory has its own closed Bezout formula, evaluated here directly
-from the ranks and degrees; the comparison report puts the three theories
-side by side to exhibit the information loss (distinct Burnside classes
-with equal Z and Borel images).
+from the ranks and degrees.  ``compare`` answers one question per theory,
+whether the Euler classes of two sums are equal, which exhibits the
+information loss (distinct Burnside classes with equal Z and Borel images).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import euler as _euler
 from .grading import join_signed
@@ -85,12 +83,12 @@ def z_euler_closed(F: _euler.BundleSum) -> ModuleElement:
     """Closed constant-Z Euler class, three parity cases (context enforced)."""
     _euler.require_context(F)
     _, (n, n0, n1), dd = F.classified
-    car = _euler.closed_carriers(F)
-    pn = raw_monomial(F.sp, *car.pn, ZHElement)
+    raw_pn, tau_n = _euler.closed_carriers(F)
+    pn = raw_monomial(F.sp, *raw_pn, ZHElement)
 
     if dd.delta % 2:
         return pn.scale(dd.delta)
-    result = pn.scale(ZHElement.from_burnside(car.tau_n)).scale(dd.delta // 2)
+    result = pn.scale(ZHElement.from_burnside(tau_n)).scale(dd.delta // 2)
     if dd.delta0 % 2 or dd.delta1 % 2:
         e_pow = ZHElement(2 * (n - n0 - n1), 0, 1)
         pkm1 = raw_monomial(F.sp, 0, 0, n0, n1, ZHElement)
@@ -269,19 +267,8 @@ def borel_euler_closed(F: _euler.BundleSum) -> BorelElement:
 COMPARE_NOTE = "Borel theory carries no fixed-point data"
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """Side-by-side Euler classes of two bundle sums in all three theories:
-    ``flags`` says, per theory, whether the two classes are equal."""
-
-    sp: ProjSpace
-    degrees_a: _euler.DegreeTriple
-    degrees_b: _euler.DegreeTriple
-    flags: dict[str, bool]
-
-
-def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
-    """Compare the Euler classes of two sums in the three theories."""
+def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> dict[str, bool]:
+    """Whether the Euler classes of two sums are equal, per theory."""
     if FA.sp != FB.sp:
         raise ValueError("bundle sums over different spaces")
     for F in (FA, FB):
@@ -290,16 +277,11 @@ def compare(FA: _euler.BundleSum, FB: _euler.BundleSum) -> CompareReport:
         except ValueError as exc:
             raise ValueError(f"{F}: {exc}") from None
     a, b = _euler.EulerReport(FA), _euler.EulerReport(FB)
-    return CompareReport(
-        sp=FA.sp,
-        degrees_a=a.degrees,
-        degrees_b=b.degrees,
-        flags={
-            "burnside": a.product_class == b.product_class,
-            "zconst": _z_mapped(a) == _z_mapped(b),
-            "borel": _borel_mapped(a) == _borel_mapped(b),
-        },
-    )
+    return {
+        "burnside": a.product_class == b.product_class,
+        "zconst": _z_mapped(a) == _z_mapped(b),
+        "borel": _borel_mapped(a) == _borel_mapped(b),
+    }
 
 
 # The classes each coarser theory compares, (closed form, mapped product),

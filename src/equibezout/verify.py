@@ -74,8 +74,9 @@ def random_bundle_sum(rng: random.Random, pmax: int, qmax: int, dmax: int) -> _e
 
 
 def check_instance(F: _euler.BundleSum) -> list[str]:
-    """Keys of the checks this instance fails (empty when all pass): every
-    row of ``variants.CHECKS``, on the report ``bezout_report`` computed."""
+    """Keys of the checks this instance fails (empty when all pass), in
+    table order: every row of ``variants.CHECKS``, each evaluated once on
+    the report of ``bezout_report``."""
     results = _euler.bezout_report(F).evaluate(_variants.CHECKS)
     return [check.key for check, ok in results.items() if not ok]
 

@@ -6,17 +6,36 @@ tests keep an older vocabulary as independent oracles: a monomial is the
 plain tuple ``(family, u, v)``, and ``exists`` is the table of where each
 family has a group, written here apart from the constructor it checks.
 ``euler_product_fold`` is the Euler class as one ``mod_mul`` per line,
-the product that ``euler.euler_product`` folds into one dict.
+the product that ``euler.euler_product`` folds into one dict.  The
+generator gradings ``DEG_*`` and the real ``rank_triple`` of a degree are
+written here from the paper, apart from the grading code they check.
 """
 
 from math import comb
 
 from equibezout.euler import euler_line
+from equibezout.grading import PiBDegree, RankTriple
 from equibezout.hscalar import KAPPA, PLAIN, TRANSFER, HElement, e_power_kappa
 from equibezout.projmod import ModuleElement, mod_mul
 
 FAMILIES = (PLAIN, KAPPA, TRANSFER)
 ONE, G = (PLAIN, 0, 0), (TRANSFER, 0, 0)  # 1 and g = tau(1), the origin's two
+
+
+# Gradings of the multiplicative generators of the cohomology of projective
+# space, (m, a, b) for m*W1 + a + b*s: the two Euler classes sit in the
+# bundle degrees omega = 2 + W1 and chi(omega) = 2 + W0, with
+# W0 = 2s - 2 - W1, and the zeta classes in the degrees shifted down by 2.
+DEG_CW = PiBDegree(1, 2, 0)
+DEG_CXW = PiBDegree(-1, 0, 2)
+DEG_Z1 = PiBDegree(1, 0, 0)
+DEG_Z0 = PiBDegree(-1, -2, 2)
+
+
+def rank_triple(x: PiBDegree) -> RankTriple:
+    """Real rank triple of a degree: (a+b, a, a-2m), twice the complex
+    ranks on an Euler grading."""
+    return RankTriple(x.a + x.b, x.a, x.a - 2 * x.m)
 
 
 def exists(family: int, u: int, v: int) -> bool:

@@ -194,10 +194,10 @@ def test_criterion_7_coefficient_change_functoriality():
 
 def test_criterion_8_information_loss():
     with criterion(8, "Burnside-distinct, Z-equal, Borel-equal; mod-2 fixed rule"):
-        report = compare(
+        flags = compare(
             bundle_sum(2, 2, O(3), xO(1)), bundle_sum(2, 2, O(1), xO(3))
         )
-        assert report.flags == {"burnside": False, "zconst": True, "borel": True}
+        assert flags == {"burnside": False, "zconst": True, "borel": True}
         assert main(["compare", "2", "2", "O(3)+xO(1)", "O(1)+xO(3)"]) == 0
         rng = random.Random(8)
         for _ in range(300):

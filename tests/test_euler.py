@@ -7,6 +7,7 @@ import pytest
 from equibezout import euler, projmod
 from equibezout import hscalar as hs
 from equibezout.euler import (
+    BURNSIDE_CHECKS,
     BundleSum,
     DegreeTriple,
     EulerReport,
@@ -14,6 +15,7 @@ from equibezout.euler import (
     O,
     bezout_report,
     classify_line,
+    closed_carriers,
     context_check,
     degrees,
     euler_closed,
@@ -345,6 +347,17 @@ def test_euler_closed_divided_carrier():
     assert euler_product(F) == expected
 
 
+@pytest.mark.parametrize("p, q, lines, raw, tau", [
+    (1, 3, (O(1), O(2)), (-1, 0, 1, 1), hs.g()),  # the cw^p tower
+    (3, 1, (O(2), xO(1)), (0, -1, 1, 1), hs.g()),  # the cxw^q tower
+    (2, 2, (O(3), xO(1)), (0, 0, 1, 1), hs.g()),  # the middle branch
+    (3, 3, (xO(2),) * 3, (1, 0, 2, 1), hs.tau_iota(1)),  # middle, odd n
+    (3, 3, (O(2), O(2)), (0, 0, 1, 1), hs.tau_iota(-1)),  # middle, n0 = n1 = n
+])
+def test_closed_carriers_branches(p, q, lines, raw, tau):
+    assert closed_carriers(bundle_sum(p, q, *lines)) == (raw, tau)
+
+
 def test_recover_degrees():
     F = bundle_sum(5, 5, *[xO(2)] * 4)
     assert recover_degrees(euler_product(F)) == DegreeTriple(16, 1, 1)
@@ -368,14 +381,14 @@ def test_zero_degree_bundles():
 def test_bezout_report_passes():
     report = bezout_report(bundle_sum(5, 5, *[xO(2)] * 4))
     assert isinstance(report, EulerReport)
-    assert report.ok
+    assert all(report.reported(BURNSIDE_CHECKS, "burnside").values())
     assert report.grading == PiBDegree(0, 0, 8)
     assert report.degrees == DegreeTriple(16, 1, 1)
     nonzero = {i: c for i, c in report.coefficients if c}
     assert set(nonzero) == {0, 4}
 
     report = bezout_report(bundle_sum(2, 2, O(3), xO(1)))
-    assert report.ok
+    assert all(report.reported(BURNSIDE_CHECKS, "burnside").values())
     assert report.degrees == DegreeTriple(3, 3, 1)
     vector = dict(report.coefficients)
     assert [vector[i] for i in range(4)] == [

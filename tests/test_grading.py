@@ -2,20 +2,15 @@ import pytest
 
 from equibezout import hscalar as hs
 from equibezout.grading import (
-    DEG_CW,
-    DEG_CXW,
-    DEG_Z0,
-    DEG_Z1,
     PiBDegree,
     RankTriple,
     euler_grading,
     format_degree,
-    rank_triple,
     recover_ranks,
 )
 from equibezout.parsing import parse_grading
 from equibezout.projmod import EPS, ZETAF, ModuleElement, ProjSpace, basis
-from oracles import G, scalar
+from oracles import DEG_CW, DEG_CXW, DEG_Z0, DEG_Z1, G, rank_triple, scalar
 
 
 def test_degree_sum_identity():

@@ -581,3 +581,15 @@ def test_zero_is_equal_and_hashes_alike_in_every_grading():
                ZHElement.from_burnside(2 - g())]
     assert all(z == ZHElement.zero() for z in z_zeros)
     assert len({hash(z) for z in z_zeros}) == 1
+
+
+def test_a_scalar_equal_to_an_int_hashes_as_the_int():
+    # equal objects hash alike: an integer-valued scalar is found where its
+    # int is, in both rings; ZHElement folds g = 2 into c at the origin
+    for x, n in [(HElement.from_int(3), 3), (HElement.from_int(-5), -5),
+                 (HElement.zero(), 0), (ZHElement(0, 0, 0, 1), 2),
+                 (ZHElement(0, 0, 7, 2), 11), (ZHElement.zero(), 0)]:
+        assert x == n and hash(x) == hash(n)
+        assert n in {x} and x in {n}
+    # g is not an int, and neither is a scalar off the origin
+    assert g() != 1 and e(1) != 1 and 1 not in {g(), e(1)}

@@ -1,5 +1,5 @@
-"""Every public function and class of ``hscalar``, ``projmod``,
-``variants`` and ``verify`` has a caller in the package.
+"""Every public function and class of ``cli``, ``grading``, ``hscalar``,
+``projmod``, ``variants`` and ``verify`` has a caller in the package.
 
 A convenience spelling that only the tests call belongs in the tests
 (``tests/oracles.py``).  Callers are read with ``ast``, so docstrings,
@@ -15,7 +15,7 @@ import pathlib
 import equibezout
 
 PACKAGE = pathlib.Path(equibezout.__file__).parent
-GUARDED = ("hscalar", "projmod", "variants", "verify")
+GUARDED = ("cli", "grading", "hscalar", "projmod", "variants", "verify")
 
 
 def public_defs(tree: ast.Module) -> list[str]:

@@ -650,6 +650,13 @@ def test_mod_rho_examples():
     assert mod_rho(ModuleElement.zero(sp)) == NoneqPoly.make(10, {})
 
 
+def test_noneq_poly_text():
+    # the constant, a unit coefficient of either sign, any other coefficient
+    assert str(NoneqPoly.make(5, {0: 3, 1: -1, 2: 1, 3: -4})) == "3 - c + c^2 - 4*c^3"
+    assert str(NoneqPoly.make(5, {0: -1, 4: 2})) == "-1 + 2*c^4"
+    assert str(NoneqPoly.make(5, {})) == "0"
+
+
 def test_mod_fixed_examples():
     sp = ProjSpace(5, 5)
     f0, f1 = mod_fixed(elem(sp, BasisMonomial(sp, 0, 0, 1, 1)))
