@@ -17,6 +17,7 @@ inputs, ranks, degrees, grading, coefficients, checks, theory, result}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -338,17 +339,8 @@ def cmd_verify(args) -> int:
             print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     summary = run_verify(args.seed, args.count, args.pmax, args.qmax, args.dmax)
-    result = {
-        "seed": summary.seed,
-        "requested": summary.requested,
-        "executed": summary.executed,
-        "passed": summary.passed,
-        "failure": None,
-        "minimized": None,
-    }
-    if summary.failure is not None:
-        result["failure"] = vars(summary.failure)
-        result["minimized"] = vars(summary.shrunk) if summary.shrunk else None
+    result = dataclasses.asdict(summary)
+    result["minimized"] = result.pop("shrunk")
     payload = _envelope(
         "verify",
         {

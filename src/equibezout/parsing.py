@@ -11,13 +11,20 @@ Every canonical printed form round-trips through these parsers.
   enforces exactly that.
 * Gradings:       ``"m*W1 + a + b*s"`` with zero terms omitted.
 
-A text is tokenized in one scan: one regex match finds the longest prefix
-made of tokens (trailing whitespace allowed), and one ``findall`` takes
-them.  A product of factors without parentheses or sums is a ``_Term``
-accumulator: the coefficient multiplies, and the exponents of e, xi, kappa
-and the module generators add, so ``xi^300`` is the exponent 300, not a
-chain of squarings.  The scalar ``coeff * e^j * xi^n`` is then one
-constructor, and a generator monomial is one ``raw_monomial``.
+An expression is tokenized in one scan: one regex match finds the longest
+prefix made of tokens (trailing whitespace allowed), and one ``findall``
+takes them.  A parsed value is one of two kinds.  A ``_Term`` is a
+multiplicative accumulator: the coefficient and the scalar multiply, and
+the exponents of e, xi, kappa and the module generators add, so ``xi^300``
+is the exponent 300, not a chain of squarings, and a scalar sum is a term
+whose scalar is that sum, so generator exponents keep accumulating across
+it.  The scalar ``coeff * e^j * xi^n`` is one constructor, and a generator
+monomial is one ``raw_monomial``.  A ``ModuleElement`` is what a sum with
+generators in it makes, and so is any product with it (one ``mod_mul``) or
+power of it.
+
+Bundle lists and gradings are scanned one term at a time, each term by one
+regex match.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 GEN_NAMES = ("z0", "z1", "cw", "cxw")
+_NEEDS_SPACE = "module generators need a projective-space context"
 
 
 def _power(base, k: int, one):
@@ -89,7 +97,7 @@ class _Term:
     """Multiplicative accumulator: coeff * scal * e^j * xi^n * kappa^c * gens.
 
     ``scal`` is None for the unit, so only a real scalar (g, tau(...) or a
-    folded expression) is ever multiplied; the exponents of e, xi, kappa and
+    scalar sum) is ever multiplied; the exponents of e, xi, kappa and
     the generators add up as integers.  ``gens`` is never changed in place.
     """
 
@@ -152,13 +160,11 @@ class _Term:
 
     def module_value(self, sp: ProjSpace | None) -> ModuleElement:
         if sp is None:
-            raise ParseError("module generators need a projective-space context")
+            raise ParseError(_NEEDS_SPACE)
         s = self.gens.get("z0", 0)
         t = self.gens.get("z1", 0)
         a = self.gens.get("cw", 0)
         b = self.gens.get("cxw", 0)
-        if a < 0 or b < 0:
-            raise ParseError("cw and cxw exponents must be nonnegative")
         try:
             mono = raw_monomial(sp, s, t, a, b)
         except ValueError as exc:
@@ -166,20 +172,17 @@ class _Term:
         return mono.scale(self.scalar_value())
 
 
-def _materialize(value, sp):
-    if isinstance(value, _Term):
-        if value.gens:
-            return value.module_value(sp)
-        return value.scalar_value()
-    return value
-
-
 def _as_module(value, sp) -> ModuleElement:
-    if isinstance(value, ModuleElement):
+    """``value`` over ``sp``: a term with generators is its monomial, any
+    other term a multiple of the unit."""
+    if not isinstance(value, _Term):
         return value
+    if value.gens:
+        return value.module_value(sp)
+    scalar = value.scalar_value()  # its own refusal before the missing space
     if sp is None:
-        raise ParseError("module expression needs a projective-space context")
-    return ModuleElement.unit(sp).scale(value)
+        raise ParseError(_NEEDS_SPACE)
+    return ModuleElement.unit(sp).scale(scalar)
 
 
 class _ExprParser:
@@ -287,47 +290,32 @@ class _ExprParser:
             raise ParseError(f"tau argument must be an even power of i, got i^{k}")
         return hscalar.tau_iota(k // 2)
 
-    # combination rules over the three value kinds
+    # combination rules over the two value kinds
 
     def _mul(self, a, b):
         if isinstance(a, _Term) and isinstance(b, _Term):
             return a.mul(b)
-        # fold a plain scalar into the term so that generator exponents of
-        # divided monomials keep accumulating across it
-        if isinstance(a, _Term) or isinstance(b, _Term):
-            term, other = (a, b) if isinstance(a, _Term) else (b, a)
-            other_v = _materialize(other, self.sp)
-            if isinstance(other_v, HElement):
-                return _Term(term.coeff, _times(term.scal, other_v), term.e_exp,
-                             term.xi_exp, term.kappa, term.gens)
-            return mod_mul(other_v, _as_module(_materialize(term, self.sp), self.sp))
-        av = _materialize(a, self.sp)
-        bv = _materialize(b, self.sp)
-        if isinstance(av, HElement) and isinstance(bv, HElement):
-            return av * bv
-        am = _as_module(av, self.sp)
-        bm = _as_module(bv, self.sp)
-        return mod_mul(am, bm)
+        return mod_mul(_as_module(a, self.sp), _as_module(b, self.sp))
 
     def _pow(self, a, k: int):
         if isinstance(a, _Term):
             return a.pow(k)
         if k < 0:
             raise ParseError("negative exponent on a compound expression")
-        value = _materialize(a, self.sp)
-        if isinstance(value, HElement):
-            return _power(value, k, HElement.from_int(1))
-        return _power(value, k, ModuleElement.unit(value.sp))
+        return _power(a, k, ModuleElement.unit(a.sp))
 
     def _add(self, a, b, negate: bool):
-        av = _materialize(a, self.sp)
-        bv = _materialize(b, self.sp)
-        if isinstance(av, ModuleElement) or isinstance(bv, ModuleElement):
-            av, bv = _as_module(av, self.sp), _as_module(bv, self.sp)
+        scalar = (isinstance(a, _Term) and isinstance(b, _Term)
+                  and not (a.gens or b.gens))
+        if scalar:
+            a, b = a.scalar_value(), b.scalar_value()
+        else:
+            a, b = _as_module(a, self.sp), _as_module(b, self.sp)
         try:
-            return av - bv if negate else av + bv
+            value = a - b if negate else a + b
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+        return _Term(scal=value) if scalar else value
 
 
 def parse_scalar(text: str) -> HElement:
@@ -336,18 +324,17 @@ def parse_scalar(text: str) -> HElement:
     >>> print(parse_scalar("2 - g"))
     2 - g
     """
-    value = _ExprParser(_tokenize(text), None).parse()
-    result = _materialize(value, None)
-    if isinstance(result, ModuleElement):
-        raise ParseError("module element where a scalar was expected")
-    return result
+    # without a space no module element is ever made, so the value is a term
+    term = _ExprParser(_tokenize(text), None).parse()
+    if term.gens:
+        raise ParseError(_NEEDS_SPACE)
+    return term.scalar_value()
 
 
 def parse_module_element(text: str, sp: ProjSpace) -> ModuleElement:
     """Parse a module expression over X(p, q); scalars embed as multiples
     of the unit basis element."""
-    value = _ExprParser(_tokenize(text), sp).parse()
-    return _as_module(_materialize(value, sp), sp)
+    return _as_module(_ExprParser(_tokenize(text), sp).parse(), sp)
 
 
 _BUNDLE_RE = re.compile(
@@ -391,47 +378,27 @@ def parse_bundles(text: str) -> list[LineBundle]:
     return [L for L, count in parse_bundle_terms(text) for _ in range(count)]
 
 
+# one signed term of a grading: an integer, W1 or s, or an integer times W1 or s
+_GRADING_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+)(?:\s*\*\s*(W1|s)\b)?|(W1|s)\b)\s*"
+)
+
+
 def parse_grading(text: str) -> PiBDegree:
-    """Parse ``m*W1 + a + b*s`` (any subset of terms, in any order)."""
-    tokens = _tokenize(text)
-    pos = 0
-    m = a = b = 0
-    if not tokens:
+    """Parse ``m*W1 + a + b*s`` (any subset of terms, in any order).
+
+    >>> parse_grading("W1 - 3*s + 2 + W1")
+    PiBDegree(m=2, a=2, b=-3)
+    """
+    if not text.strip():
         raise ParseError("empty grading")
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of grading")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    first = True
-    while pos < len(tokens):
-        sign = 1
-        tok = take()
-        if tok in ("+", "-"):
-            sign = -1 if tok == "-" else 1
-            tok = take()
-        elif not first:
-            raise ParseError(f"expected + or - before {tok!r}")
-        first = False
-        coeff = None
-        if tok.isdigit():
-            coeff = sign * int(tok)
-            if pos < len(tokens) and tokens[pos] == "*":
-                pos += 1
-                tok = take()
-            else:
-                a += coeff
-                continue
-        else:
-            coeff = sign
-        if tok == "W1":
-            m += coeff
-        elif tok == "s":
-            b += coeff
-        else:
-            raise ParseError(f"unknown grading token {tok!r}")
-    return PiBDegree(m, a, b)
+    totals = {"W1": 0, None: 0, "s": 0}
+    pos = 0
+    while pos < len(text):
+        term = _GRADING_TERM_RE.match(text, pos)
+        if not term or (pos and not term[1]):  # every later term has its sign
+            raise ParseError(f"bad grading term at {pos} in {text!r}")
+        sign, coeff, gen = term[1], term[2], term[3] or term[4]
+        totals[gen] += (-1 if sign == "-" else 1) * int(coeff or 1)
+        pos = term.end()
+    return PiBDegree(totals["W1"], totals[None], totals["s"])

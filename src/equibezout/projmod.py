@@ -248,9 +248,11 @@ def basis(sp: ProjSpace, m: int) -> list[BasisMonomial]:
 class ModuleElement:
     """A finite combination of basis monomials with point-ring coefficients.
 
-    All terms must sit in a single total degree (monomial degree plus
-    coefficient degree); the zero element is degree-agnostic.  Supports
-    +, -, scaling by integers and scalars, and * via the rewrite engine.
+    Every coefficient is of the class ``ring``, and all terms must sit in
+    a single total degree (monomial degree plus coefficient degree); the
+    zero element is degree-agnostic.  Supports +, -, scaling by integers
+    and scalars, and * via the rewrite engine; elements over different
+    rings do not add.
     """
 
     __slots__ = ("sp", "ring", "terms")
@@ -260,6 +262,8 @@ class ModuleElement:
         grading = None
         p, q = sp.p, sp.q
         for mono, coeff in terms.items():
+            if type(coeff) is not ring:
+                raise ValueError(f"coefficient {coeff} not in {ring.__name__}")
             if not coeff:
                 continue
             if mono[0] != p or mono[1] != q:
@@ -309,6 +313,8 @@ class ModuleElement:
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         if self.sp != other.sp:
             raise ValueError("elements over different spaces")
+        if self.ring is not other.ring:
+            raise ValueError("elements over different rings")
         # both operands are homogeneous, so one grading each decides the sum
         if self.terms and other.terms and other.grading != self.grading:
             raise ValueError(f"mixed gradings: {other.grading} vs {self.grading}")

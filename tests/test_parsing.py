@@ -23,6 +23,7 @@ from equibezout.projmod import (
     ProjSpace,
     UnsupportedProductError,
     basis,
+    raw_monomial,
 )
 from oracles import einvkappa, exi, kappa, one, scalars_in_grading, tauinv
 
@@ -102,6 +103,14 @@ def test_module_parse_divided_monomials():
     assert y == ModuleElement(sp, {BasisMonomial(sp, -2, 0, 2, 3): 4 * einvkappa(2)})
     with pytest.raises(ParseError):
         parse_module_element("z0^-1*cw", sp)  # needs the full cw^p factor
+
+
+def test_generator_exponents_accumulate_across_a_scalar_sum():
+    # z0^-2 alone is no element over X(4, 4); the sum in parentheses is a
+    # scalar, so the z0 exponents still add up to the divided z0^-1*cw^4
+    sp = ProjSpace(4, 4)
+    assert (parse_module_element("z0^-2*(2 - g)*cw^4*z0", sp)
+            == raw_monomial(sp, -1, 0, 4, 0).scale(parse_scalar("2 - g")))
 
 
 @pytest.mark.parametrize("text", ["cw + e^2", "cw - e^2", "e^2 + cw", "cw + cxw"])
@@ -236,10 +245,15 @@ def test_parse_grading():
     assert parse_grading("0") == PiBDegree(0, 0, 0)
     assert parse_grading("2*W1 - 4 + 6*s") == PiBDegree(2, -4, 6)
     assert parse_grading("-1*W1 - 2 + 2*s") == PiBDegree(-1, -2, 2)
-    with pytest.raises(ParseError):
-        parse_grading("2*Q1")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="empty grading"):
         parse_grading("")
+
+
+@pytest.mark.parametrize("text", ["2*Q1", "W1 2", "2 W1", "2*-s", "+", "$", "W10",
+                                  "s1", "1*W1*s", " "])
+def test_a_bad_grading_is_refused(text):
+    with pytest.raises(ParseError):
+        parse_grading(text)
 
 
 def test_module_element_without_context_fails():
@@ -267,7 +281,11 @@ def test_negative_powers_stay_refused_where_they_were():
         with pytest.raises(ParseError, match=refused):
             parse_scalar(text)
     with pytest.raises(ParseError, match=refused):
+        parse_scalar("(2 + g)^-1")
+    with pytest.raises(ParseError, match=refused):
         parse_module_element("(2*z0)^-1", ProjSpace(2, 2))
+    with pytest.raises(ParseError, match="negative exponent on a compound expression"):
+        parse_module_element("(cw + cw)^-1", ProjSpace(4, 4))
     with pytest.raises(ParseError, match="e\\^-m is only an element together with kappa"):
         parse_scalar("e^-2")
     assert parse_scalar("e^-2*kappa*xi") == HElement.zero()

@@ -40,7 +40,7 @@ from equibezout.projmod import (
     mod_rho,
     raw_monomial,
 )
-from equibezout.variants import ZHElement
+from equibezout.variants import ZHElement, z_map
 from oracles import einvkappa, kappa, one, scalars_in_grading, tauinv
 
 U = HElement.ring_u()
@@ -596,6 +596,23 @@ def test_add_and_constructor_reject_mixed_gradings():
                            BasisMonomial(sp, 1, 0, 1, 0): hs.e(2)})
     zero = ModuleElement.zero(sp)
     assert x + zero == x and zero + y == y
+
+
+def test_add_and_constructor_reject_mixed_rings():
+    # a Burnside class and a constant-Z class do not add, even where the
+    # printed forms would, and the constructor takes coefficients of its
+    # ring only
+    sp = ProjSpace(2, 2)
+    burnside = parse_module_element("(-1 + g)*z0*cw", sp)
+    zconst = z_map(parse_module_element("e^2", sp))
+    for x, y in ((burnside, zconst), (zconst, burnside)):
+        with pytest.raises(ValueError, match="elements over different rings"):
+            x + y
+    unit = BasisMonomial(sp, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="not in HElement"):
+        ModuleElement(sp, {unit: ZHElement.ring_one()})
+    with pytest.raises(ValueError, match="not in ZHElement"):
+        ModuleElement(sp, {unit: one()}, ZHElement)
 
 
 def test_cancellation_leaves_no_terms():
