@@ -339,8 +339,6 @@ def cmd_verify(args) -> int:
             print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     summary = run_verify(args.seed, args.count, args.pmax, args.qmax, args.dmax)
-    result = dataclasses.asdict(summary)
-    result["minimized"] = result.pop("shrunk")
     payload = _envelope(
         "verify",
         {
@@ -351,7 +349,7 @@ def cmd_verify(args) -> int:
             "dmax": args.dmax,
         },
         checks={"suite": summary.ok},
-        result=result,
+        result=dataclasses.asdict(summary),
     )
     _emit(payload, args.json, [str(summary)])
     return EXIT_OK if summary.ok else EXIT_CHECK

@@ -31,6 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from typing import NamedTuple
 
 from . import hscalar
 from .grading import RankTriple, euler_grading, recover_ranks
@@ -85,14 +86,10 @@ def classify_line(L: LineBundle) -> str:
     return TYPE_IV if L.d % 2 == 0 else TYPE_III
 
 
-@dataclass(frozen=True)
-class DegreeTriple:
+class DegreeTriple(NamedTuple):
     delta: int
     delta0: int
     delta1: int
-
-    def __iter__(self):
-        return iter((self.delta, self.delta0, self.delta1))
 
 
 @dataclass(frozen=True)
@@ -466,7 +463,7 @@ BURNSIDE_CHECKS = tuple(Check("burnside", *row) for row in (
     ("multiplicative", True,
      lambda r: r.split and mod_mul(*map(euler_product, r.split)) == r.product_class),
     *((f"multiplicative_{d}", False, lambda r, i=i: r.split
-       and tuple(r.degrees)[i] == r.kept(_split_degrees)[i])
+       and r.degrees[i] == r.kept(_split_degrees)[i])
       for i, d in enumerate(("delta", "delta0", "delta1"))),
     _parity("typeII", lambda d, d0, d1: d % 2 == d0 % 2 == d1 % 2 == 0),
     _parity("typeIV", lambda d, d0, d1: d % 2 == 0 and d0 % 2 == d1 % 2 == 1),

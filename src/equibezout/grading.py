@@ -20,6 +20,7 @@ are inverse to each other (complex ranks in, complex ranks out).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,18 @@ class PiBDegree:
         return PiBDegree(self.m + other.m, self.a + other.a, self.b + other.b)
 
     def __str__(self) -> str:
-        return format_degree(self.m, self.a, self.b)
+        """``m*W1 + a + b*s``, omitting zero terms ("0" if all vanish)."""
+        parts = []
+        if self.m:
+            parts.append(f"{self.m}*W1")
+        if self.a:
+            parts.append(str(self.a))
+        if self.b:
+            parts.append(f"{self.b}*s")
+        return join_signed(parts)
 
 
-@dataclass(frozen=True)
-class RankTriple:
+class RankTriple(NamedTuple):
     """Ranks (whole space, fixed over B0, fixed over B1).
 
     Complex ranks in ``BundleSum.classified`` and ``recover_ranks`` (the
@@ -49,9 +57,6 @@ class RankTriple:
     n_total: int
     n_fix0: int
     n_fix1: int
-
-    def __iter__(self):
-        return iter((self.n_total, self.n_fix0, self.n_fix1))
 
 
 def euler_grading(n: int, n0: int, n1: int) -> PiBDegree:
@@ -86,16 +91,3 @@ def join_signed(chunks: list[str]) -> str:
     for chunk in chunks[1:]:
         out.append(f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}")
     return "".join(out)
-
-
-def format_degree(m: int, a: int, b: int) -> str:
-    """Render ``m*W1 + a + b*s``, omitting zero terms ("0" if all vanish)."""
-    parts = []
-    if m:
-        parts.append(f"{m}*W1")
-    if a:
-        parts.append(str(a))
-    if b:
-        parts.append(f"{b}*s")
-    return join_signed(parts)
-

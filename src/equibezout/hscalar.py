@@ -138,10 +138,6 @@ class HElement:
         return cls(0, 0, c)
 
     @classmethod
-    def zero(cls) -> "HElement":
-        return cls(0, 0, 0)
-
-    @classmethod
     def from_burnside(cls, x: "HElement") -> "HElement":
         """Carry a Burnside scalar into this ring's normal form."""
         return cls(x.u, x.v, x.c, x.g)

@@ -177,10 +177,6 @@ class BasisMonomial(tuple):
         return ProjSpace(self[0], self[1])
 
     @property
-    def family(self) -> str | None:
-        return _family(*self)
-
-    @property
     def mclass(self) -> int:
         _, _, s, t, a, b = self
         return t - s + a - b
@@ -495,19 +491,22 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     """Normal form of the formal monomial z0^s z1^t cw^a cxw^b.
 
     Negative ``s`` requires ``a >= p`` (the divided cw^p tower) and
-    negative ``t`` requires ``b >= q``; both negative is rejected.  For
-    s, t >= 0 the walk starts from the largest factor already in normal
-    form: with k = min(s, t), z0^k * z1^k is xi^k, and cw^min(a, p) *
-    cxw^min(b, q) is a basis monomial unless the whole monomial vanishes,
-    so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is walked.  A z1 power
-    that the zeta cancel leaves beside cw^p is divided at the start (z1^t *
-    cw^p = xi^t * z0^-t * cw^p), and so is a z0 power beside cxw^q, so only
-    cw^(a-p) (cxw^(b-q)) is walked, whatever the zeta exponents.
+    negative ``t`` requires ``b >= q``.  Both negative is rejected: since
+    z0 * z1 = xi, z0^-1 * z1^-1 would be xi^-1, which the point ring does
+    not have.  For s, t >= 0 the walk starts from the largest factor
+    already in normal form: with k = min(s, t), z0^k * z1^k is xi^k, and
+    cw^min(a, p) * cxw^min(b, q) is a basis monomial unless the whole
+    monomial vanishes, so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is
+    walked.  A z1 power that the zeta cancel leaves beside cw^p is divided
+    at the start (z1^t * cw^p = xi^t * z0^-t * cw^p), and so is a z0 power
+    beside cxw^q, so only cw^(a-p) (cxw^(b-q)) is walked, whatever the
+    zeta exponents.
     """
     if a < 0 or b < 0:
         raise ValueError("cw/cxw exponents must be nonnegative")
     if s < 0 and t < 0:
-        raise ValueError("z0 and z1 exponents cannot both be negative")
+        raise ValueError("z0 and z1 exponents cannot both be negative: the "
+                         "product would need xi^-1, which the point ring does not have")
     p, q = sp.p, sp.q
     coeff = ring.ring_one()
     if _family(p, q, s, t, a, b) is not None:
@@ -576,6 +575,8 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
     """
     if x.sp != y.sp:
         raise ValueError("elements over different spaces")
+    if x.ring is not y.ring:
+        raise ValueError("elements over different rings")
     x_divided = any(is_divided(m) for m in x.terms)
     if any(is_divided(m) for m in y.terms):
         if x_divided:

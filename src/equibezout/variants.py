@@ -139,10 +139,6 @@ class BorelElement:
         self.sp = sp
         self.u, self.v = (u, v) if self.coeffs else (0, 0)
 
-    @classmethod
-    def zero(cls, sp: ProjSpace) -> "BorelElement":
-        return cls(sp, 0, 0, {})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

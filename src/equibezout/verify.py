@@ -40,7 +40,7 @@ class VerifySummary:
     executed: int
     passed: int
     failure: Counterexample | None = None
-    shrunk: Counterexample | None = None
+    minimized: Counterexample | None = None
 
     @property
     def ok(self) -> bool:
@@ -53,8 +53,8 @@ class VerifySummary:
             f"{self.passed}/{self.executed} passed before failure (seed {self.seed})",
             f"failing instance: {self.failure}",
         ]
-        if self.shrunk is not None:
-            lines.append(f"minimized: {self.shrunk}")
+        if self.minimized is not None:
+            lines.append(f"minimized: {self.minimized}")
         return "\n".join(lines)
 
 
@@ -131,7 +131,7 @@ def run_verify(seed: int, count: int, pmax=6, qmax=6, dmax=5) -> VerifySummary:
                 executed=executed,
                 passed=executed - 1,
                 failure=Counterexample(F.sp.p, F.sp.q, str(F), failed),
-                shrunk=Counterexample(
+                minimized=Counterexample(
                     small.sp.p, small.sp.q, str(small), check_instance(small)
                 ),
             )

@@ -488,4 +488,4 @@ def test_euler_and_verify_name_a_fault_alike(
     assert f"{name}=FAIL" in out
     summary = run_verify(seed=5, count=50)
     assert key in summary.failure.failed
-    assert key in summary.shrunk.failed
+    assert key in summary.minimized.failed

@@ -392,8 +392,8 @@ def test_bezout_report_passes():
     assert report.degrees == DegreeTriple(3, 3, 1)
     vector = dict(report.coefficients)
     assert [vector[i] for i in range(4)] == [
-        hs.HElement.zero(),
-        hs.HElement.zero(),
+        hs.HElement(0, 0, 0),
+        hs.HElement(0, 0, 0),
         3 * one(),
         -einvkappa(2),
     ]

@@ -6,7 +6,12 @@ A convenience spelling that only the tests call belongs in the tests
 doctests and comments do not count, and neither does an import alone (the
 re-exports of ``__init__`` among them): a name is called where it is read,
 as a bare name in its own module or where it was imported by name, or as an
-attribute of the imported module.
+attribute of the imported module.  Every public method and property of a
+package class has its name read somewhere in the package.
+
+The package also holds no ``assert`` statement and reads no ``__debug__``,
+the two things ``python -O`` changes, so the suite run under ``-O`` runs
+the same package code as the plain run.
 """
 
 import ast
@@ -63,6 +68,26 @@ def uncalled(module: str, package: pathlib.Path = PACKAGE) -> list[str]:
     return [name for name in public_defs(trees[module]) if name not in called]
 
 
+def unread_methods(package: pathlib.Path = PACKAGE) -> list[str]:
+    """The public methods and properties, as ``module.Class.name``, whose
+    name no package code reads as an attribute or a bare name."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{stem}.{cls.name}.{node.name}"
+            for stem, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+            and node.name not in read]
+
+
+def copy_package(tmp_path: pathlib.Path) -> None:
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     assert {module: uncalled(module) for module in GUARDED} == {m: [] for m in GUARDED}
 
@@ -70,8 +95,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_the_guard_sees_a_name_that_only_the_tests_call(tmp_path):
     # a spelling added to hscalar and called only from a docstring and a
     # re-export in __init__ is reported
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
+    copy_package(tmp_path)
     hscalar = tmp_path / "hscalar.py"
     hscalar.write_text(hscalar.read_text() + '\n\ndef spare() -> HElement:\n'
                        '    """>>> spare()"""\n    return HElement(1, 1, 1)\n')
@@ -79,3 +103,42 @@ def test_the_guard_sees_a_name_that_only_the_tests_call(tmp_path):
     init.write_text(init.read_text() + "from .hscalar import spare\n")
     assert uncalled("hscalar", tmp_path) == ["spare"]
     assert uncalled("variants", tmp_path) == []
+
+
+def test_every_method_is_read_in_the_package():
+    # by name only: a method sharing its name with one that is read
+    # (``HElement.zero`` beside ``ModuleElement.zero``) counts as read
+    assert unread_methods() == []
+
+
+def test_the_method_guard_sees_a_method_that_only_the_tests_read(tmp_path):
+    copy_package(tmp_path)
+    projmod = tmp_path / "projmod.py"
+    projmod.write_text(projmod.read_text().replace(
+        "    @property\n    def mclass(self)",
+        '    @property\n    def spare(self) -> int:\n        """>>> x.spare"""\n'
+        "        return self.mclass\n\n    @property\n    def mclass(self)"))
+    assert unread_methods(tmp_path) == ["projmod.BasisMonomial.spare"]
+
+
+def debug_only(package: pathlib.Path = PACKAGE) -> list[str]:
+    """Every ``assert`` statement and read of ``__debug__`` in the package,
+    as ``module:line``."""
+    return [f"{path.stem}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Name) and node.id == "__debug__"]
+
+
+def test_the_package_has_no_assert_and_no_debug_branch():
+    assert debug_only() == []
+
+
+def test_the_assert_guard_sees_an_assert_and_a_debug_branch(tmp_path):
+    copy_package(tmp_path)
+    projmod = tmp_path / "projmod.py"
+    text = projmod.read_text()
+    lines = text.count("\n")
+    projmod.write_text(text + "assert ProjSpace(1, 1)\nif __debug__:\n    pass\n")
+    assert debug_only(tmp_path) == [f"projmod:{lines + 1}", f"projmod:{lines + 2}"]

@@ -615,6 +615,20 @@ def test_add_and_constructor_reject_mixed_rings():
         ModuleElement(sp, {unit: one()}, ZHElement)
 
 
+def test_mod_mul_rejects_mixed_rings():
+    # refused up front, as for the sum: a nonzero pair used to fail deep in
+    # the scalar product, and a zero factor of the other ring went through
+    sp = ProjSpace(2, 2)
+    burnside = parse_module_element("(-1 + g)*z0*cw", sp)
+    zconst = z_map(parse_module_element("e^2", sp))
+    pairs = ((burnside, zconst), (burnside, ModuleElement.zero(sp, ZHElement)),
+             (ModuleElement.zero(sp), zconst))
+    for x, y in pairs:
+        for first, second in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="elements over different rings"):
+                mod_mul(first, second)
+
+
 def test_cancellation_leaves_no_terms():
     sp = ProjSpace(2, 2)
     x = raw_monomial(sp, 0, 1, 0, 1)  # z1*cxw = u*z0*cw + e^2
@@ -708,7 +722,7 @@ def test_mod_fixed_matches_the_family_table():
     for sp in all_spaces(7):
         for m in range(-12, 13):
             for x in basis(sp, m):
-                shape0, shape1 = FIXED_SHAPE[x.family]
+                shape0, shape1 = FIXED_SHAPE[projmod._family(*x)]
                 expected = tuple(
                     NoneqPoly.make(n, {getattr(x, shape): 1} if shape else {})
                     for n, shape in ((sp.p, shape0), (sp.q, shape1))
@@ -823,7 +837,7 @@ def _observation_row(sp, P, gen):
         row[("rho", P.index)] = rv
     fv = h_fixed(gen)
     if fv:
-        s0, s1 = FIXED_SHAPE[P.family]
+        s0, s1 = FIXED_SHAPE[projmod._family(*P)]
         if s0 is not None and P.a < sp.p:
             row[("fix0", P.a)] = row.get(("fix0", P.a), 0) + fv
         if s1 is not None and P.b < sp.q:
@@ -884,7 +898,7 @@ def test_tilde_T_elements_determined_by_restrictions():
         terms = {}
         for (P, gen), c in zip(cands, coeffs):
             if c:
-                terms[P] = terms.get(P, HElement.zero()) + c * gen
+                terms[P] = terms.get(P, HElement(0, 0, 0)) + c * gen
         x = ModuleElement(sp, terms)
         assert in_tildeT(x)
         solution = _solve_exact(
@@ -894,6 +908,6 @@ def test_tilde_T_elements_determined_by_restrictions():
         rebuilt_terms = {}
         for (P, gen), c in zip(cands, solution):
             if c:
-                rebuilt_terms[P] = rebuilt_terms.get(P, HElement.zero()) + c * gen
+                rebuilt_terms[P] = rebuilt_terms.get(P, HElement(0, 0, 0)) + c * gen
         assert ModuleElement(sp, rebuilt_terms) == x
         reconstructed += 1

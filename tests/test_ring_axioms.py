@@ -56,7 +56,7 @@ def homogeneous(grading):
     gens = scalars_in_grading(*grading)
     coeffs = st.lists(st.integers(-4, 4), min_size=len(gens), max_size=len(gens))
     return coeffs.map(lambda cs: sum(
-        (c * x for x, c in zip(gens, cs)), HElement.zero()))
+        (c * x for x, c in zip(gens, cs)), HElement(0, 0, 0)))
 
 
 scalars = st.sampled_from(GRADINGS).flatmap(homogeneous)

@@ -212,21 +212,21 @@ def test_z_fixed_examples():
 
 def test_borel_scalar_torsion():
     e2 = BorelElement(POINT, 2, 0, {0: 1})
-    assert e2 + e2 == BorelElement.zero(POINT)
+    assert e2 + e2 == BorelElement(POINT, 0, 0, {})
     # the integer-graded subring is the group cohomology pattern
     gen = BorelElement(POINT, 2, -1, {0: 1})  # e^2 * xi^-1, degree 2
     power = BorelElement(POINT, 0, 0, {0: 1})
     for _ in range(5):
         power = power * gen
         assert power
-        assert power + power == BorelElement.zero(POINT)
+        assert power + power == BorelElement(POINT, 0, 0, {})
 
 
 def test_borel_relation_reduces_to_zero():
     for p, q in [(1, 1), (2, 2), (2, 3), (5, 5)]:
         sp = ProjSpace(p, q)
         N = p + q
-        assert BorelElement(sp, 2 * N, 0, borel_relation(sp)) == BorelElement.zero(sp)
+        assert BorelElement(sp, 2 * N, 0, borel_relation(sp)) == BorelElement(sp, 0, 0, {})
 
 
 def _times_relation(x: BorelElement) -> BorelElement:
@@ -251,7 +251,7 @@ def test_borel_reduction_kills_relation_multiples():
     for _ in range(100):
         sp = ProjSpace(rng.randint(1, 5), rng.randint(1, 5))
         x = random_homogeneous(rng, sp, kmax=6, umax=4, vmax=3, cmax=5)
-        assert _times_relation(x) == BorelElement.zero(sp)
+        assert _times_relation(x) == BorelElement(sp, 0, 0, {})
         # reduction is idempotent
         assert BorelElement(sp, x.u, x.v, dict(x.coeffs)) == x
 
@@ -261,7 +261,7 @@ def test_borel_reduction_cascading_overflow():
     # a high single term over a small space exercises the cascade
     sp = ProjSpace(1, 3)
     x = BorelElement(sp, 18, 0, {9: 1})
-    assert _times_relation(x) == BorelElement.zero(sp)
+    assert _times_relation(x) == BorelElement(sp, 0, 0, {})
 
 
 def test_borel_map_line_bundles():
@@ -387,7 +387,7 @@ def test_borel_scalar_constructor_rejects_negative_e_and_g():
     # the fields are the grading and the integers: no g term to reject
     assert BorelElement.__slots__ == ("sp", "u", "v", "coeffs")
     assert not hasattr(BorelElement(POINT, 1, 1, {0: 1}), "__dict__")
-    assert (BorelElement(POINT, 3, -2, {0: 4}) == BorelElement.zero(POINT)
+    assert (BorelElement(POINT, 3, -2, {0: 4}) == BorelElement(POINT, 0, 0, {})
             == BorelElement(POINT, 0, 5, {0: 0}))
 
 
@@ -406,7 +406,7 @@ def test_borel_coefficient_below_e0_is_refused():
     for u, k in ((0, 1), (3, 2), (1, 4), (-2, 0)):
         with pytest.raises(ValueError, match=f"no Borel group at e\\^{u - 2 * k}:"):
             BorelElement(sp, u, 0, {k: 1})
-        assert BorelElement(sp, u, 0, {k: 0}) == BorelElement.zero(sp)
+        assert BorelElement(sp, u, 0, {k: 0}) == BorelElement(sp, 0, 0, {})
     # above the relation's degree too, before it is reduced away
     with pytest.raises(ValueError, match="no Borel group"):
         BorelElement(sp, 9, 0, {5: 1})
@@ -416,7 +416,7 @@ def test_borel_coefficient_below_e0_is_refused():
 
 def test_every_borel_zero_is_the_zero():
     sp = ProjSpace(2, 2)
-    zero = BorelElement.zero(sp)
+    zero = BorelElement(sp, 0, 0, {})
     assert (zero.u, zero.v, zero.coeffs) == (0, 0, {}) and not zero
     zeros = [
         BorelElement(sp, 5, 3, {}),

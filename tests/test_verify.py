@@ -60,13 +60,13 @@ def test_fault_injection_is_caught_and_shrunk(monkeypatch):
     summary = run_verify(seed=5, count=50)
     assert not summary.ok
     assert "product_equals_closed" in summary.failure.failed
-    assert summary.shrunk is not None
-    assert "product_equals_closed" in summary.shrunk.failed
+    assert summary.minimized is not None
+    assert "product_equals_closed" in summary.minimized.failed
     # the minimized counterexample is a single bundle on a small space
-    small_lines = parse_bundles(summary.shrunk.bundles)
+    small_lines = parse_bundles(summary.minimized.bundles)
     assert len(small_lines) == 1
-    assert summary.shrunk.p <= summary.failure.p
-    assert summary.shrunk.q <= summary.failure.q
+    assert summary.minimized.p <= summary.failure.p
+    assert summary.minimized.q <= summary.failure.q
     assert abs(small_lines[0].d) <= 1
 
 
@@ -78,7 +78,7 @@ def test_dropped_unit_in_z1_cxw_rule_is_caught(monkeypatch):
     summary = run_verify(seed=1, count=200)
     assert not summary.ok
     assert summary.failure.failed == ["zeta_relation", "zeta_squared"]
-    assert summary.shrunk.failed == ["zeta_relation"]
+    assert summary.minimized.failed == ["zeta_relation"]
 
 
 @pytest.mark.parametrize("mutant", ["s > 1 and t > 0", "s > 0 and t > 1"])
@@ -94,7 +94,7 @@ def test_zeta_squared_row_kills_the_zeta_cancel_survivors(mutant, monkeypatch):
     summary = run_verify(seed=1, count=200)
     assert not summary.ok
     assert summary.failure.failed == ["zeta_squared"]
-    assert summary.shrunk.failed == ["zeta_squared"]
+    assert summary.minimized.failed == ["zeta_squared"]
 
 
 def test_a_check_that_raises_counts_as_failed(monkeypatch, capsys):
@@ -111,7 +111,7 @@ def test_a_check_that_raises_counts_as_failed(monkeypatch, capsys):
     summary = run_verify(seed=1, count=50)
     assert not summary.ok
     assert {"grading", "coefficient_vector_length"} <= set(summary.failure.failed)
-    assert summary.shrunk.failed
+    assert summary.minimized.failed
     assert cli.main(["verify", "--seed", "1", "--count", "50"]) == 1
     assert "minimized: " in capsys.readouterr().out
 
