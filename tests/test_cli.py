@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from equibezout import euler, variants
+from equibezout import cli, euler, variants
 from equibezout.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, chart_cell, main
 from equibezout.grading import euler_grading
 from equibezout.hscalar import HElement
@@ -290,6 +290,54 @@ def test_verify_env_seed(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--count", "3")
     assert code == EXIT_OK
     assert "seed 42" in out
+
+
+def test_env_seed_is_read_at_each_call(capsys, monkeypatch):
+    # main reuses one parser per process, so the variable must be read by
+    # each call, never once when the parser is built
+    for value in ("42", "7"):
+        monkeypatch.setenv("EQUIBEZOUT_SEED", value)
+        code, out, _ = run(capsys, "verify", "--count", "1")
+        assert code == EXIT_OK
+        assert f"seed {value}" in out
+    monkeypatch.setenv("EQUIBEZOUT_SEED", "abc")
+    code, out, err = run(capsys, "verify", "--count", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "invalid int value: 'abc'" in err
+    code, out, _ = run(capsys, "verify", "--seed", "5", "--count", "1")
+    assert code == EXIT_OK
+    assert "seed 5" in out
+    monkeypatch.delenv("EQUIBEZOUT_SEED")
+    code, out, _ = run(capsys, "verify", "--count", "1")
+    assert code == EXIT_OK
+    assert "seed 1" in out
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    # one top-level parser and five subparsers, however many calls: argparse
+    # was about a sixth of an interactive euler request when each call
+    # built them (120 parsers for these 20 calls)
+    calls = {"init": 0}
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    commands = [
+        ["basis", "1", "1", "0"],
+        ["euler", "2", "2", "O(1)"],
+        ["compare", "2", "2", "O(1)", "O(3)"],
+        ["chart", "0..2", "--brange", "-2..2"],
+        ["verify", "--count", "1"],
+    ]
+    for argv in commands * 4:
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert calls["init"] <= 6, calls
 
 
 def test_entry_point_subprocess():

@@ -70,6 +70,27 @@ def test_golden_output(name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+# Calls that share the process's one parser with the golden cases: a usage
+# error, an explicit seed and negative chart ranges, each of which would
+# show in a later output if parsing kept anything from a call.
+BETWEEN = [
+    (["euler"], 2),
+    (["verify", "--seed", "5", "--count", "1"], 0),
+    (["chart", "-4..4", "--brange", "-2..2"], 0),
+]
+
+
+def test_golden_outputs_survive_parser_reuse():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        code, out = run_case(CASES[name])
+        assert code == codes[name], name
+        assert out == (GOLDEN / f"{name}.out").read_text(), name
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert [run_case(argv)[0] for argv, _ in BETWEEN] == [c for _, c in BETWEEN]
+
+
 # Cases rerun under ``python -O``, which strips every ``assert``: one euler
 # input in all three theories, a context violation, a compare, a verify and
 # a chart, whose cells come from the normal form of the point-ring scalar.
