@@ -201,8 +201,11 @@ class HElement:
         u, v = xu + yu, xv + yv
         fx = KAPPA if xu < 0 else TRANSFER if xv < 0 else PLAIN
         fy = KAPPA if yu < 0 else TRANSFER if yv < 0 else PLAIN
-        c, g = _family_product(fx, fy, u, v)
-        c, g = xc * yc * c, xc * yc * g
+        k = xc * yc
+        c = g = 0
+        if k:
+            c, g = _family_product(fx, fy, u, v)
+            c, g = k * c, k * g
         if xg or yg:  # a factor with a g term sits at the origin
             for f1, f2, k in ((fx, TRANSFER, xc * yg), (TRANSFER, fy, xg * yc),
                               (TRANSFER, TRANSFER, xg * yg)):
@@ -212,6 +215,26 @@ class HElement:
         return cls(u, v, c, g)
 
     __rmul__ = __mul__
+
+    def shift(self, i: int, j: int):
+        """``self * e^i*xi^j`` for i, j >= 0: the product by the plain
+        monomial at (i, j), by the same law as ``__mul__``, with no factor
+        built.
+
+        >>> print(g().shift(0, 2), "|", e_power_kappa(-3).shift(2, 0))
+        2*xi^2 | e^-1*kappa
+        """
+        xu, xv, xc, xg = self.u, self.v, self.c, self.g
+        u, v = xu + i, xv + j
+        c = g = 0
+        if xc:
+            fx = KAPPA if xu < 0 else TRANSFER if xv < 0 else PLAIN
+            c, g = _family_product(fx, PLAIN, u, v)
+            c, g = xc * c, xc * g
+        if xg:  # a g term sits at the origin: g = tau(1)
+            dc, dg = _family_product(TRANSFER, PLAIN, u, v)
+            c, g = c + xg * dc, g + xg * dg
+        return type(self)(u, v, c, g)
 
     def divide_by_two(self):
         """Exact division by 2; raises ArithmeticError when not divisible."""
@@ -228,11 +251,12 @@ class HElement:
 
     __repr__ = __str__
 
-    # hooks used by the generic module rewrite engine.  The three constants
-    # are built on first use and then shared: one value per ring class,
-    # keyed by the class, so a subclass never gets its parent's.  Sharing
-    # is safe because no scalar is changed in place.  ring_xi is built on
-    # each call, as its exponent follows the input.
+    # hooks used by the generic module rewrite engine, besides ``shift``,
+    # which applies a rule's constant e^2 or xi^k as a monomial shift.  The
+    # two constants are built on first use and then shared: one value per
+    # ring class, keyed by the class, so a subclass never gets its
+    # parent's.  Sharing is safe because no scalar is changed in place.
+    # ring_xi is built on each call, as its exponent follows the input.
 
     @classmethod
     @cache
@@ -244,11 +268,6 @@ class HElement:
     def ring_u(cls) -> "HElement":
         # the unit u = 1 - kappa = g - 1, with u^2 = 1
         return cls(0, 0, -1, 1)
-
-    @classmethod
-    @cache
-    def ring_e2(cls) -> "HElement":
-        return cls(2, 0, 1)
 
     @classmethod
     def ring_xi(cls, n: int) -> "HElement":

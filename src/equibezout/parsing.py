@@ -337,10 +337,11 @@ def parse_module_element(text: str, sp: ProjSpace) -> ModuleElement:
     return _as_module(_ExprParser(_tokenize(text), sp).parse(), sp)
 
 
-_BUNDLE_RE = re.compile(
-    r"\s*(?:(\d+)\s*\*\s*)?(x?O)\s*\(\s*(-?\d+)\s*\)\s*$"
+# one bundle term, then the "+" that ends it or the end of the text
+_TERM_RE = re.compile(
+    r"\s*((?:(\d+)\s*\*\s*)?(x?O)\s*\(\s*(-?\d+)\s*\))\s*(\+|\Z)"
 )
-# one bundle term: everything up to a "+" outside parentheses
+# everything up to a "+" outside parentheses: the bad term that an error quotes
 _CHUNK_RE = re.compile(r"(?:[^+(]|\([^)]*\)?)*")
 
 
@@ -355,17 +356,18 @@ def parse_bundle_terms(text: str) -> list[tuple[LineBundle, int]]:
     if not text.strip():
         raise ParseError("empty bundle list")
     terms = []
-    pos = 0
-    while pos <= len(text):
-        chunk = _CHUNK_RE.match(text, pos).group()
-        pos += len(chunk) + 1  # past the "+" that ends the chunk
-        m = _BUNDLE_RE.match(chunk)
+    pos, more = 0, True
+    while more:
+        m = _TERM_RE.match(text, pos)
         if not m:
+            chunk = _CHUNK_RE.match(text, pos).group()
             raise ParseError(f"bad bundle term {chunk.strip()!r} in {text!r}")
-        count = int(m.group(1)) if m.group(1) else 1
+        term, count, kind, d, more = m.groups()
+        count = int(count) if count else 1
         if count < 1:
-            raise ParseError(f"bundle count must be positive in {chunk.strip()!r}")
-        terms.append((LineBundle(m.group(2) == "xO", int(m.group(3))), count))
+            raise ParseError(f"bundle count must be positive in {term!r}")
+        terms.append((LineBundle(kind == "xO", int(d)), count))
+        pos = m.end()
     return terms
 
 

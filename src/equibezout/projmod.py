@@ -28,14 +28,16 @@ monomial, and ``_mul_into`` adds the terms of a product times a tuple of
 ``(step, coeff)`` pairs into one dict, one ``gen_mul`` per term and pair:
 ``mod_mul`` multiplies through it, and so does ``euler.euler_product``,
 which keeps one dict across all its line classes.  A step starts from the
-term's coefficient, so a walk does one scalar product per rewrite rule that
-fires, not one per image, and it adds its images into ``out``, the walk's
-dict for the next step, so a step builds no dict or element of its own.
-``_mul_into`` scales each term before its step, so a term that the
-scaling kills (2-torsion, as 2*e*xi = 0) takes no step at all.  Each image
-is built by ``_basis(p, q, s, t, a, b)``, which checks its family (a
-``ValueError``, not an assert) and builds no ``ProjSpace``.  The rules, one
-branch of ``_normalize`` each, with u = 1-kappa:
+term's coefficient, so a walk does one scalar operation per rewrite rule
+that fires, not one per image: a product by u, or a monomial shift by e^2
+or xi^k (``HElement.shift``), which builds no constant.  It adds its images
+into ``out``, the walk's dict for the next step, so a step builds no dict
+or element of its own.  ``_mul_into`` scales each term before its step, so
+a term that the scaling kills (2-torsion, as 2*e*xi = 0) takes no step at
+all.  ``_normalize`` builds each image itself: it checks the family (a
+``ValueError``, not an assert, with the text of ``_basis``), builds no
+``ProjSpace`` and adds the image to ``out``.  The rules, one branch of
+``_normalize`` each, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
     zeta cancel         z0*z1 = xi, and z0 * z1^-k = xi * z1^-(k+1) on a tower
@@ -57,7 +59,7 @@ with cxw^2 or more goes higher, so the images must keep b - 1, not q.
 
 Every rule is an identity of the ring, so whatever basis monomials a
 rewrite ends in represent the product; a rewrite that stopped at a pattern
-outside the six families would raise in ``_basis``, not return a wrong
+outside the six families would raise in ``_normalize``, not return a wrong
 class.  That the rules reach a basis monomial from x times any step of
 degree at most 3, for every basis monomial x, is checked against the walk
 of one generator at a time: exhaustively in the test suite for X(p, q) with
@@ -71,11 +73,13 @@ steps of degree 3 and 131,071 in one step of degree 20.  The operator
 identities in the test suite exercise every rule.
 
 The engine is generic over the coefficient ring through the
-``ring_one/u/e2/xi`` hooks: the Burnside ring ``HElement`` by default, or
-the constant-Z scalar ``ZHElement``, which is ``HElement`` with a different
-normal form (kappa = 0, so the unit 1-kappa collapses to 1).  The constant
-hooks return one shared value per ring class, and ``ring_xi(n)`` builds
-xi^n.  Engine results are homogeneous by
+``ring_one/u/xi`` hooks and the scalar method ``shift``: the Burnside ring
+``HElement`` by default, or the constant-Z scalar ``ZHElement``, which is
+``HElement`` with a different normal form (kappa = 0, so the unit 1-kappa
+collapses to 1).  ``ring_one`` and ``ring_u`` return one shared value per
+ring class, ``ring_xi(n)`` builds xi^n, and ``coeff.shift(i, j)`` is
+``coeff`` times e^i*xi^j.  A zero coefficient is tested on the fields
+``c`` and ``g``, which both rings share.  Engine results are homogeneous by
 construction, so the engine builds them with the private
 ``ModuleElement._trusted``, which skips the per-term grading check that the
 public constructor makes: once per product, walk or ``apply_gen`` call, never
@@ -142,8 +146,12 @@ def _basis(p: int, q: int, s: int, t: int, a: int, b: int) -> "BasisMonomial":
     """The basis monomial z0^s * z1^t * cw^a * cxw^b over X(p, q); raises
     ``ValueError`` when the exponents fall in none of the six families."""
     if _family(p, q, s, t, a, b) is None:
-        raise ValueError(f"not a basis monomial of X({p},{q}): z0^{s}*z1^{t}*cw^{a}*cxw^{b}")
+        raise _not_basis(p, q, s, t, a, b)
     return tuple.__new__(BasisMonomial, (p, q, s, t, a, b))
+
+
+def _not_basis(p: int, q: int, s: int, t: int, a: int, b: int) -> ValueError:
+    return ValueError(f"not a basis monomial of X({p},{q}): z0^{s}*z1^{t}*cw^{a}*cxw^{b}")
 
 
 class BasisMonomial(tuple):
@@ -316,7 +324,8 @@ class ModuleElement:
             raise ValueError(f"mixed gradings: {other.grading} vs {self.grading}")
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
-            _emit(merged, mono, coeff)
+            prev = merged.get(mono)
+            merged[mono] = coeff if prev is None else prev + coeff
         return ModuleElement._trusted(self.sp, merged, self.ring)
 
     def __neg__(self) -> "ModuleElement":
@@ -374,37 +383,38 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
 
     One branch per rule of the module docstring, named in its comment: a
     rule with one image rewrites the exponents in place, a rule with two
-    recurses.  A zero coefficient (a rule's constant times a torsion
-    class) ends the rewrite at once.  The final ``_basis`` rejects any
-    pattern outside the six families.
+    recurses.  A rule's constant e^2 or xi^k is applied as a monomial shift
+    of the coefficient, and ``u`` as a product.  A zero coefficient (a
+    constant times a torsion class) ends the rewrite at once; it is tested
+    on the fields that both engine rings share.  The image is checked
+    against the six families, built and added to ``out`` here.
     """
-    if not coeff:
+    if not (coeff.c or coeff.g):
         return
     if a >= p and b >= q:  # vanish: cw^p * cxw^q = 0
         return
     if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
         k = min(s, t) if s > 0 and t > 0 else max(s, t)
-        coeff, s, t = coeff * ring.ring_xi(k), s - k, t - k
+        coeff, s, t = coeff.shift(0, k), s - k, t - k
     if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
         _normalize(p, q, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
-        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
+        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
         return
     if t > 0 and a >= p:  # z1 cw^p division: z1^t*cw^p = xi^t*z0^-t*cw^p
-        coeff, s, t = coeff * ring.ring_xi(t), -t, 0
+        coeff, s, t = coeff.shift(0, t), -t, 0
     if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
-        coeff, s, t = coeff * ring.ring_xi(s), 0, -s
+        coeff, s, t = coeff.shift(0, s), 0, -s
     if b > q:  # cxw tower: z1^t*cxw^b for every t <= 0 and b > q
-        _normalize(p, q, ring, coeff * ring.ring_xi(1), s, t - 2, a + 1, b - 1, out)
-        _normalize(p, q, ring, coeff * ring.ring_e2(), s, t - 1, a, b - 1, out)
+        _normalize(p, q, ring, coeff.shift(0, 1), s, t - 2, a + 1, b - 1, out)
+        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
         return
     if (s >= 2 and a) or a > p:  # z0^2*cw = xi*cxw + e^2*z0, and cw^(p+1)
-        _normalize(p, q, ring, coeff * ring.ring_xi(1), s - 2, t, a - 1, b + 1, out)
-        _normalize(p, q, ring, coeff * ring.ring_e2(), s - 1, t, a - 1, b, out)
+        _normalize(p, q, ring, coeff.shift(0, 1), s - 2, t, a - 1, b + 1, out)
+        _normalize(p, q, ring, coeff.shift(2, 0), s - 1, t, a - 1, b, out)
         return
-    _emit(out, _basis(p, q, s, t, a, b), coeff)
-
-
-def _emit(out: dict, mono: BasisMonomial, coeff) -> None:
+    if _family(p, q, s, t, a, b) is None:
+        raise _not_basis(p, q, s, t, a, b)
+    mono = tuple.__new__(BasisMonomial, (p, q, s, t, a, b))
     prev = out.get(mono)
     out[mono] = coeff if prev is None else prev + coeff
 
@@ -548,9 +558,9 @@ def _mul_into(terms: dict, factor, ring, out: dict) -> None:
     ``out`` may be left with some."""
     for step, coeff in factor:
         for term, c in terms.items():
-            if c:  # a walk may leave a zero; scaling it is wasted work
+            if c.c or c.g:  # a walk may leave a zero; scaling it is wasted work
                 c = c * coeff
-                if c:  # a torsion product: nothing to rewrite
+                if c.c or c.g:  # a torsion product: nothing to rewrite
                     gen_mul(step, term, ring, c, out)
 
 

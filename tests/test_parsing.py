@@ -301,15 +301,21 @@ def test_negative_powers_stay_refused_where_they_were():
 
 
 def _count_products(monkeypatch):
+    # a monomial shift is a product by e^i*xi^j, so it counts as one
     calls = [0]
-    product = HElement.__mul__
+    product, shift = HElement.__mul__, HElement.shift
 
     def counted(self, other):
         calls[0] += 1
         return product(self, other)
 
+    def counted_shift(self, i, j):
+        calls[0] += 1
+        return shift(self, i, j)
+
     monkeypatch.setattr(HElement, "__mul__", counted)
     monkeypatch.setattr(HElement, "__rmul__", counted)
+    monkeypatch.setattr(HElement, "shift", counted_shift)
     return calls
 
 

@@ -218,7 +218,7 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
     # the walk's form of a step: the images land in the caller's dict, added
     # to what is there, and everything else in the dict is left alone
     coeffs = [ring.ring_one(), ring.ring_u(), ring.from_burnside(kappa()),
-              ring.ring_xi(1), ring.ring_e2()]
+              ring.ring_xi(1), ring(2, 0, 1)]
     checked = 0
     for sp in all_spaces(3):
         for m in range(-3, 4):
@@ -239,8 +239,8 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
 @pytest.mark.parametrize("ring", [HElement, ZHElement])
 def test_tower_walks_cost_one_product_per_rewrite(ring, monkeypatch):
     # deep into both divided towers, and mirrored: every rule that fires
-    # multiplies the coefficient once, and u, which cancels against xi and
-    # e^2, is never multiplied in
+    # multiplies the coefficient once, by a product or by a monomial shift,
+    # and u, which cancels against xi and e^2, is never multiplied in
     calls = {"mul": 0, "normalize": 0}
 
     def counted(key, fn):
@@ -252,6 +252,7 @@ def test_tower_walks_cost_one_product_per_rewrite(ring, monkeypatch):
     product = counted("mul", HElement.__mul__)
     monkeypatch.setattr(HElement, "__mul__", product)
     monkeypatch.setattr(HElement, "__rmul__", product)
+    monkeypatch.setattr(HElement, "shift", counted("mul", HElement.shift))
     monkeypatch.setattr(projmod, "_normalize", counted("normalize", projmod._normalize))
     sp = ProjSpace(4, 4)
     work = {}
@@ -409,17 +410,24 @@ def test_euler_classes_survive_pickle_and_deepcopy(ring):
 
 @pytest.mark.parametrize("ring", [HElement, ZHElement])
 def test_mod_mul_multiplies_no_zero_scalar(ring, monkeypatch):
-    # a walk may leave a zero coefficient; mod_mul drops it before scaling
+    # a walk may leave a zero coefficient; mod_mul drops it before scaling,
+    # and a rewrite rule shifts no zero coefficient
     calls = {"all": 0, "zero": 0}
-    product = HElement.__mul__
+    product, shift = HElement.__mul__, HElement.shift
 
     def counted(self, other):
         calls["all"] += 1
         calls["zero"] += not self or not other
         return product(self, other)
 
+    def counted_shift(self, i, j):
+        calls["all"] += 1
+        calls["zero"] += not self
+        return shift(self, i, j)
+
     monkeypatch.setattr(HElement, "__mul__", counted)
     monkeypatch.setattr(HElement, "__rmul__", counted)
+    monkeypatch.setattr(HElement, "shift", counted_shift)
     for sp, lines in ((ProjSpace(3, 5), [O(2)] * 3 + [O(3)] * 4),
                       (ProjSpace(3, 3), [O(1), O(2), O(5), xO(2), xO(3)])):
         euler_product(BundleSum.make(sp, lines), ring)

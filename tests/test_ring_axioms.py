@@ -112,6 +112,31 @@ def test_additive_inverse_and_unit(ring, x):
     assert x * one == x == one * x
 
 
+# every family of the point ring, half of them at the origin, where g lives,
+# and zero itself
+shift_inputs = st.one_of(
+    st.just(HElement(0, 0, 0)),
+    st.one_of(st.just((0, 0)), st.sampled_from(GRADINGS)).flatmap(homogeneous),
+)
+# half the shifts carry a kappa or transfer member back to the origin, where
+# the product is kappa = 2 - g or tau(1) = g
+shifts = shift_inputs.flatmap(lambda x: st.tuples(st.just(x), st.one_of(
+    st.just((max(-x.u, 0), max(-x.v, 0))),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)))
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+@AXIOMS
+@given(shift=shifts)
+def test_shift_is_the_product_by_a_plain_monomial(ring, shift):
+    x, (i, j) = shift
+    x = ring.from_burnside(x)
+    shifted = x.shift(i, j)
+    assert shifted == x * ring(i, j, 1)
+    assert type(shifted) is ring
+
+
 # both fixed components nonempty, as in the exhaustive check that held on all
 # 20,414 pairs with |m| <= 3 (about 7 s, too slow for every run)
 SPACES = [ProjSpace(p, q) for p in range(1, 5) for q in range(1, 5)]
