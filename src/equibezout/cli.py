@@ -23,7 +23,6 @@ each call.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -81,19 +80,9 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _envelope(command: str, inputs: dict, **extra) -> dict:
-    doc = {
-        "command": command,
-        "inputs": inputs,
-        "ranks": None,
-        "degrees": None,
-        "grading": None,
-        "coefficients": None,
-        "checks": None,
-        "theory": None,
-        "result": None,
-    }
-    doc.update(extra)
-    return doc
+    """The stable field set; a field the command leaves out is null."""
+    fields = ("ranks", "degrees", "grading", "coefficients", "checks", "theory", "result")
+    return {"command": command, "inputs": inputs, **dict.fromkeys(fields), **extra}
 
 
 def cmd_basis(args) -> int:
@@ -355,6 +344,8 @@ def cmd_verify(args) -> int:
             print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     summary = run_verify(seed, args.count, args.pmax, args.qmax, args.dmax)
+    # the two fields that are tuples are Counterexamples: each becomes a dict
+    result = {k: v._asdict() if isinstance(v, tuple) else v for k, v in summary._asdict().items()}
     payload = _envelope(
         "verify",
         {
@@ -365,7 +356,7 @@ def cmd_verify(args) -> int:
             "dmax": args.dmax,
         },
         checks={"suite": summary.ok},
-        result=dataclasses.asdict(summary),
+        result=result,
     )
     _emit(payload, args.json, [str(summary)])
     return EXIT_OK if summary.ok else EXIT_CHECK

@@ -28,7 +28,6 @@ and ``verify`` evaluates every row on one report.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import NamedTuple
@@ -60,8 +59,7 @@ class EulerInternalError(ArithmeticError):
     """A closed-form term failed the divisibility-or-vanishing rule."""
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(NamedTuple):
     """O(d) (twisted=False) or xO(d) (twisted=True)."""
 
     twisted: bool
@@ -92,16 +90,25 @@ class DegreeTriple(NamedTuple):
     delta1: int
 
 
-@dataclass(frozen=True)
 class BundleSum:
-    """A multiset of line bundles over a fixed X(p, q)."""
+    """A multiset of line bundles over a fixed X(p, q); it compares and
+    hashes as its value ``(sp, lines)``."""
 
-    sp: ProjSpace
-    lines: tuple[LineBundle, ...]
+    def __init__(self, sp: ProjSpace, lines: tuple[LineBundle, ...]):
+        self.sp, self.lines = sp, lines
 
     @classmethod
     def make(cls, sp: ProjSpace, lines) -> "BundleSum":
-        return cls(sp, tuple(sorted(lines, key=lambda L: (L.twisted, L.d))))
+        return cls(sp, tuple(sorted(lines)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BundleSum) and (self.sp, self.lines) == (other.sp, other.lines)
+
+    def __hash__(self) -> int:
+        return hash((self.sp, self.lines))
+
+    def __repr__(self) -> str:
+        return f"BundleSum(sp={self.sp!r}, lines={self.lines!r})"
 
     @property
     def n(self) -> int:
@@ -330,8 +337,7 @@ def recover_degrees(x: ModuleElement) -> DegreeTriple:
     return DegreeTriple(single(rho), single(fix0), single(fix1))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named statement of the Bezout theorems: ``holds(report)`` is a bool,
     or None where it does not apply.  ``euler --coeffs <theory>`` prints the
     ``reported`` rows of its theory by ``name``; ``verify`` uses ``key``."""

@@ -19,12 +19,10 @@ are inverse to each other (complex ranks in, complex ranks out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PiBDegree:
+class PiBDegree(NamedTuple):
     """A degree ``m*W1 + a + b*s`` in the extended grading group; the
     point-ring degrees are those with ``m = 0``."""
 

@@ -88,8 +88,8 @@ per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .grading import PiBDegree, join_signed
 from .hscalar import HElement, h_fixed, h_rho, in_T, signed_term
@@ -109,19 +109,27 @@ class UnsupportedProductError(ValueError):
     """Raised when both factors of a product carry divided monomials."""
 
 
-@dataclass(frozen=True)
-class ProjSpace:
-    """The projective space X(p, q); requires p + q > 0."""
+class ProjSpace(tuple):
+    """The projective space X(p, q), the tuple ``(p, q)``; requires p + q > 0."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q == 0:
-            raise ValueError(f"invalid projective space X({self.p},{self.q})")
+    def __new__(cls, p: int, q: int):
+        if p < 0 or q < 0 or p + q == 0:
+            raise ValueError(f"invalid projective space X({p},{q})")
+        return tuple.__new__(cls, (p, q))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    p = property(itemgetter(0))
+    q = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return "ProjSpace(p={}, q={})".format(*self)
 
     def __str__(self) -> str:
-        return f"X({self.p},{self.q})"
+        return "X({},{})".format(*self)
 
 
 def _family(p: int, q: int, s: int, t: int, a: int, b: int) -> str | None:
@@ -519,8 +527,8 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
                          "product would need xi^-1, which the point ring does not have")
     p, q = sp.p, sp.q
     coeff = ring.ring_one()
-    if _family(p, q, s, t, a, b) is not None:
-        start, rest = BasisMonomial(sp, s, t, a, b), (0, 0, 0, 0)  # its own normal form
+    if _family(p, q, s, t, a, b) is not None:  # its own normal form
+        start, rest = tuple.__new__(BasisMonomial, (p, q, s, t, a, b)), (0, 0, 0, 0)
     elif s < 0:
         if a < p:
             raise ValueError(f"z0^{s} requires a cw^{p} factor over {sp}")
@@ -545,7 +553,7 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         k, a0, b0 = min(s, t), min(a, p), min(b, q)
         coeff = ring.ring_xi(k)  # zeta cancel: z0^k * z1^k = xi^k
         start, rest = _basis(p, q, 0, 0, a0, b0), (s - k, t - k, a - a0, b - b0)
-    terms = _walk({start: coeff}, _steps(*rest), ring)
+    terms = _walk({start: coeff}, _steps(*rest), ring) if any(rest) else {start: coeff}
     return ModuleElement._trusted(sp, terms, ring)
 
 
@@ -616,8 +624,7 @@ def coeff_vector(x: ModuleElement, m: int) -> list:
     return vector
 
 
-@dataclass(frozen=True)
-class NoneqPoly:
+class NoneqPoly(NamedTuple):
     """A truncated integer polynomial in c: Z[c]/(c^N)."""
 
     N: int

@@ -13,7 +13,7 @@ instance, which keeps shrinking meaningful.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import euler as _euler
 from . import variants as _variants
@@ -22,8 +22,7 @@ from . import variants as _variants
 from .projmod import ProjSpace, mod_mul  # noqa: F401
 
 
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     p: int
     q: int
     bundles: str
@@ -33,8 +32,7 @@ class Counterexample:
         return f"X({self.p},{self.q}) with {self.bundles}: failed {', '.join(self.failed)}"
 
 
-@dataclass
-class VerifySummary:
+class VerifySummary(NamedTuple):
     seed: int
     requested: int
     executed: int

@@ -60,10 +60,10 @@ def step(gens, x, ring=HElement, coeff=None):
 
 
 def test_projspace_validation():
-    with pytest.raises(ValueError):
-        ProjSpace(0, 0)
-    with pytest.raises(ValueError):
-        ProjSpace(-1, 2)
+    for p, q in ((0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError) as refused:
+            ProjSpace(p, q)
+        assert str(refused.value) == f"invalid projective space X({p},{q})"
 
 
 def test_basis_sizes_and_positions():
@@ -587,6 +587,29 @@ def test_raw_monomial_past_a_tower_is_one_division(monkeypatch):
     assert str(y) == ("e^2*xi^1000000*z1^-1000001*cxw^4"
                       " + xi^1000001*z1^-1000002*cw*cxw^4")
     assert calls["normalize"] <= 4, calls
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_a_basis_monomial_is_its_own_normal_form_without_a_step(ring, monkeypatch):
+    calls = {"gen_mul": 0}
+    step = projmod.gen_mul
+
+    def counted(*args):
+        calls["gen_mul"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(projmod, "gen_mul", counted)
+    checked = 0
+    for sp in all_spaces(3):
+        for m in range(-3, 4):
+            for mono in basis(sp, m):
+                x = raw_monomial(sp, mono.s, mono.t, mono.a, mono.b, ring)
+                assert x.terms == {mono: ring.ring_one()}
+                assert type(next(iter(x.terms))) is BasisMonomial
+                checked += 1
+    assert calls["gen_mul"] == 0 and checked == 7 * sum(sp.p + sp.q for sp in all_spaces(3))
+    raw_monomial(ProjSpace(2, 2), 0, 0, 1, 3, ring)  # one step past the cxw tower
+    assert calls["gen_mul"] == 1
 
 
 def test_add_and_constructor_reject_mixed_gradings():

@@ -5,9 +5,10 @@ element of one grading, carried into the constant-Z ring by its normal form
 and into the Borel ring by ``borel_map``.  The two coefficient changes are
 also checked as ring maps of the module ring: ``BorelElement`` multiplies
 polynomials, sharing no code with the rewrite engine, so it is an
-independent oracle for ``mod_mul``.  The runs are derandomized and keep no
-example database, so they are deterministic and leave nothing in the
-working tree.
+independent oracle for ``mod_mul``.  Every Euler class is affine in the
+half-degree of one line, the premise of deciding ``product == closed`` for
+all degrees at once.  The runs are derandomized and keep no example
+database, so they are deterministic and leave nothing in the working tree.
 """
 
 import subprocess
@@ -20,9 +21,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from equibezout.euler import (
+    BundleSum,
+    LineBundle,
+    context_check,
+    euler_closed,
+    euler_line,
+    euler_product,
+)
 from equibezout.hscalar import HElement
 from equibezout.projmod import ModuleElement, ProjSpace, basis, is_divided
-from equibezout.variants import BorelElement, ZHElement, borel_map, z_map
+from equibezout.variants import (
+    BorelElement,
+    ZHElement,
+    borel_euler_closed,
+    borel_map,
+    z_euler_closed,
+    z_map,
+)
 from oracles import scalars_in_grading
 
 # Even without a database, hypothesis caches the constants it reads from
@@ -179,6 +195,47 @@ def test_coefficient_changes_are_ring_maps(pair):
     assert xy == y * x
     assert borel_map(xy, 0) == borel_map(x, 0) * borel_map(y, 0)
     assert z_map(xy) == z_map(x) * z_map(y)
+
+
+def at_half_degree(L: LineBundle, h: int) -> LineBundle:
+    """L with degree 2h + (L.d mod 2): the same twist and parity, so the
+    same type."""
+    return LineBundle(L.twisted, 2 * h + L.d % 2)
+
+
+# each Euler class as a function of (space, moving line, other lines)
+EULER_CLASSES = {
+    "euler_line": lambda sp, L, rest: euler_line(L, sp),
+    "euler_product": lambda sp, L, rest: euler_product(BundleSum.make(sp, (L, *rest))),
+    "euler_closed": lambda sp, L, rest: euler_closed(BundleSum.make(sp, (L, *rest))),
+    "z_euler_closed": lambda sp, L, rest: z_euler_closed(BundleSum.make(sp, (L, *rest))),
+    "borel_euler_closed":
+        lambda sp, L, rest: borel_euler_closed(BundleSum.make(sp, (L, *rest))),
+}
+
+
+@st.composite
+def moving_lines(draw):
+    """X(p, q) with p, q <= 4, a sum in the Bezout context, one of its lines
+    (the one that moves) and the line's half-degree h, |h| <= 8; the type
+    counts, and so the context, do not depend on h."""
+    sp = ProjSpace(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    lines = st.builds(LineBundle, st.booleans(), st.integers(-9, 9))
+    summands = draw(st.lists(lines, min_size=1, max_size=sp.p + sp.q - 1))
+    assume(not context_check(BundleSum.make(sp, summands)))
+    return sp, summands[0], summands[1:], draw(st.integers(-8, 8))
+
+
+@pytest.mark.parametrize("name", list(EULER_CLASSES))
+@settings(AXIOMS, max_examples=60)
+@given(instance=moving_lines())
+def test_euler_classes_are_affine_in_one_half_degree(name, instance):
+    # f(h+1) - f(h) == f(h) - f(h-1), written with + only, as a Borel class
+    # has no minus: the second difference in h vanishes
+    sp, L, rest, h = instance
+    f = EULER_CLASSES[name]
+    below, here, above = (f(sp, at_half_degree(L, k), rest) for k in (h - 1, h, h + 1))
+    assert above + below == here + here
 
 
 FAILING_PROPERTY = """
