@@ -252,11 +252,11 @@ class HElement:
     __repr__ = __str__
 
     # hooks used by the generic module rewrite engine, besides ``shift``,
-    # which applies a rule's constant e^2 or xi^k as a monomial shift.  The
-    # two constants are built on first use and then shared: one value per
-    # ring class, keyed by the class, so a subclass never gets its
-    # parent's.  Sharing is safe because no scalar is changed in place.
-    # ring_xi is built on each call, as its exponent follows the input.
+    # which applies a rule's constant e^2 or xi^k as a monomial shift (of
+    # ``ring_one`` where a rewrite starts from xi^k).  The two constants
+    # are built on first use and then shared: one value per ring class,
+    # keyed by the class, so a subclass never gets its parent's.  Sharing
+    # is safe because no scalar is changed in place.
 
     @classmethod
     @cache
@@ -268,10 +268,6 @@ class HElement:
     def ring_u(cls) -> "HElement":
         # the unit u = 1 - kappa = g - 1, with u^2 = 1
         return cls(0, 0, -1, 1)
-
-    @classmethod
-    def ring_xi(cls, n: int) -> "HElement":
-        return cls(0, n, 1)
 
 
 def g() -> HElement:

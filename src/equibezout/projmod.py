@@ -37,22 +37,26 @@ a term that the scaling kills (2-torsion, as 2*e*xi = 0) takes no step at
 all.  ``_normalize`` builds each image itself: it checks the family (a
 ``ValueError``, not an assert, with the text of ``_basis``), builds no
 ``ProjSpace`` and adds the image to ``out``.  The rules, one branch of
-``_normalize`` each, with u = 1-kappa:
+``_normalize`` each and fired in this order, with u = 1-kappa:
 
     vanish              cw^p * cxw^q = 0
     zeta cancel         z0*z1 = xi, and z0 * z1^-k = xi * z1^-(k+1) on a tower
-    z1*cxw              z1*cxw = u*z0*cw + e^2
     z1 cw^p division    z1^t * cw^p = xi^t * z0^-t * cw^p
     z0 cxw^q division   z0^s * cxw^q = xi^s * z1^-s * cxw^q
+    z1*cxw              z1*cxw = u*z0*cw + e^2
     cxw tower           z1^t * cxw^b = xi * z1^(t-2) * cw * cxw^(b-1)
                                      + e^2 * z1^(t-1) * cxw^(b-1)   (t <= 0, b > q)
     z0^2*cw             z0^2 * cw = xi*cxw + e^2*z0, also for cw^(p+1)
 
-The last two follow from z1*cxw by u*xi = xi and u*e^2 = -e^2, which hold
-in both engine rings, so only the z1*cxw rule multiplies by u.  The cxw
-tower rule is z1*cxw = u*z0*cw + e^2 applied once, from the left:
-z1^t*cxw^b = z1^(t-1) * (u*z0*cw + e^2) * cxw^(b-1), with z0*z1^(t-1) =
-xi*z1^(t-2) on the tower.  It holds for every b > q, and each image keeps
+The rules with one image fire before those with two, so a monomial that
+both kinds match is rewritten in place, not branched: z1^t*cw^a*cxw^b with
+a >= p and b > 0 takes one division, not the two images of z1*cxw, and
+``raw_monomial`` can apply the same three rules to a whole exponent before
+it walks.  The last two rules follow from z1*cxw by u*xi = xi and u*e^2 =
+-e^2, which hold in both engine rings, so only the z1*cxw rule multiplies
+by u.  The cxw tower rule is z1*cxw = u*z0*cw + e^2 applied once, from the
+left: z1^t*cxw^b = z1^(t-1) * (u*z0*cw + e^2) * cxw^(b-1), with z0*z1^(t-1)
+= xi*z1^(t-2) on the tower.  It holds for every b > q, and each image keeps
 b - 1 powers of cxw, which the rule lowers again until b = q.  A
 one-generator step reaches the tower with b = q + 1 at most, but a step
 with cxw^2 or more goes higher, so the images must keep b - 1, not q.
@@ -64,7 +68,8 @@ class.  That the rules reach a basis monomial from x times any step of
 degree at most 3, for every basis monomial x, is checked against the walk
 of one generator at a time: exhaustively in the test suite for X(p, q) with
 p, q <= 3, and by a wider run over p, q <= 6 in both rings (404,740 cases,
-every degree class with |m| <= p + q + 2).  The cap on a step's degree is
+every degree class with |m| <= p + q + 2, all agreeing with the rules in
+the order above; 8 s on one Xeon core).  The cap on a step's degree is
 for speed (steps of degree up to 5 agree as well, for p, q <= 3): the
 two-image rules recurse, so normalising a whole summed exponent of degree k
 branches up to 2^k ways, while a walk merges equal images in its dict after
@@ -73,17 +78,17 @@ steps of degree 3 and 131,071 in one step of degree 20.  The operator
 identities in the test suite exercise every rule.
 
 The engine is generic over the coefficient ring through the
-``ring_one/u/xi`` hooks and the scalar method ``shift``: the Burnside ring
-``HElement`` by default, or the constant-Z scalar ``ZHElement``, which is
-``HElement`` with a different normal form (kappa = 0, so the unit 1-kappa
-collapses to 1).  ``ring_one`` and ``ring_u`` return one shared value per
-ring class, ``ring_xi(n)`` builds xi^n, and ``coeff.shift(i, j)`` is
-``coeff`` times e^i*xi^j.  A zero coefficient is tested on the fields
-``c`` and ``g``, which both rings share.  Engine results are homogeneous by
-construction, so the engine builds them with the private
-``ModuleElement._trusted``, which skips the per-term grading check that the
-public constructor makes: once per product, walk or ``apply_gen`` call, never
-per step.
+``ring_one``/``ring_u`` hooks and the scalar method ``shift``: the Burnside
+ring ``HElement`` by default, or the constant-Z scalar ``ZHElement``, which
+is ``HElement`` with a different normal form (kappa = 0, so the unit
+1-kappa collapses to 1).  ``ring_one`` and ``ring_u`` return one shared
+value per ring class, and ``coeff.shift(i, j)`` is ``coeff`` times
+e^i*xi^j, so xi^k is ``ring_one().shift(0, k)``.  A zero coefficient is
+tested on the fields ``c`` and ``g``, which both rings share.  Engine
+results are homogeneous by construction, so the engine builds them with the
+private ``ModuleElement._trusted``, which skips the per-term grading check
+that the public constructor makes: once per product, walk or ``apply_gen``
+call, never per step.
 """
 
 from __future__ import annotations
@@ -404,14 +409,14 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
     if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
         k = min(s, t) if s > 0 and t > 0 else max(s, t)
         coeff, s, t = coeff.shift(0, k), s - k, t - k
-    if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
-        _normalize(p, q, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
-        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
-        return
     if t > 0 and a >= p:  # z1 cw^p division: z1^t*cw^p = xi^t*z0^-t*cw^p
         coeff, s, t = coeff.shift(0, t), -t, 0
     if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
         coeff, s, t = coeff.shift(0, s), 0, -s
+    if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
+        _normalize(p, q, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
+        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
+        return
     if b > q:  # cxw tower: z1^t*cxw^b for every t <= 0 and b > q
         _normalize(p, q, ring, coeff.shift(0, 1), s, t - 2, a + 1, b - 1, out)
         _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
@@ -511,14 +516,14 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
     Negative ``s`` requires ``a >= p`` (the divided cw^p tower) and
     negative ``t`` requires ``b >= q``.  Both negative is rejected: since
     z0 * z1 = xi, z0^-1 * z1^-1 would be xi^-1, which the point ring does
-    not have.  For s, t >= 0 the walk starts from the largest factor
-    already in normal form: with k = min(s, t), z0^k * z1^k is xi^k, and
-    cw^min(a, p) * cxw^min(b, q) is a basis monomial unless the whole
-    monomial vanishes, so only z0^(s-k) z1^(t-k) cw^(a-a0) cxw^(b-b0) is
-    walked.  A z1 power that the zeta cancel leaves beside cw^p is divided
-    at the start (z1^t * cw^p = xi^t * z0^-t * cw^p), and so is a z0 power
-    beside cxw^q, so only cw^(a-p) (cxw^(b-q)) is walked, whatever the
-    zeta exponents.
+    not have.  A basis monomial is returned as it is, and a monomial with
+    cw^p * cxw^q vanishes.  Otherwise the rules of the module docstring
+    that have one image fire on the whole exponent, in ``_normalize``'s
+    order: the zeta cancel, then the z1 cw^p and z0 cxw^q divisions.  What
+    they leave starts from one basis monomial, z0^min(s,0) z1^min(t,0)
+    cw^min(a,p) cxw^min(b,q), and only the rest of the exponent, z0^max(s,0)
+    z1^max(t,0) cw^max(a-p,0) cxw^max(b-q,0), is walked.  So the walk does
+    not follow a zeta exponent that the cancel or a division consumes.
     """
     if a < 0 or b < 0:
         raise ValueError("cw/cxw exponents must be nonnegative")
@@ -526,33 +531,25 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         raise ValueError("z0 and z1 exponents cannot both be negative: the "
                          "product would need xi^-1, which the point ring does not have")
     p, q = sp.p, sp.q
+    if s < 0 and a < p:
+        raise ValueError(f"z0^{s} requires a cw^{p} factor over {sp}")
+    if t < 0 and b < q:
+        raise ValueError(f"z1^{t} requires a cxw^{q} factor over {sp}")
     coeff = ring.ring_one()
     if _family(p, q, s, t, a, b) is not None:  # its own normal form
-        start, rest = tuple.__new__(BasisMonomial, (p, q, s, t, a, b)), (0, 0, 0, 0)
-    elif s < 0:
-        if a < p:
-            raise ValueError(f"z0^{s} requires a cw^{p} factor over {sp}")
-        if q == 0:
-            return ModuleElement.zero(sp, ring)  # cw^p = 0 when q = 0
-        start, rest = BasisMonomial(sp, s, 0, p, 0), (0, t, a - p, b)
-    elif t < 0:
-        if b < q:
-            raise ValueError(f"z1^{t} requires a cxw^{q} factor over {sp}")
-        if p == 0:
-            return ModuleElement.zero(sp, ring)  # cxw^q = 0 when p = 0
-        start, rest = BasisMonomial(sp, 0, t, 0, q), (s, 0, a, b - q)
-    elif a >= p and b >= q:
-        return ModuleElement.zero(sp, ring)  # vanish: cw^p * cxw^q = 0
-    elif t > s and a >= p:  # z1 cw^p division after the zeta cancel
-        coeff = ring.ring_xi(t)
-        start, rest = _basis(p, q, s - t, 0, p, b), (0, 0, a - p, 0)
-    elif s > t and b >= q:  # z0 cxw^q division after the zeta cancel
-        coeff = ring.ring_xi(s)
-        start, rest = _basis(p, q, 0, t - s, a, q), (0, 0, 0, b - q)
-    else:
-        k, a0, b0 = min(s, t), min(a, p), min(b, q)
-        coeff = ring.ring_xi(k)  # zeta cancel: z0^k * z1^k = xi^k
-        start, rest = _basis(p, q, 0, 0, a0, b0), (s - k, t - k, a - a0, b - b0)
+        mono = tuple.__new__(BasisMonomial, (p, q, s, t, a, b))
+        return ModuleElement._trusted(sp, {mono: coeff}, ring)
+    if a >= p and b >= q:  # vanish: cw^p * cxw^q = 0
+        return ModuleElement.zero(sp, ring)
+    if s * t and max(s, t) > 0:  # zeta cancel: z0*z1 = xi, on a tower too
+        k = min(s, t) if s > 0 and t > 0 else max(s, t)
+        coeff, s, t = coeff.shift(0, k), s - k, t - k
+    if t > 0 and a >= p:  # z1 cw^p division: z1^t*cw^p = xi^t*z0^-t*cw^p
+        coeff, s, t = coeff.shift(0, t), -t, 0
+    if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
+        coeff, s, t = coeff.shift(0, s), 0, -s
+    s0, t0, a0, b0 = min(s, 0), min(t, 0), min(a, p), min(b, q)
+    start, rest = _basis(p, q, s0, t0, a0, b0), (s - s0, t - t0, a - a0, b - b0)
     terms = _walk({start: coeff}, _steps(*rest), ring) if any(rest) else {start: coeff}
     return ModuleElement._trusted(sp, terms, ring)
 

@@ -13,7 +13,7 @@ def check_operator_identities(ring, maxpq: int, mmax: int) -> int:
 
     Returns the number of basis elements checked.
     """
-    one, u, xi, e2 = ring.ring_one(), ring.ring_u(), ring.ring_xi(1), ring(2, 0, 1)
+    one, u, xi, e2 = ring.ring_one(), ring.ring_u(), ring(0, 1, 1), ring(2, 0, 1)
     checked = 0
     for p in range(maxpq + 1):
         for q in range(maxpq + 1):

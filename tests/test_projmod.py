@@ -218,7 +218,7 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
     # the walk's form of a step: the images land in the caller's dict, added
     # to what is there, and everything else in the dict is left alone
     coeffs = [ring.ring_one(), ring.ring_u(), ring.from_burnside(kappa()),
-              ring.ring_xi(1), ring(2, 0, 1)]
+              ring(0, 1, 1), ring(2, 0, 1)]
     checked = 0
     for sp in all_spaces(3):
         for m in range(-3, 4):
@@ -482,10 +482,14 @@ def test_raw_monomial_overflow_paths():
     expected = elem(sp, BasisMonomial(sp, -1, 0, 2, 3), -(U * hs.e(2)))
     assert got == expected
     assert raw_monomial(sp, 0, 0, 2, 4) == ModuleElement.zero(sp)
-    with pytest.raises(ValueError):
-        raw_monomial(sp, -1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        raw_monomial(sp, -1, -1, 2, 4)
+    refusals = {(0, 0, -1, 0): "cw/cxw exponents must be nonnegative",
+                (0, 0, 0, -1): "cw/cxw exponents must be nonnegative",
+                (-1, 0, 1, 0): r"z0\^-1 requires a cw\^2 factor over X\(2,4\)",
+                (0, -1, 0, 3): r"z1\^-1 requires a cxw\^4 factor over X\(2,4\)",
+                (-1, -1, 2, 4): "z0 and z1 exponents cannot both be negative"}
+    for exps, text in refusals.items():
+        with pytest.raises(ValueError, match=text):
+            raw_monomial(sp, *exps)
 
 
 def _reference_walk(sp, ring):
@@ -570,8 +574,9 @@ def test_raw_monomial_matches_the_walk_from_the_unit(ring):
 
 
 def test_raw_monomial_past_a_tower_is_one_division(monkeypatch):
-    # z1^t * cw^p = xi^t * z0^-t * cw^p is applied at the start, so the
-    # work does not follow the zeta exponent
+    # z1^t * cw^p = xi^t * z0^-t * cw^p and its mirror are applied at the
+    # start, after the zeta cancel, so the work does not follow the zeta
+    # exponent, beside a divided zeta power too
     calls = {"normalize": 0}
     normalize = projmod._normalize
 
@@ -586,7 +591,33 @@ def test_raw_monomial_past_a_tower_is_one_division(monkeypatch):
     y = parse_module_element("z0^1000000*cxw^5", sp)
     assert str(y) == ("e^2*xi^1000000*z1^-1000001*cxw^4"
                       " + xi^1000001*z1^-1000002*cw*cxw^4")
+    y = parse_module_element("z0^1000000*cw*cxw^4", sp)
+    assert str(y) == "xi^1000000*z1^-1000000*cw*cxw^4"
+    x = parse_module_element("z0^-1*z1^1000000*cw^4", sp)
+    assert str(x) == "xi^1000000*z0^-1000001*cw^4"
+    y = parse_module_element("z1^-1*z0^1000000*cxw^4", sp)
+    assert str(y) == "xi^1000000*z1^-1000001*cxw^4"
     assert calls["normalize"] <= 4, calls
+
+
+@pytest.mark.parametrize("ring", [HElement, ZHElement])
+def test_a_division_fires_before_z1_cxw_branches(ring, monkeypatch):
+    # z1^3 * cw^2*cxw over X(2, 2) matches both z1*cxw and the z1 cw^p
+    # division; the division, with one image, fires first, so the step is
+    # one _normalize call, where firing z1*cxw first made 5
+    calls = {"normalize": 0}
+    normalize = projmod._normalize
+
+    def counted(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    sp = ProjSpace(2, 2)
+    monkeypatch.setattr(projmod, "_normalize", counted)
+    out = {}
+    gen_mul((0, 3, 0, 0), BasisMonomial(sp, 0, 0, 2, 1), ring, ring.ring_one(), out)
+    assert calls["normalize"] == 1, calls
+    assert str(ModuleElement(sp, out, ring)) == "xi^3*z0^-3*cw^2*cxw"
 
 
 @pytest.mark.parametrize("ring", [HElement, ZHElement])
@@ -608,7 +639,17 @@ def test_a_basis_monomial_is_its_own_normal_form_without_a_step(ring, monkeypatc
                 assert type(next(iter(x.terms))) is BasisMonomial
                 checked += 1
     assert calls["gen_mul"] == 0 and checked == 7 * sum(sp.p + sp.q for sp in all_spaces(3))
-    raw_monomial(ProjSpace(2, 2), 0, 0, 1, 3, ring)  # one step past the cxw tower
+    # nor does a monomial that the zeta cancel and the two divisions, applied
+    # to the whole exponent, bring to a basis monomial, down to a zeta power 1
+    sp = ProjSpace(2, 2)
+    for exps, text in {(1, 1, 0, 0): "xi", (1, 1, 1, 1): "xi*cw*cxw",
+                       (0, 1, 2, 0): "xi*z0^-1*cw^2", (1, 0, 0, 2): "xi*z1^-1*cxw^2",
+                       (2, 3, 2, 0): "xi^3*z0^-1*cw^2", (3, 2, 0, 2): "xi^3*z1^-1*cxw^2",
+                       (-1, 1, 2, 1): "xi*z0^-2*cw^2*cxw",
+                       (1, -1, 1, 2): "xi*z1^-2*cw*cxw^2"}.items():
+        assert str(raw_monomial(sp, *exps, ring=ring)) == text
+    assert calls["gen_mul"] == 0
+    raw_monomial(sp, 0, 0, 1, 3, ring)  # one step past the cxw tower
     assert calls["gen_mul"] == 1
 
 

@@ -105,17 +105,8 @@ def test_ring_constants_are_shared_per_ring_class():
             assert hook(ring) is hook(ring) and type(hook(ring)) is ring
     assert hs.HElement.ring_u() != hs.HElement.ring_one()
     assert ZHElement.ring_u() == ZHElement.ring_one()  # u = g - 1 folds to 1
-    assert ZHElement.ring_xi(2) == ZHElement.from_burnside(hs.HElement.ring_xi(2))
-
-
-def test_ring_xi_is_built_on_each_call():
-    # its exponent follows the input, so it keeps no per-n value
-    for ring in (hs.HElement, ZHElement):
-        assert not hasattr(ring.ring_xi, "cache_info")
-        for n in (-3, 0, 1, 7, 10**6):
-            x = ring.ring_xi(n)
-            assert x == ring(0, n, 1) and type(x) is ring
-            assert x is not ring.ring_xi(n)
+    # a rewrite that starts from xi^k shifts the shared one
+    assert ZHElement.ring_one().shift(0, 2) == ZHElement.from_burnside(hs.xi(2))
 
 
 def test_z_map_examples():
