@@ -11,7 +11,6 @@ from .euler import (
     DegreeTriple,
     EulerReport,
     LineBundle,
-    O,
     bezout_report,
     classify_line,
     context_check,
@@ -22,7 +21,6 @@ from .euler import (
     ranks,
     recover_degrees,
     require_context,
-    xO,
 )
 from .grading import (
     PiBDegree,

@@ -41,9 +41,9 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
-# a chart draws one cell per grading and a basis one line per monomial;
-# a longer listing is no answer, and its work would follow the argument
-# values rather than the input's length
+# a chart draws one cell per grading, a basis and euler's JSON vector one
+# entry per basis monomial; a longer listing is no answer, and its work
+# would follow the argument values rather than the input's length
 MAX_LISTED = 100_000
 
 
@@ -162,6 +162,10 @@ def cmd_euler(args) -> int:
         bundles, violations = args.bundles, [str(exc)]
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.json and args.coeffs != "borel" and args.p + args.q > MAX_LISTED:
+        print(f"error: the coefficient vector would have more than {MAX_LISTED} entries "
+              "(p+q); take a smaller space or drop --json", file=sys.stderr)
         return EXIT_USAGE
     inputs = {
         "p": args.p,

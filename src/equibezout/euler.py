@@ -69,14 +69,6 @@ class LineBundle(NamedTuple):
         return f"{'xO' if self.twisted else 'O'}({self.d})"
 
 
-def O(d: int) -> LineBundle:
-    return LineBundle(False, d)
-
-
-def xO(d: int) -> LineBundle:
-    return LineBundle(True, d)
-
-
 def classify_line(L: LineBundle) -> str:
     """Type I-IV by twist and parity of the degree."""
     if not L.twisted:
@@ -192,7 +184,7 @@ def euler_line(L: LineBundle, sp: ProjSpace, ring=HElement) -> ModuleElement:
     so the constant-Z classes fold g to 2 there; zero coefficients (h = 0,
     or e^-m*kappa in constant Z) drop out.
 
-    >>> print(euler_line(O(5), ProjSpace(2, 1)))
+    >>> print(euler_line(LineBundle(False, 5), ProjSpace(2, 1)))
     5*cw - 2*e^-2*kappa*z0*cw^2
     """
     p, q = sp.p, sp.q
@@ -242,7 +234,7 @@ def euler_product(F: BundleSum, ring=HElement) -> ModuleElement:
     terms = ModuleElement.unit(F.sp, ring).terms
     for L in F.lines:
         out: dict = {}
-        _mul_into(terms, factors[L], ring, out)
+        _mul_into(terms, factors[L], out)
         terms = out
     return ModuleElement._trusted(F.sp, terms, ring)
 

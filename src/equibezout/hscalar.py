@@ -251,12 +251,13 @@ class HElement:
 
     __repr__ = __str__
 
-    # hooks used by the generic module rewrite engine, besides ``shift``,
-    # which applies a rule's constant e^2 or xi^k as a monomial shift (of
-    # ``ring_one`` where a rewrite starts from xi^k).  The two constants
-    # are built on first use and then shared: one value per ring class,
-    # keyed by the class, so a subclass never gets its parent's.  Sharing
-    # is safe because no scalar is changed in place.
+    # hooks of the module rewrite engine, besides ``shift`` (a rule's e^2 or
+    # xi^k as a monomial shift): ``projmod._normalize`` reads ``ring_u``
+    # from the class of the coefficient it rewrites, and ``ring_one`` starts
+    # a result with no coefficient yet (``raw_monomial``, ``unit``,
+    # ``coeff_vector``).  Each is built on first use and shared: one value
+    # per ring class, keyed by the class, so a subclass never gets its
+    # parent's.  Sharing is safe because no scalar is changed in place.
 
     @classmethod
     @cache

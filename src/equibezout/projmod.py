@@ -21,7 +21,7 @@ tuple, with tuple's C slots, and its space ``.sp`` is rebuilt from
 Products are computed by a terminating rewrite system.  One step multiplies
 a basis monomial by a generator monomial z0^s z1^t cw^a cxw^b of total
 degree at most ``STEP_DEGREE`` = 3 and normalises the result in one call:
-``gen_mul(step, x, ring, coeff, out)``, where ``step`` is the exponent tuple
+``gen_mul(step, x, coeff, out)``, where ``step`` is the exponent tuple
 ``(s, t, a, b)``.  ``_steps`` cuts a longer monomial into such steps.  A
 line class, whose monomials have degree at most 3, is one step per
 monomial, and ``_mul_into`` adds the terms of a product times a tuple of
@@ -77,13 +77,13 @@ each step.  Over X(24, 24), cw^20 * cw^20 made 314 ``_normalize`` calls in
 steps of degree 3 and 131,071 in one step of degree 20.  The operator
 identities in the test suite exercise every rule.
 
-The engine is generic over the coefficient ring through the
-``ring_one``/``ring_u`` hooks and the scalar method ``shift``: the Burnside
-ring ``HElement`` by default, or the constant-Z scalar ``ZHElement``, which
-is ``HElement`` with a different normal form (kappa = 0, so the unit
-1-kappa collapses to 1).  ``ring_one`` and ``ring_u`` return one shared
-value per ring class, and ``coeff.shift(i, j)`` is ``coeff`` times
-e^i*xi^j, so xi^k is ``ring_one().shift(0, k)``.  A zero coefficient is
+The engine is generic over the coefficient ring, and a step's ring is the
+class of its coefficient: the Burnside ring ``HElement``, or the constant-Z
+``ZHElement``, ``HElement`` with another normal form (kappa = 0, so the
+unit 1-kappa collapses to 1).  The relations hold over both, so no step
+takes the ring as an argument: ``_normalize`` reads u from the
+coefficient's class, ``coeff.ring_u()``, one shared value per class, and
+``coeff.shift(i, j)`` is ``coeff`` times e^i*xi^j.  A zero coefficient is
 tested on the fields ``c`` and ``g``, which both rings share.  Engine
 results are homogeneous by construction, so the engine builds them with the
 private ``ModuleElement._trusted``, which skips the per-term grading check
@@ -390,16 +390,16 @@ class ModuleElement:
     __repr__ = __str__
 
 
-def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
+def _normalize(p: int, q: int, coeff, s, t, a, b, out: dict) -> None:
     """Rewrite z0^s z1^t cw^a cxw^b * coeff over X(p, q) into normal form,
     into ``out``.
 
     One branch per rule of the module docstring, named in its comment: a
     rule with one image rewrites the exponents in place, a rule with two
     recurses.  A rule's constant e^2 or xi^k is applied as a monomial shift
-    of the coefficient, and ``u`` as a product.  A zero coefficient (a
-    constant times a torsion class) ends the rewrite at once; it is tested
-    on the fields that both engine rings share.  The image is checked
+    of the coefficient, and ``u`` as a product by the coefficient class's
+    ``ring_u``.  A zero coefficient (a constant times a torsion class) ends
+    the rewrite at once; it is tested on the fields both engine rings share.  The image is checked
     against the six families, built and added to ``out`` here.
     """
     if not (coeff.c or coeff.g):
@@ -414,16 +414,16 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
     if s > 0 and b >= q:  # z0 cxw^q division: z0^s*cxw^q = xi^s*z1^-s*cxw^q
         coeff, s, t = coeff.shift(0, s), 0, -s
     if t > 0 and b:  # z1*cxw = u*z0*cw + e^2
-        _normalize(p, q, ring, coeff * ring.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
-        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
+        _normalize(p, q, coeff * coeff.ring_u(), s + 1, t - 1, a + 1, b - 1, out)
+        _normalize(p, q, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
         return
     if b > q:  # cxw tower: z1^t*cxw^b for every t <= 0 and b > q
-        _normalize(p, q, ring, coeff.shift(0, 1), s, t - 2, a + 1, b - 1, out)
-        _normalize(p, q, ring, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
+        _normalize(p, q, coeff.shift(0, 1), s, t - 2, a + 1, b - 1, out)
+        _normalize(p, q, coeff.shift(2, 0), s, t - 1, a, b - 1, out)
         return
     if (s >= 2 and a) or a > p:  # z0^2*cw = xi*cxw + e^2*z0, and cw^(p+1)
-        _normalize(p, q, ring, coeff.shift(0, 1), s - 2, t, a - 1, b + 1, out)
-        _normalize(p, q, ring, coeff.shift(2, 0), s - 1, t, a - 1, b, out)
+        _normalize(p, q, coeff.shift(0, 1), s - 2, t, a - 1, b + 1, out)
+        _normalize(p, q, coeff.shift(2, 0), s - 1, t, a - 1, b, out)
         return
     if _family(p, q, s, t, a, b) is None:
         raise _not_basis(p, q, s, t, a, b)
@@ -432,26 +432,26 @@ def _normalize(p: int, q: int, ring, coeff, s, t, a, b, out: dict) -> None:
     out[mono] = coeff if prev is None else prev + coeff
 
 
-def gen_mul(step: tuple, x: BasisMonomial, ring, coeff, out: dict) -> None:
+def gen_mul(step: tuple, x: BasisMonomial, coeff, out: dict) -> None:
     """Normalise ``coeff * step * x`` into ``out``, one rewrite step.
 
     ``step`` is the exponent tuple ``(s, t, a, b)`` of the generator
     monomial z0^s z1^t cw^a cxw^b, of total degree at most ``STEP_DEGREE``
     (see the module docstring); ``_steps`` cuts a longer monomial into such
-    steps.  ``coeff`` is the rewrite's starting coefficient, so the images
-    come out already scaled: a rewrite rule multiplies it by its ring
-    constant once, and an image that is a bare monomial costs no product at
+    steps.  ``coeff`` is the rewrite's starting coefficient, and its class
+    is the ring the step works in.  The images come out already scaled: a
+    rewrite rule multiplies it by its ring constant once, and an image that is a bare monomial costs no product at
     all.  ``out`` maps basis monomials to coefficients; each image is added
     to the coefficient already there, so a sum may leave a zero.
 
     >>> sp, out = ProjSpace(2, 2), {}
-    >>> gen_mul((0, 0, 1, 0), BasisMonomial(sp, 0, 0, 0, 1), HElement, HElement.ring_one(), out)
+    >>> gen_mul((0, 0, 1, 0), BasisMonomial(sp, 0, 0, 0, 1), HElement.ring_one(), out)
     >>> [str(mono) for mono in out]
     ['cw*cxw']
     """
     p, q, s, t, a, b = x
     ds, dt, da, db = step
-    _normalize(p, q, ring, coeff, s + ds, t + dt, a + da, b + db, out)
+    _normalize(p, q, coeff, s + ds, t + dt, a + da, b + db, out)
 
 
 def _steps(s: int, t: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
@@ -477,7 +477,7 @@ def _steps(s: int, t: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
     return steps
 
 
-def _walk(terms: dict, steps, ring) -> dict:
+def _walk(terms: dict, steps) -> dict:
     """Multiply ``terms`` by each generator monomial of ``steps`` in turn;
     every step normalises the images of all terms, each started from its
     term's coefficient, into one new dict.  The result may hold zero
@@ -485,7 +485,7 @@ def _walk(terms: dict, steps, ring) -> dict:
     for step in steps:
         out: dict = {}
         for mono, coeff in terms.items():
-            gen_mul(step, mono, ring, coeff, out)
+            gen_mul(step, mono, coeff, out)
         terms = out
     return terms
 
@@ -503,7 +503,7 @@ def apply_gen(gen: str, x: ModuleElement) -> ModuleElement:
     step = GENERATORS.get(gen)
     if step is None:
         raise ValueError(f"unknown generator {gen!r}")
-    return ModuleElement._trusted(x.sp, _walk(x.terms, (step,), x.ring), x.ring)
+    return ModuleElement._trusted(x.sp, _walk(x.terms, (step,)), x.ring)
 
 
 def is_divided(x: BasisMonomial) -> bool:
@@ -550,11 +550,11 @@ def raw_monomial(sp: ProjSpace, s: int, t: int, a: int, b: int, ring=HElement) -
         coeff, s, t = coeff.shift(0, s), 0, -s
     s0, t0, a0, b0 = min(s, 0), min(t, 0), min(a, p), min(b, q)
     start, rest = _basis(p, q, s0, t0, a0, b0), (s - s0, t - t0, a - a0, b - b0)
-    terms = _walk({start: coeff}, _steps(*rest), ring) if any(rest) else {start: coeff}
+    terms = _walk({start: coeff}, _steps(*rest)) if any(rest) else {start: coeff}
     return ModuleElement._trusted(sp, terms, ring)
 
 
-def _mul_into(terms: dict, factor, ring, out: dict) -> None:
+def _mul_into(terms: dict, factor, out: dict) -> None:
     """Add ``terms`` times the sum of ``coeff * step`` over ``factor``, a
     tuple of ``(step, coeff)`` pairs, into ``out``: one ``gen_mul`` per term
     and pair.  Each term is scaled by the pair's coefficient before its
@@ -566,7 +566,7 @@ def _mul_into(terms: dict, factor, ring, out: dict) -> None:
             if c.c or c.g:  # a walk may leave a zero; scaling it is wasted work
                 c = c * coeff
                 if c.c or c.g:  # a torsion product: nothing to rewrite
-                    gen_mul(step, term, ring, c, out)
+                    gen_mul(step, term, c, out)
 
 
 def _degree(x: ModuleElement) -> int:
@@ -601,11 +601,11 @@ def mod_mul(x: ModuleElement, y: ModuleElement) -> ModuleElement:
         x, y = y, x
     elif not x_divided and _degree(y) > _degree(x):
         x, y = y, x
-    ring, out = x.ring, {}
+    out: dict = {}
     for mono, coeff in y.terms.items():
         *lead, last = _steps(*mono[2:])
-        _mul_into(_walk(x.terms, lead, ring), ((last, coeff),), ring, out)
-    return ModuleElement._trusted(x.sp, out, ring)
+        _mul_into(_walk(x.terms, lead), ((last, coeff),), out)
+    return ModuleElement._trusted(x.sp, out, x.ring)
 
 
 def coeff_vector(x: ModuleElement, m: int) -> list:

@@ -301,8 +301,8 @@ def _z_fixed_parity(r: _euler.EulerReport) -> bool:
     """The constant-Z fixed points remember only the fixed degrees mod 2."""
     (_, n0, n1), dd = r.ranks, r.degrees
     fix0, fix1 = z_fixed(r.kept(_z_mapped))
-    exp0 = {n0: 1} if dd.delta0 % 2 and n0 < r.F.sp.p else {}
-    exp1 = {n1: 1} if dd.delta1 % 2 and n1 < r.F.sp.q else {}
+    exp0 = {n0: 1} if dd.delta0 % 2 else {}
+    exp1 = {n1: 1} if dd.delta1 % 2 else {}
     return fix0.as_dict() == exp0 and fix1.as_dict() == exp1
 
 

@@ -9,11 +9,13 @@ family has a group, written here apart from the constructor it checks.
 the product that ``euler.euler_product`` folds into one dict.  The
 generator gradings ``DEG_*`` and the real ``rank_triple`` of a degree are
 written here from the paper, apart from the grading code they check.
+``O(d)`` and ``xO(d)`` spell the line bundles ``LineBundle(False, d)`` and
+``LineBundle(True, d)`` as the CLI's bundle lists do.
 """
 
 from math import comb
 
-from equibezout.euler import euler_line
+from equibezout.euler import LineBundle, euler_line
 from equibezout.grading import PiBDegree, RankTriple
 from equibezout.hscalar import KAPPA, PLAIN, TRANSFER, HElement, e_power_kappa
 from equibezout.projmod import ModuleElement, mod_mul
@@ -84,6 +86,14 @@ def exi(m: int, n: int) -> HElement:
 
 def tauinv(n: int) -> HElement:
     return HElement(0, -n, 1)
+
+
+def O(d: int) -> LineBundle:
+    return LineBundle(False, d)
+
+
+def xO(d: int) -> LineBundle:
+    return LineBundle(True, d)
 
 
 def borel_relation(sp) -> dict[int, int]:

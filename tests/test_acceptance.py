@@ -12,13 +12,11 @@ from equibezout.cli import main
 from equibezout.euler import (
     BundleSum,
     DegreeTriple,
-    O,
     euler_closed,
     euler_line,
     euler_product,
     ranks,
     recover_degrees,
-    xO,
 )
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement
@@ -43,6 +41,7 @@ from equibezout.variants import (
 from equibezout.verify import random_bundle_sum, run_verify
 from oracles import (
     G,
+    O,
     borel_relation,
     einvkappa,
     exi,
@@ -51,6 +50,7 @@ from oracles import (
     scalar,
     scalars_in_grading,
     tauinv,
+    xO,
 )
 
 

@@ -497,6 +497,35 @@ def test_basis_work_is_bounded_by_the_listing_cap(argv):
         "error: the basis would have more than 100000 monomials (p+q); take a smaller space"]
 
 
+@pytest.mark.parametrize("theory", ["burnside", "zconst"])
+@pytest.mark.parametrize("p, q", [("100000", "1"), ("9" * 4300, "9" * 4300)],
+                         ids=["p+q=100001", "4300-nines"])
+def test_euler_json_vector_is_bounded_by_the_listing_cap(theory, p, q):
+    # the JSON coefficient array lists p + q entries, one per basis monomial
+    # of the degree class, so a larger space is refused before any class is
+    # computed (10^7 + 1 entries ran out of memory under a 3 GB limit)
+    proc = subprocess.run([sys.executable, "-m", "equibezout.cli", "euler", p, q, "O(1)",
+                           "--coeffs", theory, "--json"],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the coefficient vector would have more than 100000 entries (p+q); "
+        "take a smaller space or drop --json"]
+
+
+@pytest.mark.parametrize("argv", [["--coeffs", "burnside"], ["--coeffs", "zconst"],
+                                  ["--coeffs", "borel", "--json"]])
+def test_euler_over_a_space_past_the_listing_cap_still_answers(argv):
+    # the text class line and the Borel coefficients list only the class's
+    # own terms, so the cap on the JSON vector does not refuse them
+    proc = subprocess.run([sys.executable, "-m", "equibezout.cli", "euler", "100000", "1",
+                           "O(1)", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == "" and proc.stdout
 @pytest.mark.parametrize(
     "theory, line",
     [("burnside", "e(F) = (1 + g)*P2 + e^-2*kappa*P3"), ("zconst", "e_Z(F) = 3*P2")],

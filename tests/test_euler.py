@@ -12,7 +12,6 @@ from equibezout.euler import (
     DegreeTriple,
     EulerReport,
     LineBundle,
-    O,
     bezout_report,
     classify_line,
     closed_carriers,
@@ -23,7 +22,6 @@ from equibezout.euler import (
     euler_product,
     ranks,
     recover_degrees,
-    xO,
 )
 from equibezout.grading import PiBDegree, RankTriple, euler_grading
 from equibezout.projmod import (
@@ -38,7 +36,7 @@ from equibezout.projmod import (
 )
 from equibezout.variants import ZHElement, borel_euler_closed, z_euler_closed
 from equibezout.verify import random_bundle_sum
-from oracles import einvkappa, euler_product_fold, one, tauinv
+from oracles import O, einvkappa, euler_product_fold, one, tauinv, xO
 
 U = hs.HElement.ring_u()
 

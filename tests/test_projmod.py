@@ -14,7 +14,7 @@ import pytest
 
 from equibezout import hscalar as hs
 from equibezout import projmod
-from equibezout.euler import BundleSum, O, euler_product, xO
+from equibezout.euler import BundleSum, euler_product
 from equibezout.grading import PiBDegree
 from equibezout.hscalar import HElement, h_fixed, h_rho
 from equibezout.parsing import parse_module_element
@@ -41,7 +41,7 @@ from equibezout.projmod import (
     raw_monomial,
 )
 from equibezout.variants import ZHElement, z_map
-from oracles import einvkappa, kappa, one, scalars_in_grading, tauinv
+from oracles import O, einvkappa, kappa, one, scalars_in_grading, tauinv, xO
 
 U = HElement.ring_u()
 Z1, CXW = projmod.GENERATORS["z1"], projmod.GENERATORS["cxw"]
@@ -55,7 +55,7 @@ def step(gens, x, ring=HElement, coeff=None):
     """The images of ``coeff * gens * x`` (coeff defaults to one) as an
     element; ``gens`` is the exponent tuple of a generator monomial."""
     out = {}
-    gen_mul(gens, x, ring, ring.ring_one() if coeff is None else coeff, out)
+    gen_mul(gens, x, ring.ring_one() if coeff is None else coeff, out)
     return ModuleElement(x.sp, out, ring)
 
 
@@ -228,7 +228,7 @@ def test_gen_mul_into_a_dict_adds_the_step_images(ring):
                         images = step(gen, x, ring, c).terms
                         kept = object()
                         out = {"kept": kept, **images}
-                        assert gen_mul(gen, x, ring, c, out) is None
+                        assert gen_mul(gen, x, c, out) is None
                         assert out.pop("kept") is kept
                         assert {mono: v for mono, v in out.items() if v} == {
                             mono: v + v for mono, v in images.items() if v + v}
@@ -567,7 +567,7 @@ def test_raw_monomial_matches_the_walk_from_the_unit(ring):
     for sp in all_spaces(3):
         unit = BasisMonomial(sp, 0, 0, 0, 0)
         for s, t, a, b in itertools.product(range(5), repeat=4):
-            walked = projmod._walk({unit: ring.ring_one()}, projmod._steps(s, t, a, b), ring)
+            walked = projmod._walk({unit: ring.ring_one()}, projmod._steps(s, t, a, b))
             assert raw_monomial(sp, s, t, a, b, ring) == ModuleElement(sp, walked, ring)
             checked += 1
     assert checked == 15 * 5**4
@@ -615,7 +615,7 @@ def test_a_division_fires_before_z1_cxw_branches(ring, monkeypatch):
     sp = ProjSpace(2, 2)
     monkeypatch.setattr(projmod, "_normalize", counted)
     out = {}
-    gen_mul((0, 3, 0, 0), BasisMonomial(sp, 0, 0, 2, 1), ring, ring.ring_one(), out)
+    gen_mul((0, 3, 0, 0), BasisMonomial(sp, 0, 0, 2, 1), ring.ring_one(), out)
     assert calls["normalize"] == 1, calls
     assert str(ModuleElement(sp, out, ring)) == "xi^3*z0^-3*cw^2*cxw"
 

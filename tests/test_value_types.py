@@ -20,10 +20,11 @@ import sys
 import pytest
 
 from equibezout import cli, euler
-from equibezout.euler import BURNSIDE_CHECKS, BundleSum, LineBundle, O, xO
+from equibezout.euler import BURNSIDE_CHECKS, BundleSum, LineBundle
 from equibezout.grading import PiBDegree
 from equibezout.projmod import NoneqPoly, ProjSpace
 from equibezout.verify import VerifySummary, run_verify
+from oracles import O, xO
 
 # one value of each tuple type, and the name of one of its fields
 VALUES = [

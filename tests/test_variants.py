@@ -9,7 +9,7 @@ import pytest
 
 from equibezout import hscalar as hs
 from equibezout.grading import join_signed
-from equibezout.euler import BundleSum, O, degrees, euler_product, ranks, xO
+from equibezout.euler import BundleSum, degrees, euler_product, ranks
 from equibezout.projmod import (
     BasisMonomial,
     ModuleElement,
@@ -29,7 +29,7 @@ from equibezout.variants import (
     z_fixed,
     z_map,
 )
-from oracles import borel_relation, einvkappa, kappa, one, tauinv
+from oracles import O, borel_relation, einvkappa, kappa, one, tauinv, xO
 
 
 POINT = ProjSpace(1, 1)  # a c^0 class over it is the image of a point-ring scalar

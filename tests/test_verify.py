@@ -20,6 +20,7 @@ from equibezout.verify import (
     run_verify,
     shrink,
 )
+from oracles import O, xO
 
 
 def test_small_run_passes():
@@ -136,7 +137,7 @@ def test_shrink_preserves_failure(monkeypatch):
 
 def test_check_instance_clean_on_known_good():
     good = BundleSum.make(
-        euler_mod.ProjSpace(5, 5), [euler_mod.xO(2)] * 4
+        euler_mod.ProjSpace(5, 5), [xO(2)] * 4
     )
     assert check_instance(good) == []
 
@@ -172,7 +173,7 @@ def test_check_instance_computes_each_class_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     F = BundleSum.make(
-        euler_mod.ProjSpace(4, 4), [euler_mod.O(3), euler_mod.xO(2), euler_mod.O(1)]
+        euler_mod.ProjSpace(4, 4), [O(3), xO(2), O(1)]
     )
     assert check_instance(F) == []
     # one product of F in each ring and one per factor of the split
